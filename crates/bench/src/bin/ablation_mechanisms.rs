@@ -5,7 +5,7 @@
 //! Baseline and the ideal No-Refresh system — one engine sweep over the
 //! `scheme` axis, every point a registered-or-custom policy handle.
 
-use hira_bench::{print_series, run_ws, Scale};
+use hira_bench::{print_series, Scale, SweepRun};
 use hira_core::config::HiraConfig;
 use hira_engine::{Executor, Sweep};
 use hira_sim::config::SystemConfig;
@@ -13,7 +13,6 @@ use hira_sim::policy;
 
 fn main() {
     let scale = Scale::from_env();
-    let ex = Executor::from_env();
     let cap = 64.0;
     let schemes = vec![
         ("NoRefresh", policy::noref()),
@@ -49,7 +48,7 @@ fn main() {
     let sweep = Sweep::new("ablation_mechanisms").axis("scheme", schemes, |_, s| {
         SystemConfig::table3(cap, s.clone())
     });
-    let t = run_ws(&ex, sweep, scale);
+    let t = SweepRun::new(Executor::from_env(), scale).ws_over_mixes(sweep);
     let ideal = t.mean(&[("scheme", "NoRefresh")]);
 
     println!("(weighted speedup normalized to the ideal No-Refresh system)");

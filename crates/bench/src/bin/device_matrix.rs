@@ -24,271 +24,77 @@
 //! the working directory when unset): the tracked perf baseline for the
 //! device comparison surface.
 //!
-//! Flags:
-//!
-//! * `--device=<name>[,<name>...]` (repeatable) — subset the device axis
-//!   by registry name (including the dynamic `ddr4-2400@<Gb>` form);
-//!   default: the HiRA-capable presets plus a pinned 32 Gb part,
-//! * `--policy=<name>[,<name>...]` (repeatable) — subset the policy
-//!   axis; default: a representative arrangement per family,
-//! * `--workload=<name>[,<name>...]` (repeatable) — subset the workload
-//!   axis; default: a mix, a streaming and a random generator,
-//! * `--plugin=<form>[,<form>...]` (repeatable) — cross the grid with a
-//!   controller-plugin axis (`none`, `oracle:<tRH>`, `para:<p>`,
-//!   `graphene:<tRH>:<k>`; see [`hira_sim::plugin`]); each combo is
-//!   validated through the builder, so VRR-less parts skip
-//!   directed-refresh plugins; without the flag no plugin axis is added
-//!   and the sweep keys are unchanged,
-//! * `--kernel=dense|event` — simulation kernel (default `event`; results
-//!   are bit-identical, `dense` is the reference escape hatch),
-//! * `--probe=<form>` / `--cmdtrace=<prefix>` / `--stats-epoch=<cycles>` —
-//!   attach observers to every point (results stay bit-identical; output
-//!   paths are suffixed per point), `--telemetry` — print the per-point
-//!   run telemetry table,
-//! * `--cache=<dir>` / `--no-cache` / `--cache-stats` — the shared sweep
-//!   cache: replay previously computed points from a `hira-store`
-//!   directory and simulate only the misses (see
-//!   [`hira_bench::CacheSpec`]),
-//! * `--trace[=<path>]` / `--metrics[=<path>]` / `--progress` /
-//!   `--log-level=<level>` — the shared observability axis: JSONL span
-//!   log, Prometheus dump, live progress on stderr and the slow-point
-//!   report (see [`hira_bench::ObsSpec`]; canonical results stay
-//!   byte-identical),
-//! * `--list` — print all three registries (plus the probe forms and
-//!   kernel modes) with their one-liners and exit,
-//! * `--check-determinism` — re-run the sweep single-threaded and assert
-//!   the canonical result sets are byte-identical.
+//! Flags: the shared matrix flags of [`hira_bench::MatrixArgs`] —
+//! `--device=` (default: the HiRA-capable presets plus a pinned 32 Gb
+//! part, including the dynamic `ddr4-2400@<Gb>` form), `--policy=`
+//! (default: a representative arrangement per family), `--workload=`
+//! (default: a mix, a streaming, a random and a write-heavy generator) and
+//! an opt-in `--plugin=` axis (each combo validated through the builder,
+//! so VRR-less parts skip directed-refresh plugins), plus `--kernel=`, the
+//! probe, cache and observability flags, `--telemetry`, `--list` and
+//! `--check-determinism`.
 
-use hira_bench::{
-    device_axis_from_args_or, kernel_from_args, maybe_print_telemetry, plugin_axis_from_args,
-    policy_axis_from_args_or, print_device_list, print_kernel_list, print_plugin_list,
-    print_policy_list, print_probe_list, print_workload_list, run_ws_with_stats_observed,
-    workload_axis_from_args_or, CacheSpec, ObsSpec, ProbeSpec, Scale, WsTable,
-};
-use hira_engine::{Executor, ScenarioKey, Sweep};
-use hira_sim::builder::{BuildError, SystemBuilder};
-use hira_sim::config::{KernelMode, SystemConfig};
-use hira_sim::device::DeviceHandle;
-use hira_sim::plugin::PluginHandle;
-use hira_sim::policy::PolicyHandle;
-use hira_workload::WorkloadHandle;
-use std::path::Path;
-
-/// The HiRA-capable presets plus the dynamic capacity form's 32 Gb point.
-const DEFAULT_DEVICES: &[&str] = &["ddr4-2400", "ddr4-3200", "lpddr4-3200", "ddr4-2400@32"];
-
-/// One representative refresh arrangement per family: the ideal bound,
-/// the all-bank baseline, per-bank parallelism, and HiRA.
-const DEFAULT_POLICIES: &[&str] = &["noref", "baseline", "refpb", "hira4"];
-
-/// A multiprogrammed mix, a streaming, a random and a write-heavy
-/// generator (the last keeps `write_lat` a live column).
-const DEFAULT_WORKLOADS: &[&str] = &["mix0", "stream", "random", "rw50"];
-
-type Axis<T> = [(String, T)];
-
-/// Builds the cartesian grid, skipping device × policy (HiRA-inert part)
-/// and device × plugin (VRR-less part) combos the builder rejects
-/// (returned separately for reporting). An empty `plugins` slice adds no
-/// `plugin` key part, keeping the plugin-free grid's keys unchanged.
-fn grid(
-    devices: &Axis<DeviceHandle>,
-    policies: &Axis<PolicyHandle>,
-    workloads: &Axis<WorkloadHandle>,
-    plugins: &Axis<Option<PluginHandle>>,
-    kernel: KernelMode,
-) -> (Sweep<SystemConfig>, Vec<String>) {
-    let no_plugins = [("none".to_owned(), None)];
-    let plugin_axis: &Axis<Option<PluginHandle>> = if plugins.is_empty() {
-        &no_plugins
-    } else {
-        plugins
-    };
-    let keyed = !plugins.is_empty();
-    let mut points = Vec::new();
-    let mut skipped = Vec::new();
-    for (dn, d) in devices {
-        for (pn, p) in policies {
-            for (gn, g) in plugin_axis {
-                let mut combo_ok = true;
-                for (wn, w) in workloads {
-                    if !combo_ok {
-                        break;
-                    }
-                    let mut builder = SystemBuilder::new()
-                        .device(d.clone())
-                        .policy(p.clone())
-                        .workload(w.clone())
-                        .kernel(kernel);
-                    if let Some(h) = g {
-                        builder = builder.plugin(h.clone());
-                    }
-                    match builder.build() {
-                        Ok(cfg) => {
-                            let mut key = ScenarioKey::root()
-                                .with("dev", dn)
-                                .with("policy", pn)
-                                .with("wl", wn);
-                            if keyed {
-                                key = key.with("plugin", gn);
-                            }
-                            points.push((key, cfg));
-                        }
-                        Err(BuildError::DeviceLacksHira { .. }) => {
-                            let msg = format!("{dn} x {pn} (HiRA-inert device)");
-                            if !skipped.contains(&msg) {
-                                skipped.push(msg);
-                            }
-                            combo_ok = false;
-                        }
-                        Err(BuildError::DeviceLacksVrr { .. }) => {
-                            let msg = format!("{dn} x {gn} (device drops directed refresh)");
-                            if !skipped.contains(&msg) {
-                                skipped.push(msg);
-                            }
-                            combo_ok = false;
-                        }
-                        Err(e) => panic!("device_matrix point {dn} x {pn} x {wn}: {e}"),
-                    }
-                }
-            }
-        }
-    }
-    (
-        Sweep::from_points("device_matrix", hira_engine::DEFAULT_BASE_SEED, points),
-        skipped,
-    )
-}
-
-fn print_grid(t: &WsTable, devices: &[String], policies: &[String], workloads: &[String]) {
-    println!("\n-- weighted speedup, rows = device x policy, columns = workloads --");
-    let header: Vec<String> = workloads.iter().map(|n| format!("{n:>8}")).collect();
-    println!("{:<30} {}", "", header.join(" "));
-    for d in devices {
-        for p in policies {
-            let row: Vec<String> = workloads
-                .iter()
-                .map(
-                    |w| match t.try_mean(&[("dev", d), ("policy", p), ("wl", w)]) {
-                        Some(v) => format!("{v:>8.4}"),
-                        None => format!("{:>8}", "-"),
-                    },
-                )
-                .collect();
-            println!("{:<30} {}", format!("{d} / {p}"), row.join(" "));
-        }
-    }
-}
+use hira_bench::presets::labels;
+use hira_bench::{Matrix, MatrixArgs};
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        print_device_list();
-        println!();
-        print_policy_list();
-        println!();
-        print_workload_list();
-        println!();
-        print_plugin_list();
-        println!();
-        print_probe_list();
-        println!();
-        print_kernel_list();
-        return;
-    }
-    let scale = Scale::from_env();
-    let ex = Executor::from_env();
-    let kernel = kernel_from_args();
-    let probes = ProbeSpec::from_args();
-    let cache = CacheSpec::from_args();
-    let obs = ObsSpec::from_args();
-    let devices = device_axis_from_args_or(DEFAULT_DEVICES);
-    let policies = policy_axis_from_args_or(DEFAULT_POLICIES);
-    let workloads = workload_axis_from_args_or(DEFAULT_WORKLOADS);
-    let plugins = plugin_axis_from_args();
-    assert!(
-        !devices.is_empty() && !policies.is_empty() && !workloads.is_empty(),
-        "device_matrix needs at least one device, one policy and one workload"
-    );
-    let dev_names: Vec<String> = devices.iter().map(|(n, _)| n.clone()).collect();
-    let pol_names: Vec<String> = policies.iter().map(|(n, _)| n.clone()).collect();
-    let wl_names: Vec<String> = workloads.iter().map(|(n, _)| n.clone()).collect();
-
+    let args = MatrixArgs::from_args(Matrix::Device);
+    let dev_names = labels(&args.devices);
+    let pol_names = labels(&args.policies);
+    let wl_names = labels(&args.workloads);
     println!(
         "== device matrix: {} devices x {} policies x {} workloads, {} insts ==",
-        devices.len(),
-        policies.len(),
-        workloads.len(),
-        scale.insts
+        dev_names.len(),
+        pol_names.len(),
+        wl_names.len(),
+        args.scale.insts
     );
     println!("devices:   {}", dev_names.join(", "));
     println!("policies:  {}", pol_names.join(", "));
     println!("workloads: {}", wl_names.join(", "));
-    if !plugins.is_empty() {
-        let plugin_names: Vec<&str> = plugins.iter().map(|(n, _)| n.as_str()).collect();
-        println!("plugins:   {}", plugin_names.join(", "));
-        println!("(weighted-speedup cells below average over the plugin axis)");
-    }
+    args.print_plugins(11, "cells");
+    let t = args.run();
 
-    let (sweep, skipped) = grid(&devices, &policies, &workloads, &plugins, kernel);
-    for s in &skipped {
-        println!("skipping {s}");
+    println!("\n-- weighted speedup, rows = device x policy, columns = workloads --");
+    let header: Vec<String> = wl_names.iter().map(|n| format!("{n:>8}")).collect();
+    println!("{:<30} {}", "", header.join(" "));
+    for d in &dev_names {
+        for p in &pol_names {
+            let row: Vec<String> = wl_names
+                .iter()
+                .map(|w| {
+                    match t.mean_over(&["plugin"], "ws", &[("dev", d), ("policy", p), ("wl", w)]) {
+                        Some(v) => format!("{v:>8.4}"),
+                        None => format!("{:>8}", "-"),
+                    }
+                })
+                .collect();
+            println!("{:<30} {}", format!("{d} / {p}"), row.join(" "));
+        }
     }
-    assert!(!sweep.is_empty(), "every device x policy combo was skipped");
-    let t = run_ws_with_stats_observed(&ex, sweep, scale, &probes, &cache, &obs);
-
-    if std::env::args().any(|a| a == "--check-determinism") {
-        let (sweep, _) = grid(&devices, &policies, &workloads, &plugins, kernel);
-        // Deliberately uncached: re-simulating also proves any cache
-        // replays above were bit-identical to fresh simulation.
-        let serial = run_ws_with_stats_observed(
-            &Executor::with_threads(1),
-            sweep,
-            scale,
-            &probes,
-            &CacheSpec::disabled(),
-            &ObsSpec::disabled(),
-        );
-        assert_eq!(
-            t.run.canonical_json(),
-            serial.run.canonical_json(),
-            "device sweep results must be independent of HIRA_THREADS"
-        );
-        println!("determinism check: canonical result sets byte-identical at 1 thread");
-    }
-
-    print_grid(&t, &dev_names, &pol_names, &wl_names);
 
     // Channel metrics under one representative policy: `baseline` when it
     // is on the axis, the first selected policy otherwise.
-    let metrics_policy = pol_names
+    let policy = *pol_names
         .iter()
-        .find(|n| *n == "baseline")
+        .find(|n| **n == "baseline")
         .unwrap_or(&pol_names[0]);
-    println!("\n-- channel metrics per device ({metrics_policy} policy, mean over workloads) --");
+    println!("\n-- channel metrics per device ({policy} policy, mean over workloads) --");
     println!(
         "{:<18} {:>10} {:>10} {:>8} {:>9} {:>9} {:>9}",
         "", "read_lat", "write_lat", "dbus", "read_p50", "read_p99", "write_p99"
     );
     for d in &dev_names {
-        let mean_of = |metric: &str| -> Option<f64> {
-            let vals: Vec<f64> = t
-                .run
-                .records
-                .iter()
-                .filter(|r| {
-                    r.metric == metric && r.key.matches(&[("dev", d), ("policy", metrics_policy)])
-                })
-                .map(|r| r.value)
-                .collect();
-            (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
+        let mean = |metric: &str| {
+            t.mean_over(&["wl", "plugin"], metric, &[("dev", d), ("policy", policy)])
         };
         match (
-            mean_of("read_lat"),
-            mean_of("write_lat"),
-            mean_of("dbus"),
-            mean_of("read_p50"),
-            mean_of("read_p99"),
-            mean_of("write_p99"),
+            mean("read_lat"),
+            mean("write_lat"),
+            mean("dbus"),
+            mean("read_p50"),
+            mean("read_p99"),
+            mean("write_p99"),
         ) {
             (Some(rl), Some(wl), Some(db), Some(r50), Some(r99), Some(w99)) => {
                 println!(
@@ -302,15 +108,5 @@ fn main() {
             ),
         }
     }
-
-    maybe_print_telemetry(&t.run);
-    if probes.is_active() {
-        println!("\nprobes attached: {}", probes.specs().join(", "));
-    }
-
-    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    match t.run.write_bench_json(Path::new(&dir)) {
-        Ok(path) => println!("(result store written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_device_matrix.json: {e}"),
-    }
+    args.finish(&t);
 }

@@ -2,14 +2,13 @@
 //! (a) normalized to the ideal No-Refresh system, (b) normalized to the
 //! Baseline (rank-level REF). One engine sweep over `scheme × capacity`.
 
-use hira_bench::{periodic_schemes_ablated, print_series, run_ws, Scale};
+use hira_bench::{periodic_schemes_ablated, print_series, Scale, SweepRun};
 use hira_engine::{flabel, Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
 
 fn main() {
     let scale = Scale::from_env();
-    let ex = Executor::from_env();
     let no_ra = std::env::args().any(|a| a == "--no-refresh-access");
     let caps = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
@@ -28,7 +27,7 @@ fn main() {
         .axis("cap", caps.map(|c| (flabel(c), c)), |s, c| {
             SystemConfig::table3(*c, s.clone())
         });
-    let t = run_ws(&ex, sweep, scale);
+    let t = SweepRun::new(Executor::from_env(), scale).ws_over_mixes(sweep);
     let series = |name: &str| -> Vec<f64> {
         caps.iter()
             .map(|&c| t.mean(&[("scheme", name), ("cap", &flabel(c))]))

@@ -3,14 +3,13 @@
 //! improvement over plain PARA. The `p_th` of each scheme depends on the
 //! `NRH` axis, so the scheme axis uses point-dependent expansion.
 
-use hira_bench::{preventive_schemes, print_series, run_ws, Scale};
+use hira_bench::{preventive_schemes, print_series, Scale, SweepRun};
 use hira_engine::{Executor, ScenarioKey, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
 
 fn main() {
     let scale = Scale::from_env();
-    let ex = Executor::from_env();
     let nrhs = [1024u32, 512, 256, 128, 64];
     let names: Vec<&str> = preventive_schemes(nrhs[0])
         .iter()
@@ -34,7 +33,7 @@ fn main() {
         ScenarioKey::root().with("scheme", "no-defense"),
         SystemConfig::table3(8.0, policy::baseline()),
     );
-    let t = run_ws(&ex, sweep, scale);
+    let t = SweepRun::new(Executor::from_env(), scale).ws_over_mixes(sweep);
 
     let base_ws = t.mean(&[("scheme", "no-defense")]);
     let series = |name: &str| -> Vec<f64> {

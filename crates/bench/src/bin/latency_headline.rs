@@ -7,7 +7,6 @@
 use hira_core::hira_op::HiraOperation;
 use hira_dram::timing::TimingParams;
 use hira_engine::{metric, Executor, ScenarioKey, Sweep};
-use std::path::Path;
 
 fn main() {
     let mut sweep = Sweep::from_points("headline", hira_engine::DEFAULT_BASE_SEED, Vec::new());
@@ -48,10 +47,5 @@ fn main() {
         run.value(&[], "access_lead_ns"),
         run.value(&[], "t_rc_ns")
     );
-
-    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    match run.write_bench_json(Path::new(&dir)) {
-        Ok(path) => println!("(result store written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_headline.json: {e}"),
-    }
+    hira_bench::write_bench(&run);
 }

@@ -7,8 +7,9 @@
 //! whose wake declaration is too eager shows up here as a result mismatch,
 //! not as a silently wrong BENCH baseline.
 //!
-//! Timing is single-threaded ([`hira_bench::run_perf_kernel`]) so the
-//! wall-clock comparison measures the kernels, not the executor. Always
+//! Timing is single-threaded ([`hira_bench::Task::PerfKernel`] on a
+//! one-thread [`hira_bench::SweepRun`]) so the wall-clock comparison
+//! measures the kernels, not the executor. Always
 //! writes `BENCH_perf_kernel.json` (into `HIRA_BENCH_DIR`, or the working
 //! directory when unset) with per-point `wall_dense_ms` / `wall_event_ms`
 //! / `speedup` records plus the aggregate `speedup_total`. The wall-clock
@@ -44,12 +45,13 @@
 //!
 //! Scale: `HIRA_MIXES` × `HIRA_INSTS` as everywhere else.
 
+use hira_bench::presets::labels;
 use hira_bench::{
     extract_metric_value, plugin_axis_from_args, policy_axis_from_args, print_plugin_list,
-    print_policy_list, print_series, run_perf_kernel_observed, CacheSpec, ObsSpec, Scale,
+    print_policy_list, print_series, write_bench, CacheSpec, Grid, ObsSpec, Scale, SweepRun, Task,
 };
-use hira_engine::{RunRecord, ScenarioKey};
-use std::path::Path;
+use hira_engine::{Executor, RunRecord, ScenarioKey};
+use hira_sim::config::KernelMode;
 
 /// The single value of a `--<flag>=` argument, when passed.
 fn flag_value(flag: &str) -> Option<String> {
@@ -65,7 +67,6 @@ fn main() {
         return;
     }
     let scale = Scale::from_env();
-    let cap = 8.0;
     let policies = policy_axis_from_args();
     let plugins = plugin_axis_from_args();
     let cache = CacheSpec::from_args();
@@ -81,26 +82,31 @@ fn main() {
     let tolerance: f64 = flag_value("baseline-tolerance")
         .map(|v| v.parse().expect("--baseline-tolerance"))
         .unwrap_or(0.35);
-    assert!(
-        !policies.is_empty(),
-        "perf_kernel needs at least one policy"
-    );
 
     println!(
-        "== perf_kernel: dense vs event over {} policies x {} mixes x {} insts at {cap} Gb ==",
+        "== perf_kernel: dense vs event over {} policies x {} mixes x {} insts at 8 Gb ==",
         policies.len(),
         scale.mixes,
         scale.insts
     );
     if !plugins.is_empty() {
-        let plugin_names: Vec<&str> = plugins.iter().map(|(n, _)| n.as_str()).collect();
         println!(
             "plugins: {} (per-policy walls sum over the plugin axis)",
-            plugin_names.join(", ")
+            labels(&plugins).join(", ")
         );
     }
 
-    let (mut run, stats) = run_perf_kernel_observed(&policies, &plugins, cap, scale, &cache, &obs);
+    let (sweep, _) = Grid::new("perf_kernel")
+        .policies(&policies)
+        .mixes(scale.mixes)
+        .plugins(&plugins)
+        .build(scale, KernelMode::default())
+        .unwrap_or_else(|e| panic!("perf_kernel: {e}"));
+    let (mut run, stats) = SweepRun::new(Executor::with_threads(1), scale)
+        .task(Task::PerfKernel)
+        .cache(cache)
+        .obs(obs)
+        .run(sweep);
     // Replayed points skipped both kernel runs; their identity was
     // asserted when they were first computed into the store.
     let note = if stats.hits == 0 {
@@ -161,9 +167,5 @@ fn main() {
         );
     }
 
-    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    match run.write_bench_json(Path::new(&dir)) {
-        Ok(path) => println!("(result store written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_perf_kernel.json: {e}"),
-    }
+    write_bench(&run);
 }

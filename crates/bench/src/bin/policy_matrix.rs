@@ -9,126 +9,46 @@
 //! working directory when unset): the tracked perf baseline for the policy
 //! comparison surface.
 //!
-//! Flags:
-//!
-//! * `--policy=<name>[,<name>...]` (repeatable) — subset the policy axis by
-//!   registry name; default: the full standard registry,
-//! * `--plugin=<form>[,<form>...]` (repeatable) — cross the sweep with a
-//!   controller-plugin axis (`none`, `oracle:<tRH>`, `para:<p>`,
-//!   `graphene:<tRH>:<k>`; see [`hira_sim::plugin`]); without the flag no
-//!   plugin axis is added and the sweep keys are unchanged,
-//! * `--kernel=dense|event` — simulation kernel (default `event`; results
-//!   are bit-identical, `dense` is the reference escape hatch),
-//! * `--probe=<form>` / `--cmdtrace=<prefix>` / `--stats-epoch=<cycles>` —
-//!   attach observers to every point (results stay bit-identical; output
-//!   paths are suffixed per point), `--telemetry` — print the per-point
-//!   run telemetry table,
-//! * `--cache=<dir>` / `--no-cache` / `--cache-stats` — the shared sweep
-//!   cache: replay previously computed points from a `hira-store`
-//!   directory and simulate only the misses (see
-//!   [`hira_bench::CacheSpec`]),
-//! * `--trace[=<path>]` / `--metrics[=<path>]` / `--progress` /
-//!   `--log-level=<level>` — the shared observability axis: JSONL span
-//!   log, Prometheus dump, live progress on stderr and the slow-point
-//!   report (see [`hira_bench::ObsSpec`]; canonical results stay
-//!   byte-identical),
-//! * `--list` — print the policy registry, the probe forms and the kernel
-//!   modes, then exit,
-//! * `--check-determinism` — re-run the sweep single-threaded and assert
-//!   the canonical result sets are byte-identical (the engine's guarantee,
-//!   enforced end-to-end through every policy object).
+//! Flags: the shared matrix flags of [`hira_bench::MatrixArgs`] —
+//! `--policy=` (default: the full standard registry) and an opt-in
+//! `--plugin=` axis, plus `--kernel=`, the probe, cache and observability
+//! flags, `--telemetry`, `--list` and `--check-determinism` (re-run the
+//! sweep single-threaded and assert the canonical result sets are
+//! byte-identical — the engine's guarantee, enforced end-to-end through
+//! every policy object).
 
-use hira_bench::{
-    kernel_from_args, maybe_print_telemetry, plugin_axis_from_args, policy_axis_from_args,
-    print_kernel_list, print_plugin_list, print_policy_list, print_probe_list, print_series,
-    run_ws_observed, with_plugin_axis, CacheSpec, ObsSpec, ProbeSpec, Scale,
-};
-use hira_engine::{flabel, Executor, Sweep};
-use hira_sim::config::SystemConfig;
-use std::path::Path;
+use hira_bench::presets::labels;
+use hira_bench::{print_series, Matrix, MatrixArgs};
+use hira_engine::flabel;
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        print_policy_list();
-        println!();
-        print_plugin_list();
-        println!();
-        print_probe_list();
-        println!();
-        print_kernel_list();
-        return;
-    }
-    let scale = Scale::from_env();
-    let ex = Executor::from_env();
-    let caps = [8.0, 64.0];
-    let kernel = kernel_from_args();
-    let probes = ProbeSpec::from_args();
-    let cache = CacheSpec::from_args();
-    let obs = ObsSpec::from_args();
-    let policies = policy_axis_from_args();
-    let plugins = plugin_axis_from_args();
-    assert!(
-        !policies.is_empty(),
-        "policy_matrix needs at least one policy"
-    );
-    let names: Vec<String> = policies.iter().map(|(n, _)| n.clone()).collect();
-
+    let args = MatrixArgs::from_args(Matrix::Policy);
+    let names = labels(&args.policies);
+    let caps = &args.caps;
     println!(
         "== policy matrix: {} policies x capacities {caps:?}, {} mixes x {} insts ==",
-        policies.len(),
-        scale.mixes,
-        scale.insts
+        names.len(),
+        args.scale.mixes,
+        args.scale.insts
     );
     println!("policies: {}", names.join(", "));
-    if !plugins.is_empty() {
-        let plugin_names: Vec<&str> = plugins.iter().map(|(n, _)| n.as_str()).collect();
-        println!("plugins:  {}", plugin_names.join(", "));
-        println!("(weighted-speedup rows below average over the plugin axis)");
-    }
-
-    let mk_sweep = || {
-        with_plugin_axis(
-            Sweep::new("policy_matrix")
-                .axis("policy", policies.clone(), |_, h| h.clone())
-                .axis("cap", caps.map(|c| (flabel(c), c)), move |h, c| {
-                    SystemConfig::table3(*c, h.clone()).with_kernel(kernel)
-                }),
-            &plugins,
-        )
-    };
-    let t = run_ws_observed(&ex, mk_sweep(), scale, &probes, &cache, &obs);
-
-    if std::env::args().any(|a| a == "--check-determinism") {
-        // Deliberately uncached: with a warm cache the serial run would
-        // only replay, so this re-simulates — which also proves any cache
-        // replays above were bit-identical to fresh simulation.
-        let serial = run_ws_observed(
-            &Executor::with_threads(1),
-            mk_sweep(),
-            scale,
-            &probes,
-            &CacheSpec::disabled(),
-            &ObsSpec::disabled(),
-        );
-        assert_eq!(
-            t.run.canonical_json(),
-            serial.run.canonical_json(),
-            "policy sweep results must be independent of HIRA_THREADS"
-        );
-        println!("determinism check: canonical result sets byte-identical at 1 thread");
-    }
+    args.print_plugins(10, "rows");
+    let t = args.run();
 
     let series = |name: &str| -> Vec<f64> {
         caps.iter()
-            .map(|&c| t.mean(&[("policy", name), ("cap", &flabel(c))]))
+            .map(|&c| {
+                t.mean_over(&["plugin"], "ws", &[("policy", name), ("cap", &flabel(c))])
+                    .expect("every policy x capacity cell runs")
+            })
             .collect()
     };
     println!("\n-- weighted speedup by capacity (Gb): {caps:?} --");
     for name in &names {
         print_series(name, &series(name));
     }
-    if let Some(ideal_name) = names.iter().find(|n| *n == "noref") {
-        let ideal = series(ideal_name);
+    if names.contains(&"noref") {
+        let ideal = series("noref");
         println!("\n-- normalized to noref (refresh-interference cost) --");
         for name in &names {
             let norm: Vec<f64> = series(name)
@@ -139,15 +59,5 @@ fn main() {
             print_series(name, &norm);
         }
     }
-
-    maybe_print_telemetry(&t.run);
-    if probes.is_active() {
-        println!("\nprobes attached: {}", probes.specs().join(", "));
-    }
-
-    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    match t.run.write_bench_json(Path::new(&dir)) {
-        Ok(path) => println!("(result store written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_policy_matrix.json: {e}"),
-    }
+    args.finish(&t);
 }

@@ -27,280 +27,63 @@
 //! working directory when unset): the tracked perf baseline for the
 //! defense comparison surface.
 //!
-//! Flags:
-//!
-//! * `--plugin=<form>[,<form>...]` (repeatable) — subset the plugin axis
-//!   (`none`, `oracle:<tRH>`, `para:<p>`, `graphene:<tRH>:<k>`; see
-//!   [`hira_sim::plugin`]); default: `none` plus one working point per
-//!   shipped defense,
-//! * `--policy=<name>[,<name>...]` (repeatable) — subset the policy axis;
-//!   default: the all-bank baseline, per-bank refresh and HiRA-4,
-//! * `--device=<name>[,<name>...]` (repeatable) — subset the device axis;
-//!   default: the DDR4-2400 and LPDDR4-3200 presets,
-//! * `--workload=<name>[,<name>...]` (repeatable) — subset the workload
-//!   axis; default: the row-reuse-heavy `hotspot` generator,
-//! * `--kernel=dense|event` — simulation kernel (default `event`; results
-//!   are bit-identical, `dense` is the reference escape hatch),
-//! * `--probe=<form>` / `--cmdtrace=<prefix>` / `--stats-epoch=<cycles>` —
-//!   attach observers to every point, `--telemetry` — print the per-point
-//!   run telemetry table,
-//! * `--cache=<dir>` / `--no-cache` / `--cache-stats` — the shared sweep
-//!   cache (see [`hira_bench::CacheSpec`]),
-//! * `--trace[=<path>]` / `--metrics[=<path>]` / `--progress` /
-//!   `--log-level=<level>` — the shared observability axis (see
-//!   [`hira_bench::ObsSpec`]),
-//! * `--list` — print all four registries (plus the probe forms and
-//!   kernel modes) with their one-liners and exit,
-//! * `--check-determinism` — re-run the sweep single-threaded and assert
-//!   the canonical result sets are byte-identical (the engine's guarantee,
-//!   enforced end-to-end through every plugin).
+//! Flags: the shared matrix flags of [`hira_bench::MatrixArgs`] —
+//! `--plugin=` (default: `none` plus one working point per shipped
+//! defense), `--policy=` (default: the all-bank baseline, per-bank refresh
+//! and HiRA-4), `--device=` (default: the DDR4-2400 and LPDDR4-3200
+//! presets) and `--workload=` (default: the row-reuse-heavy `hotspot`
+//! generator), plus `--kernel=`, the probe, cache and observability flags,
+//! `--telemetry`, `--list` and `--check-determinism` (enforced end-to-end
+//! through every plugin).
 
-use hira_bench::device_axis_from_args_or;
-use hira_bench::{
-    kernel_from_args, maybe_print_telemetry, plugin_axis_from_args_or, policy_axis_from_args_or,
-    print_device_list, print_kernel_list, print_plugin_list, print_policy_list, print_probe_list,
-    print_workload_list, run_ws_as_configured_observed, workload_axis_from_args_or, CacheSpec,
-    ObsSpec, ProbeSpec, Scale, WsTable,
-};
-use hira_engine::{RunRecord, ScenarioKey, Sweep};
-use hira_sim::builder::{BuildError, SystemBuilder};
-use hira_sim::config::{KernelMode, SystemConfig};
-use hira_sim::device::DeviceHandle;
-use hira_sim::plugin::PluginHandle;
-use hira_sim::policy::PolicyHandle;
-use hira_workload::WorkloadHandle;
-use std::path::Path;
-
-/// The undefended baseline plus one working point per shipped defense.
-/// Thresholds are scaled far below the paper's `tRH = 1024` on purpose:
-/// benign bench-scale traffic never hammers any row that hard, and the
-/// grid must exercise the injection paths, not just the tracking ones
-/// (oracle fires on *victim* exposure, graphene on *aggressor* count —
-/// roughly half the exposure — hence the different working points).
-const DEFAULT_PLUGINS: &[&str] = &["none", "oracle:4", "para:0.05", "graphene:2:64"];
-
-/// The all-bank baseline, per-bank refresh and HiRA-4 — one refresh
-/// arrangement per family the defenses ride on.
-const DEFAULT_POLICIES: &[&str] = &["baseline", "refpb", "hira4"];
-
-/// Two parts with different geometries and refresh timings.
-const DEFAULT_DEVICES: &[&str] = &["ddr4-2400", "lpddr4-3200"];
-
-/// Concentrated row reuse: the traffic shape that actually exercises
-/// aggressor tracking and preventive refresh injection.
-const DEFAULT_WORKLOADS: &[&str] = &["hotspot"];
-
-type Axis<T> = [(String, T)];
-
-/// Builds the cartesian grid, skipping combos the builder rejects as
-/// HiRA-incompatible or VRR-incompatible (returned separately).
-fn grid(
-    plugins: &Axis<Option<PluginHandle>>,
-    policies: &Axis<PolicyHandle>,
-    devices: &Axis<DeviceHandle>,
-    workloads: &Axis<WorkloadHandle>,
-    kernel: KernelMode,
-) -> (Sweep<SystemConfig>, Vec<String>) {
-    let mut points = Vec::new();
-    let mut skipped = Vec::new();
-    for (gn, g) in plugins {
-        for (pn, p) in policies {
-            for (dn, d) in devices {
-                let mut combo_ok = true;
-                for (wn, w) in workloads {
-                    if !combo_ok {
-                        break;
-                    }
-                    let mut builder = SystemBuilder::new()
-                        .device(d.clone())
-                        .policy(p.clone())
-                        .workload(w.clone())
-                        .kernel(kernel);
-                    if let Some(h) = g {
-                        builder = builder.plugin(h.clone());
-                    }
-                    match builder.build() {
-                        Ok(cfg) => points.push((
-                            ScenarioKey::root()
-                                .with("plugin", gn)
-                                .with("policy", pn)
-                                .with("dev", dn)
-                                .with("wl", wn),
-                            cfg,
-                        )),
-                        Err(BuildError::DeviceLacksHira { .. }) => {
-                            let msg = format!("{dn} x {pn} (HiRA-inert device)");
-                            if !skipped.contains(&msg) {
-                                skipped.push(msg);
-                            }
-                            combo_ok = false;
-                        }
-                        Err(BuildError::DeviceLacksVrr { .. }) => {
-                            let msg = format!("{dn} x {gn} (device drops directed refresh)");
-                            if !skipped.contains(&msg) {
-                                skipped.push(msg);
-                            }
-                            combo_ok = false;
-                        }
-                        Err(e) => panic!("rh_matrix point {gn} x {pn} x {dn} x {wn}: {e}"),
-                    }
-                }
-            }
-        }
-    }
-    (
-        Sweep::from_points("rh_matrix", hira_engine::DEFAULT_BASE_SEED, points),
-        skipped,
-    )
-}
-
-/// Appends the derived `ws_vs_none` records: every defended cell's `ws`
-/// divided by the undefended `none` cell of the same (policy, device,
-/// workload). Cells whose `none` counterpart is absent are left out.
-fn push_overhead_records(t: &mut WsTable) {
-    let mut derived = Vec::new();
-    for r in &t.run.records {
-        if r.metric != "ws" || r.key.matches(&[("plugin", "none")]) || r.key.get("plugin").is_none()
-        {
-            continue;
-        }
-        // Same cell, plugin swapped for `none`: every non-plugin axis
-        // label must match.
-        let same_cell = |other: &ScenarioKey| {
-            ["policy", "dev", "wl"]
-                .iter()
-                .all(|axis| r.key.get(axis) == other.get(axis))
-        };
-        let baseline = t.run.records.iter().find(|b| {
-            b.metric == "ws" && b.key.matches(&[("plugin", "none")]) && same_cell(&b.key)
-        });
-        if let Some(b) = baseline {
-            derived.push(RunRecord {
-                key: r.key.clone(),
-                metric: "ws_vs_none".to_owned(),
-                value: r.value / b.value,
-                wall_ms: 0.0,
-                telemetry: None,
-            });
-        }
-    }
-    t.run.records.extend(derived);
-}
+use hira_bench::presets::labels;
+use hira_bench::{Matrix, MatrixArgs};
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        print_plugin_list();
-        println!();
-        print_policy_list();
-        println!();
-        print_device_list();
-        println!();
-        print_workload_list();
-        println!();
-        print_probe_list();
-        println!();
-        print_kernel_list();
-        return;
-    }
-    let scale = Scale::from_env();
-    let ex = hira_engine::Executor::from_env();
-    let kernel = kernel_from_args();
-    let probes = ProbeSpec::from_args();
-    let cache = CacheSpec::from_args();
-    let obs = ObsSpec::from_args();
-    let plugins = plugin_axis_from_args_or(DEFAULT_PLUGINS);
-    let policies = policy_axis_from_args_or(DEFAULT_POLICIES);
-    let devices = device_axis_from_args_or(DEFAULT_DEVICES);
-    let workloads = workload_axis_from_args_or(DEFAULT_WORKLOADS);
-    assert!(
-        !plugins.is_empty() && !policies.is_empty() && !devices.is_empty() && !workloads.is_empty(),
-        "rh_matrix needs at least one plugin, one policy, one device and one workload"
-    );
-    let plug_names: Vec<String> = plugins.iter().map(|(n, _)| n.clone()).collect();
-    let pol_names: Vec<String> = policies.iter().map(|(n, _)| n.clone()).collect();
-    let dev_names: Vec<String> = devices.iter().map(|(n, _)| n.clone()).collect();
-    let wl_names: Vec<String> = workloads.iter().map(|(n, _)| n.clone()).collect();
-
+    let args = MatrixArgs::from_args(Matrix::Rh);
+    let plug_names = labels(&args.plugins);
+    let pol_names = labels(&args.policies);
+    let dev_names = labels(&args.devices);
+    let wl_names = labels(&args.workloads);
     println!(
         "== rh matrix: {} plugins x {} policies x {} devices x {} workloads, {} insts ==",
-        plugins.len(),
-        policies.len(),
-        devices.len(),
-        workloads.len(),
-        scale.insts
+        plug_names.len(),
+        pol_names.len(),
+        dev_names.len(),
+        wl_names.len(),
+        args.scale.insts
     );
     println!("plugins:   {}", plug_names.join(", "));
     println!("policies:  {}", pol_names.join(", "));
     println!("devices:   {}", dev_names.join(", "));
     println!("workloads: {}", wl_names.join(", "));
+    let t = args.run();
 
-    let (sweep, skipped) = grid(&plugins, &policies, &devices, &workloads, kernel);
-    for s in &skipped {
-        println!("skipping {s}");
-    }
-    assert!(!sweep.is_empty(), "every rh_matrix combo was skipped");
-    let mut t = run_ws_as_configured_observed(&ex, sweep, scale, &probes, &cache, &obs);
-
-    if std::env::args().any(|a| a == "--check-determinism") {
-        let (sweep, _) = grid(&plugins, &policies, &devices, &workloads, kernel);
-        // Deliberately uncached: re-simulating also proves any cache
-        // replays above were bit-identical to fresh simulation.
-        let serial = run_ws_as_configured_observed(
-            &hira_engine::Executor::with_threads(1),
-            sweep,
-            scale,
-            &probes,
-            &CacheSpec::disabled(),
-            &ObsSpec::disabled(),
-        );
-        assert_eq!(
-            t.run.canonical_json(),
-            serial.run.canonical_json(),
-            "rh_matrix results must be independent of HIRA_THREADS"
-        );
-        println!("determinism check: canonical result sets byte-identical at 1 thread");
-    }
-
-    push_overhead_records(&mut t);
-
-    println!("\n-- weighted speedup, rows = plugin, columns = policy (mean over devices) --");
+    // One plugin x policy cell per entry, averaged over devices and
+    // workloads; `-` where every device skipped the combination.
+    let cell = |metric: &str, g: &str, p: &str| match t.mean_over(
+        &["dev", "wl"],
+        metric,
+        &[("plugin", g), ("policy", p)],
+    ) {
+        Some(v) => format!("{v:>8.4}"),
+        None => format!("{:>8}", "-"),
+    };
+    println!(
+        "\n-- weighted speedup, rows = plugin, columns = policy (mean over devices and workloads) --"
+    );
     let header: Vec<String> = pol_names.iter().map(|n| format!("{n:>8}")).collect();
     println!("{:<18} {}", "", header.join(" "));
     for g in &plug_names {
-        let row: Vec<String> = pol_names
-            .iter()
-            .map(|p| match t.try_mean(&[("plugin", g), ("policy", p)]) {
-                Some(v) => format!("{v:>8.4}"),
-                None => format!("{:>8}", "-"),
-            })
-            .collect();
+        let row: Vec<String> = pol_names.iter().map(|p| cell("ws", g, p)).collect();
         println!("{g:<18} {}", row.join(" "));
     }
 
-    if plug_names.iter().any(|g| g == "none") {
+    if plug_names.contains(&"none") {
         println!("\n-- defense overhead: ws relative to `none` (1.0 = free) --");
         println!("{:<18} {}", "", header.join(" "));
-        for g in plug_names.iter().filter(|g| *g != "none") {
-            let row: Vec<String> = pol_names
-                .iter()
-                .map(|p| {
-                    let vals: Vec<f64> = t
-                        .run
-                        .records
-                        .iter()
-                        .filter(|r| {
-                            r.metric == "ws_vs_none"
-                                && r.key.matches(&[("plugin", g), ("policy", p)])
-                        })
-                        .map(|r| r.value)
-                        .collect();
-                    if vals.is_empty() {
-                        format!("{:>8}", "-")
-                    } else {
-                        format!("{:>8.4}", vals.iter().sum::<f64>() / vals.len() as f64)
-                    }
-                })
-                .collect();
+        for g in plug_names.iter().filter(|g| **g != "none") {
+            let row: Vec<String> = pol_names.iter().map(|p| cell("ws_vs_none", g, p)).collect();
             println!("{g:<18} {}", row.join(" "));
         }
     }
@@ -311,22 +94,13 @@ fn main() {
         "", "acts", "injected", "max_exposure", "mean_exposure", "rows>tRH"
     );
     for g in &plug_names {
-        let mean_of = |metric: &str| -> Option<f64> {
-            let vals: Vec<f64> = t
-                .run
-                .records
-                .iter()
-                .filter(|r| r.metric == metric && r.key.matches(&[("plugin", g)]))
-                .map(|r| r.value)
-                .collect();
-            (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
-        };
+        let mean = |metric: &str| t.mean_over(&["policy", "dev", "wl"], metric, &[("plugin", g)]);
         match (
-            mean_of("plugin_acts"),
-            mean_of("plugin_injected"),
-            mean_of("victim_max_exposure"),
-            mean_of("victim_mean_exposure"),
-            mean_of("rows_over_threshold"),
+            mean("plugin_acts"),
+            mean("plugin_injected"),
+            mean("victim_max_exposure"),
+            mean("victim_mean_exposure"),
+            mean("rows_over_threshold"),
         ) {
             (Some(a), Some(i), Some(mx), Some(mn), Some(ro)) => {
                 println!("{g:<18} {a:>12.0} {i:>12.0} {mx:>14.0} {mn:>15.2} {ro:>10.0}")
@@ -338,15 +112,5 @@ fn main() {
             ),
         }
     }
-
-    maybe_print_telemetry(&t.run);
-    if probes.is_active() {
-        println!("\nprobes attached: {}", probes.specs().join(", "));
-    }
-
-    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    match t.run.write_bench_json(Path::new(&dir)) {
-        Ok(path) => println!("(result store written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_rh_matrix.json: {e}"),
-    }
+    args.finish(&t);
 }

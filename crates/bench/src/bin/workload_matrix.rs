@@ -10,172 +10,53 @@
 //! the working directory when unset): the tracked perf baseline for the
 //! workload comparison surface.
 //!
-//! Flags:
-//!
-//! * `--workload=<name>[,<name>...]` (repeatable) — subset the workload
-//!   axis by registry name (including the dynamic `mix<N>`, `zipf<N>`,
-//!   `rw<N>`, `open<N>` and `trace:<path>` forms); default: a
-//!   representative point per family,
-//! * `--policy=<name>[,<name>...]` (repeatable) — subset the policy axis;
-//!   default: the full standard registry,
-//! * `--plugin=<form>[,<form>...]` (repeatable) — cross the sweep with a
-//!   controller-plugin axis (`none`, `oracle:<tRH>`, `para:<p>`,
-//!   `graphene:<tRH>:<k>`; see [`hira_sim::plugin`]); without the flag no
-//!   plugin axis is added and the sweep keys are unchanged,
-//! * `--kernel=dense|event` — simulation kernel (default `event`; results
-//!   are bit-identical, `dense` is the reference escape hatch),
-//! * `--probe=<form>` / `--cmdtrace=<prefix>` / `--stats-epoch=<cycles>` —
-//!   attach observers to every point (results stay bit-identical; output
-//!   paths are suffixed per point), `--telemetry` — print the per-point
-//!   run telemetry table,
-//! * `--cache=<dir>` / `--no-cache` / `--cache-stats` — the shared sweep
-//!   cache: replay previously computed points from a `hira-store`
-//!   directory and simulate only the misses (see
-//!   [`hira_bench::CacheSpec`]),
-//! * `--trace[=<path>]` / `--metrics[=<path>]` / `--progress` /
-//!   `--log-level=<level>` — the shared observability axis: JSONL span
-//!   log, Prometheus dump, live progress on stderr and the slow-point
-//!   report (see [`hira_bench::ObsSpec`]; canonical results stay
-//!   byte-identical),
-//! * `--list` — print both registries (plus the probe forms and kernel
-//!   modes) with their profile one-liners and exit,
-//! * `--check-determinism` — re-run the sweep single-threaded and assert
-//!   the canonical result sets are byte-identical (the engine's guarantee,
-//!   enforced end-to-end through every workload frontend).
+//! Flags: the shared matrix flags of [`hira_bench::MatrixArgs`] —
+//! `--workload=` (default: a representative point per family, including
+//! the dynamic `mix<N>`, `zipf<N>`, `rw<N>`, `open<N>` and `trace:<path>`
+//! forms), `--policy=` (default: the full standard registry) and an
+//! opt-in `--plugin=` axis, plus `--kernel=`, the probe, cache and
+//! observability flags, `--telemetry`, `--list` and `--check-determinism`
+//! (re-run the sweep single-threaded and assert the canonical result sets
+//! are byte-identical, enforced end-to-end through every workload
+//! frontend).
 
-use hira_bench::{
-    kernel_from_args, maybe_print_telemetry, plugin_axis_from_args, policy_axis_from_args,
-    print_kernel_list, print_plugin_list, print_policy_list, print_probe_list, print_workload_list,
-    run_ws_as_configured_observed, with_plugin_axis, workload_axis_from_args_or, CacheSpec,
-    ObsSpec, ProbeSpec, Scale,
-};
-use hira_engine::{Executor, Sweep};
-use hira_sim::config::SystemConfig;
-use std::path::Path;
-
-/// One representative point per family: two roster benchmarks and a mix
-/// (synthetic), the pattern generators, and the embedded trace replay.
-const DEFAULT_WORKLOADS: &[&str] = &[
-    "mix0",
-    "mcf",
-    "libquantum",
-    "stream",
-    "random",
-    "chase",
-    "hotspot",
-    "zipf80",
-    "rw50",
-    "open25",
-    "demo-trace",
-];
+use hira_bench::presets::labels;
+use hira_bench::{print_series, Matrix, MatrixArgs};
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        print_workload_list();
-        println!();
-        print_policy_list();
-        println!();
-        print_plugin_list();
-        println!();
-        print_probe_list();
-        println!();
-        print_kernel_list();
-        return;
-    }
-    let scale = Scale::from_env();
-    let ex = Executor::from_env();
-    let cap = 8.0;
-    let kernel = kernel_from_args();
-    let probes = ProbeSpec::from_args();
-    let cache = CacheSpec::from_args();
-    let obs = ObsSpec::from_args();
-    let workloads = workload_axis_from_args_or(DEFAULT_WORKLOADS);
-    let policies = policy_axis_from_args();
-    let plugins = plugin_axis_from_args();
-    assert!(
-        !workloads.is_empty() && !policies.is_empty(),
-        "workload_matrix needs at least one workload and one policy"
-    );
-    let wl_names: Vec<String> = workloads.iter().map(|(n, _)| n.clone()).collect();
-    let pol_names: Vec<String> = policies.iter().map(|(n, _)| n.clone()).collect();
-
+    let args = MatrixArgs::from_args(Matrix::Workload);
+    let (wl_names, pol_names) = (labels(&args.workloads), labels(&args.policies));
     println!(
-        "== workload matrix: {} workloads x {} policies at {cap} Gb, {} insts ==",
-        workloads.len(),
-        policies.len(),
-        scale.insts
+        "== workload matrix: {} workloads x {} policies at 8 Gb, {} insts ==",
+        wl_names.len(),
+        pol_names.len(),
+        args.scale.insts
     );
     println!("workloads: {}", wl_names.join(", "));
     println!("policies:  {}", pol_names.join(", "));
-    if !plugins.is_empty() {
-        let plugin_names: Vec<&str> = plugins.iter().map(|(n, _)| n.as_str()).collect();
-        println!("plugins:   {}", plugin_names.join(", "));
-        println!("(weighted-speedup cells below average over the plugin axis)");
-    }
+    args.print_plugins(11, "cells");
+    let t = args.run();
 
-    let mk_sweep = || {
-        with_plugin_axis(
-            Sweep::new("workload_matrix")
-                .axis("wl", workloads.clone(), |_, w| w.clone())
-                .axis("policy", policies.clone(), move |w, p| {
-                    SystemConfig::table3(cap, p.clone())
-                        .with_workload(w.clone())
-                        .with_kernel(kernel)
-                }),
-            &plugins,
-        )
+    let ws = |wl: &str, p: &str| {
+        t.mean_over(&["plugin"], "ws", &[("wl", wl), ("policy", p)])
+            .expect("every workload x policy cell runs")
     };
-    let t = run_ws_as_configured_observed(&ex, mk_sweep(), scale, &probes, &cache, &obs);
-
-    if std::env::args().any(|a| a == "--check-determinism") {
-        // Deliberately uncached: re-simulating also proves any cache
-        // replays above were bit-identical to fresh simulation.
-        let serial = run_ws_as_configured_observed(
-            &Executor::with_threads(1),
-            mk_sweep(),
-            scale,
-            &probes,
-            &CacheSpec::disabled(),
-            &ObsSpec::disabled(),
-        );
-        assert_eq!(
-            t.run.canonical_json(),
-            serial.run.canonical_json(),
-            "workload sweep results must be independent of HIRA_THREADS"
-        );
-        println!("determinism check: canonical result sets byte-identical at 1 thread");
-    }
-
     println!("\n-- weighted speedup, rows = workloads, columns = policies --");
     let header: Vec<String> = pol_names.iter().map(|n| format!("{n:>8}")).collect();
     println!("{:<12} {}", "", header.join(" "));
     for wl in &wl_names {
-        let row: Vec<f64> = pol_names
-            .iter()
-            .map(|p| t.mean(&[("wl", wl), ("policy", p)]))
-            .collect();
-        hira_bench::print_series(wl, &row);
+        let row: Vec<f64> = pol_names.iter().map(|p| ws(wl, p)).collect();
+        print_series(wl, &row);
     }
-    if let Some(ideal) = pol_names.iter().find(|n| *n == "noref") {
+    if pol_names.contains(&"noref") {
         println!("\n-- normalized to noref (refresh-interference cost per workload) --");
         for wl in &wl_names {
-            let bound = t.mean(&[("wl", wl), ("policy", ideal)]);
             let row: Vec<f64> = pol_names
                 .iter()
-                .map(|p| t.mean(&[("wl", wl), ("policy", p)]) / bound)
+                .map(|p| ws(wl, p) / ws(wl, "noref"))
                 .collect();
-            hira_bench::print_series(wl, &row);
+            print_series(wl, &row);
         }
     }
-
-    maybe_print_telemetry(&t.run);
-    if probes.is_active() {
-        println!("\nprobes attached: {}", probes.specs().join(", "));
-    }
-
-    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    match t.run.write_bench_json(Path::new(&dir)) {
-        Ok(path) => println!("(result store written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_workload_matrix.json: {e}"),
-    }
+    args.finish(&t);
 }

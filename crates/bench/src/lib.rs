@@ -1,10 +1,12 @@
 //! # hira-bench — the figure/table regeneration harness
 //!
 //! One binary per table and figure of the paper (see `src/bin/`), each of
-//! which declares its experiment space as a [`hira_engine::Sweep`] and runs
-//! it through the engine's deterministic multi-threaded [`Executor`]. Every
-//! binary prints the same rows/series the paper reports; absolute values
-//! come from our simulator/model, the *shape* (orderings, trends,
+//! which declares its experiment space as a [`hira_engine::Sweep`] — or a
+//! [`Grid`] of policy, workload, device, capacity, plugin and mix axes —
+//! and runs it through one [`SweepRun`]: the executor, the scale, the
+//! per-point [`Task`] and the optional probes, cache and observability.
+//! Every binary prints the same rows/series the paper reports; absolute
+//! values come from our simulator/model, the *shape* (orderings, trends,
 //! crossovers) is the reproduction target.
 //!
 //! Scale knobs (all binaries):
@@ -19,34 +21,16 @@
 //! * `HIRA_BENCH_DIR` — when set, every binary additionally writes its
 //!   machine-readable `BENCH_<sweep>.json` result set there.
 //!
-//! Binaries that sweep refresh policies also accept `--policy=<name>[,..]`
-//! (repeatable) to subset the policy axis by registry name — see
-//! [`policy_axis_from_args`] — binaries that sweep workloads accept
-//! `--workload=<name>[,..]` the same way ([`workload_axis_from_args`]),
-//! and binaries that sweep devices accept `--device=<name>[,..]`
-//! ([`device_axis_from_args_or`], including the dynamic `ddr4-2400@<Gb>`
-//! form). Passing `--list` to any axis prints every registered name with
-//! its one-line profile and exits, so sweep binaries are self-documenting.
-//!
-//! All matrix binaries additionally share the sweep-cache axis
-//! ([`CacheSpec::from_args`]): `--cache=<dir>` replays previously computed
-//! points from a `hira-store` directory and simulates only the misses,
-//! `--no-cache` disables a configured cache, and `--cache-stats` prints
-//! the hit/miss accounting after the run.
-//!
-//! And the observability axis ([`ObsSpec::from_args`]): `--trace[=<path>]`
-//! writes one JSONL span/event log per sweep, `--metrics[=<path>]` dumps a
-//! Prometheus text exposition after the run, `--progress` streams live
-//! done/total/ETA lines to stderr, and `--log-level=` (or `HIRA_LOG`)
-//! filters the trace. Observation rides beside the results — canonical
-//! output is byte-identical with or without it.
+//! The four comparison matrices (`policy_matrix`, `workload_matrix`,
+//! `device_matrix`, `rh_matrix`) are presets of one grid ([`Matrix`]) and
+//! share one flag parser, [`MatrixArgs`], which documents the flags once.
 
 use hira_engine::{
-    metric, sanitize_key, suffix_path, Executor, Metric, PointRun, PointTelemetry, Scenario,
-    ScenarioKey, Sweep,
+    flabel, metric, sanitize_key, suffix_path, Executor, Metric, PointTelemetry, RunRecord,
+    Scenario, ScenarioKey, Sweep,
 };
 use hira_obs::{field, Level, MetricsRegistry, Progress, TraceSink};
-use hira_sim::builder::SystemBuilder;
+use hira_sim::builder::{BuildError, SystemBuilder};
 use hira_sim::config::{KernelMode, SystemConfig};
 use hira_sim::device::{DeviceHandle, DeviceRegistry};
 use hira_sim::plugin::{PluginHandle, PluginRegistry};
@@ -54,14 +38,17 @@ use hira_sim::policy::{self, PolicyHandle, PolicyRegistry};
 use hira_sim::probe::ProbeRegistry;
 use hira_sim::system::System;
 use hira_sim::ProbeHandle;
-use hira_store::{CacheExecutorExt, PointOutcome, SweepPlan, SweepStore};
+use hira_store::{CacheExecutorExt, OnPoint, PointOutcome, SweepPlan, SweepStore};
 use hira_workload::{mix, WorkloadHandle, WorkloadRegistry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex, OnceLock};
 use std::time::Instant;
 
+pub mod presets;
 pub mod serve;
+
+pub use presets::{Geometry, Matrix, MatrixArgs};
 
 pub use hira_engine::RunSet;
 pub use hira_store::CacheStats;
@@ -122,24 +109,8 @@ fn alone_key(
     )
 }
 
-/// Global cache of alone-IPC values, keyed by instance name and geometry.
-static ALONE_IPC: Mutex<Option<HashMap<AloneKey, f64>>> = Mutex::new(None);
-
-fn cached_alone_ipc(key: &AloneKey) -> Option<f64> {
-    ALONE_IPC
-        .lock()
-        .unwrap()
-        .as_ref()
-        .and_then(|m| m.get(key).copied())
-}
-
-fn store_alone_ipc(key: AloneKey, ipc: f64) {
-    ALONE_IPC
-        .lock()
-        .unwrap()
-        .get_or_insert_with(HashMap::new)
-        .insert(key, ipc);
-}
+/// Global memo of alone-IPC values, keyed by instance name and geometry.
+static ALONE_IPC: LazyLock<Mutex<HashMap<AloneKey, f64>>> = LazyLock::new(Default::default);
 
 /// The (pure, deterministic) computation behind [`alone_ipc`]: the
 /// workload instance alone on a single core of an ideal (no-refresh,
@@ -177,7 +148,7 @@ fn compute_alone_ipc(
 /// Panics when `name` does not resolve against the standard workload
 /// registry: weighted-speedup sweeps require registry-resolvable instance
 /// names (custom unregistered workloads can still be simulated directly,
-/// just not normalized by [`run_ws`]).
+/// just not normalized by a [`SweepRun`]).
 pub fn alone_ipc(
     name: &str,
     device: &DeviceHandle,
@@ -186,7 +157,7 @@ pub fn alone_ipc(
     scale: Scale,
 ) -> f64 {
     let key = alone_key(name, device, channels, ranks, scale);
-    if let Some(v) = cached_alone_ipc(&key) {
+    if let Some(&v) = ALONE_IPC.lock().expect("alone-IPC memo").get(&key) {
         return v;
     }
     let ipc = compute_alone_ipc(
@@ -196,7 +167,7 @@ pub fn alone_ipc(
         ranks,
         scale,
     );
-    store_alone_ipc(key, ipc);
+    ALONE_IPC.lock().expect("alone-IPC memo").insert(key, ipc);
     ipc
 }
 
@@ -217,7 +188,7 @@ fn warm_alone_cache<'a>(
     for cfg in configs {
         for name in cfg.workload.instance_names(cfg.cores, cfg.seed) {
             let key = alone_key(&name, &cfg.device, cfg.channels, cfg.ranks, scale);
-            if cached_alone_ipc(&key).is_some() || seen.contains(&key) {
+            if ALONE_IPC.lock().expect("alone-IPC memo").contains_key(&key) || seen.contains(&key) {
                 continue;
             }
             seen.push(key);
@@ -229,50 +200,72 @@ fn warm_alone_cache<'a>(
             points.push((sc_key, (name, cfg.device.clone(), cfg.channels, cfg.ranks)));
         }
     }
+    if points.is_empty() {
+        return;
+    }
     let warm = Sweep::from_points("alone_ipc", base_seed, points);
     let ipcs = ex.map(&warm, |sc| {
         let (name, dev, ch, rk) = sc.params;
         compute_alone_ipc(&hira_workload::workload(name), dev, *ch, *rk, scale)
     });
+    let mut memo = ALONE_IPC.lock().expect("alone-IPC memo");
     for ((_, (name, dev, ch, rk)), ipc) in warm.points().iter().zip(ipcs) {
-        store_alone_ipc(alone_key(name, dev, *ch, *rk, scale), ipc);
+        memo.insert(alone_key(name, dev, *ch, *rk, scale), ipc);
     }
 }
 
-/// A weighted-speedup table: the raw per-mix [`RunSet`] plus the per-config
-/// means (the numbers every figure plots).
+/// A weighted-speedup table: the raw per-point [`RunSet`] plus each
+/// configuration's mean over its mixes (the numbers every figure plots).
 #[derive(Debug, Clone)]
 pub struct WsTable {
-    /// Per-`(config, mix)` records (`ws` metric), for emission/inspection.
+    /// Per-`(config, mix)` records (`ws` and any task metrics), for
+    /// emission/inspection.
     pub run: RunSet,
     means: Vec<(ScenarioKey, f64)>,
 }
 
 impl WsTable {
-    /// Mean weighted speedup of the first config point matching `filters`.
+    fn new(run: RunSet) -> Self {
+        let means = run.mean_over(&["mix"], "ws");
+        WsTable { run, means }
+    }
+
+    /// Mean weighted speedup of the one configuration matching `filters`.
     ///
     /// # Panics
     ///
-    /// Panics if no config point matches — a missing point in a figure
-    /// binary is a programming error.
+    /// Panics if no configuration or several match: a lookup names exactly
+    /// one cell, and an average over several is spelled out with
+    /// [`WsTable::mean_over`].
     pub fn mean(&self, filters: &[(&str, &str)]) -> f64 {
         self.try_mean(filters)
             .unwrap_or_else(|| panic!("no ws point matches {filters:?}"))
     }
 
-    /// [`WsTable::mean`], but `None` when no point matches — for grids
-    /// with legitimately absent cells (e.g. a HiRA policy on a HiRA-inert
-    /// device, skipped at build time).
+    /// [`WsTable::mean`], but `None` when no configuration matches — for
+    /// grids with legitimately absent cells (e.g. a HiRA policy on a
+    /// HiRA-inert device, skipped at build time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if several configurations match.
     pub fn try_mean(&self, filters: &[(&str, &str)]) -> Option<f64> {
-        self.means
-            .iter()
-            .find(|(k, _)| k.matches(filters))
-            .map(|(_, v)| *v)
+        one_cell(&self.means, filters)
     }
 
-    /// All per-config means, in sweep order.
-    pub fn means(&self) -> &[(ScenarioKey, f64)] {
-        &self.means
+    /// The mean `metric` of the one cell matching `filters` once `axes`
+    /// are averaged away, besides the `mix` axis every table averages — an
+    /// explicit mean over, say, devices or plugins. `None` when no cell
+    /// matches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if several cells still match: `axes` plus `filters` must
+    /// pin down every axis of the sweep.
+    pub fn mean_over(&self, axes: &[&str], metric: &str, filters: &[(&str, &str)]) -> Option<f64> {
+        let mut all = vec!["mix"];
+        all.extend_from_slice(axes);
+        one_cell(&self.run.mean_over(&all, metric), filters)
     }
 
     /// Writes `BENCH_<sweep>.json` when `HIRA_BENCH_DIR` is set.
@@ -281,477 +274,436 @@ impl WsTable {
     }
 }
 
-/// Runs a sweep of system configurations over the standard mix suite and
-/// returns the mean weighted speedup per configuration.
-///
-/// The sweep is expanded with a `mix` axis (cartesian: every configuration ×
-/// every mix handle `mix0..mixN`), every resulting point is simulated by
-/// the engine executor, and the `mix` axis is then averaged away. All
-/// parallelism — including the alone-IPC warm-up — goes through the engine;
-/// results are bit-identical for any `HIRA_THREADS`.
+/// The value of the one cell whose key matches `filters`; `None` when
+/// none does.
 ///
 /// # Panics
 ///
-/// Panics if `sweep` is empty.
-pub fn run_ws(ex: &Executor, sweep: Sweep<SystemConfig>, scale: Scale) -> WsTable {
-    run_ws_probed(ex, sweep, scale, &ProbeSpec::default())
+/// Panics, listing them, when several cells match.
+fn one_cell(cells: &[(ScenarioKey, f64)], filters: &[(&str, &str)]) -> Option<f64> {
+    let matching: Vec<&(ScenarioKey, f64)> =
+        cells.iter().filter(|(k, _)| k.matches(filters)).collect();
+    match matching[..] {
+        [] => None,
+        [(_, v)] => Some(*v),
+        _ => {
+            let keys: Vec<String> = matching.iter().map(|(k, _)| k.to_string()).collect();
+            panic!(
+                "{filters:?} matches {} cells, not one: {}",
+                keys.len(),
+                keys.join("; ")
+            )
+        }
+    }
 }
 
-/// [`run_ws`] with probes from a [`ProbeSpec`] attached to every expanded
-/// point (after the `mix` axis exists, so per-point output files are
-/// distinct per mix). An inactive spec is a plain [`run_ws`].
-pub fn run_ws_probed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-) -> WsTable {
-    run_ws_probed_cached(ex, sweep, scale, probes, &CacheSpec::disabled())
+/// What a sweep measures at each point. The task's [`Task::tag`] is part
+/// of every point's cache key, so tasks that measure different metric sets
+/// over identical configurations never replay each other's results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Task {
+    /// Weighted speedup (`ws`): simulate, then normalize each core by its
+    /// workload's alone-IPC. Points with controller plugins attached also
+    /// report the defense counters `plugin_acts`, `plugin_injected`,
+    /// `victim_max_exposure`, `victim_mean_exposure` and
+    /// `rows_over_threshold`.
+    Ws,
+    /// [`Task::Ws`] plus the channel metrics: `read_lat` / `write_lat`
+    /// (average demand latencies in memory cycles), `dbus` (mean
+    /// per-channel data-bus busy fraction) and the histogram quantiles
+    /// `read_p50` / `read_p99` / `write_p50` / `write_p99`.
+    WsStats,
+    /// The kernel A/B: time the dense and event kernels on the point,
+    /// assert their results are identical (the `next_wake` contract), and
+    /// report `wall_dense_ms` / `wall_event_ms` / `speedup`.
+    PerfKernel,
 }
 
-/// [`run_ws_probed`] through the sweep cache selected by `cache`: hit
-/// points replay from the store, only misses are simulated (including
-/// their alone-IPC warmup), and the resulting table is bit-identical to an
-/// uncached run.
-pub fn run_ws_probed_cached(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-) -> WsTable {
-    run_ws_observed(ex, sweep, scale, probes, cache, &ObsSpec::disabled())
+impl Task {
+    /// The task's cache tag: `ws`, `ws+stats` or `perf_kernel`.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Task::Ws => "ws",
+            Task::WsStats => "ws+stats",
+            Task::PerfKernel => "perf_kernel",
+        }
+    }
+
+    /// Runs one point: its metrics, telemetry and `(warmup_ms,
+    /// measure_ms)` phase split. Measure is the simulation proper, warmup
+    /// the alone-IPC normalization (≈0 once the memo is warm); the rest of
+    /// the point's wall is the serialize phase the observer derives.
+    fn point(
+        self,
+        cfg: &SystemConfig,
+        key: &ScenarioKey,
+        scale: Scale,
+    ) -> (Vec<Metric>, Option<PointTelemetry>, (f64, f64)) {
+        let ms_since = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+        if self == Task::PerfKernel {
+            let start = Instant::now();
+            let timed = |kernel: KernelMode| {
+                let t = Instant::now();
+                let result = System::new(cfg.clone().with_kernel(kernel)).run();
+                (result, ms_since(t))
+            };
+            let (dense, wall_dense) = timed(KernelMode::Dense);
+            let (event, wall_event) = timed(KernelMode::Event);
+            assert_eq!(
+                dense, event,
+                "kernel divergence at {key}: the next_wake contract is violated somewhere"
+            );
+            let ms = vec![
+                metric("wall_dense_ms", wall_dense),
+                metric("wall_event_ms", wall_event),
+                metric("speedup", wall_dense / wall_event),
+            ];
+            return (ms, None, (0.0, ms_since(start)));
+        }
+        let t_measure = Instant::now();
+        let (r, telemetry) = System::new(cfg.clone()).run_telemetered();
+        let measure_ms = ms_since(t_measure);
+        let t_warmup = Instant::now();
+        let alone: Vec<f64> = r
+            .workloads
+            .iter()
+            .map(|name| alone_ipc(name, &cfg.device, cfg.channels, cfg.ranks, scale))
+            .collect();
+        let warmup_ms = ms_since(t_warmup);
+        let mut ms = vec![metric("ws", r.weighted_speedup(&alone))];
+        if self == Task::WsStats {
+            ms.push(metric("read_lat", r.avg_read_latency()));
+            ms.push(metric("write_lat", r.avg_write_latency()));
+            let util = r.data_bus_utilization();
+            let mean_util = util.iter().sum::<f64>() / util.len().max(1) as f64;
+            ms.push(metric("dbus", mean_util));
+            // Histogram quantiles (memory cycles); 0 on empty histograms,
+            // matching the documented empty-run convention of the means.
+            let q = |v: Option<u64>| v.map_or(0.0, |x| x as f64);
+            ms.push(metric("read_p50", q(r.read_latency_quantile(0.50))));
+            ms.push(metric("read_p99", q(r.read_latency_quantile(0.99))));
+            ms.push(metric("write_p50", q(r.write_latency_quantile(0.50))));
+            ms.push(metric("write_p99", q(r.write_latency_quantile(0.99))));
+        }
+        // Plugin-free points are unchanged (keeps the committed matrix
+        // baselines' record sets stable).
+        if !r.plugin_stats.is_empty() {
+            let totals = r.plugin_totals();
+            ms.push(metric("plugin_acts", totals.acts_observed as f64));
+            ms.push(metric("plugin_injected", totals.injected as f64));
+            ms.push(metric("victim_max_exposure", totals.max_exposure as f64));
+            ms.push(metric("victim_mean_exposure", totals.mean_exposure()));
+            ms.push(metric(
+                "rows_over_threshold",
+                totals.rows_over_threshold as f64,
+            ));
+        }
+        let t = PointTelemetry {
+            events: telemetry.events,
+            peak_queue: telemetry.peak_queue,
+        };
+        (ms, Some(t), (warmup_ms, measure_ms))
+    }
 }
 
-/// [`run_ws_probed_cached`] with the observability selected by `obs`
-/// attached: per-point trace events with phase timings, metrics counters
-/// and histograms, live progress. Observation never touches the results —
-/// the table is byte-identical to an unobserved run.
-pub fn run_ws_observed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
+/// How a simulator sweep runs: the executor, the scale, the per-point
+/// [`Task`], and what rides along — probes, the sweep cache and
+/// observability. Every `ws`, `ws+stats` and `perf_kernel` sweep, in the
+/// bins and in `hira serve` alike, executes through one path: hira-store's
+/// plan-and-run ([`CacheExecutorExt::run_cached`]), where a run without a
+/// store plans every point as a miss. The [`RunSet`] it returns is
+/// bit-identical for any thread count and cache state, and its `wall_ms`
+/// is the summed per-point wall.
+#[derive(Debug, Clone)]
+pub struct SweepRun {
+    ex: Executor,
     scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
+    task: Task,
+    probes: ProbeSpec,
+    cache: CacheSpec,
+    obs: ObsSpec,
+}
+
+impl SweepRun {
+    /// A plain `ws` run on `ex` at `scale`: no probes, no cache, no
+    /// observation.
+    pub fn new(ex: Executor, scale: Scale) -> Self {
+        SweepRun {
+            ex,
+            scale,
+            task: Task::Ws,
+            probes: ProbeSpec::default(),
+            cache: CacheSpec::disabled(),
+            obs: ObsSpec::disabled(),
+        }
+    }
+
+    /// Measures `task` at every point.
+    pub fn task(mut self, task: Task) -> Self {
+        self.task = task;
+        self
+    }
+
+    /// Attaches `probes` to every point (see [`ProbeSpec::attach`]).
+    pub fn probes(mut self, probes: ProbeSpec) -> Self {
+        self.probes = probes;
+        self
+    }
+
+    /// Replays and persists points through `cache` (see [`CacheSpec`]).
+    pub fn cache(mut self, cache: CacheSpec) -> Self {
+        self.cache = cache;
+        self
+    }
+
+    /// Observes the run as `obs` selects (see [`ObsSpec`]).
+    pub fn obs(mut self, obs: ObsSpec) -> Self {
+        self.obs = obs;
+        self
+    }
+
+    /// This run single-threaded, uncached and unobserved: the
+    /// `--check-determinism` re-run, which re-simulates every point.
+    pub fn serial(&self) -> Self {
+        SweepRun::new(Executor::with_threads(1), self.scale)
+            .task(self.task)
+            .probes(self.probes.clone())
+    }
+
+    /// Runs every point of `sweep` at this run's instruction budget and
+    /// returns the run set with its cache accounting (every point a miss
+    /// without a cache).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sweep` is empty, if the cache cannot be opened or
+    /// written, if a trace cannot be opened, or (for
+    /// [`Task::PerfKernel`]) if the two kernels diverge.
+    pub fn run(&self, sweep: Sweep<SystemConfig>) -> (RunSet, CacheStats) {
+        let (insts, warmup) = (self.scale.insts, self.scale.warmup);
+        let sweep = self
+            .probes
+            .attach(sweep.map(|_, cfg| cfg.with_insts(insts, warmup)));
+        assert!(!sweep.is_empty(), "sweep `{}` has no points", sweep.name());
+        let watch = self.obs.begin(sweep.name(), sweep.len(), self.ex.threads());
+        let mut store = self.cache.open_for(&sweep);
+        let plan = self.plan(store.as_ref(), &sweep);
+        let on_point = |o: PointOutcome<'_>| {
+            if let Some(w) = &watch {
+                let key = &sweep.points()[o.index].0;
+                w.point_done(key, o.cached, o.queue_wait_ms, o.point.wall_ms);
+            }
+        };
+        let (run, stats) = self
+            .execute(store.as_mut(), &sweep, &plan, watch.as_ref(), &on_point)
+            .unwrap_or_else(|e| panic!("cache: cannot persist results: {e}"));
+        let cached = store.is_some().then_some(&stats);
+        if let Some(s) = cached {
+            self.cache.report(s);
+        }
+        if let Some(w) = watch {
+            w.finish(&run, cached);
+        }
+        self.obs.report_slow(&run);
+        (run, stats)
+    }
+
+    /// [`SweepRun::run`] as a weighted-speedup table. Every point keeps its
+    /// own workload (a `--workload=` axis, a trace replay, a mix).
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepRun::run`], and if a point's workload yields instance
+    /// names the standard registry cannot resolve (see [`alone_ipc`]).
+    pub fn ws(&self, sweep: Sweep<SystemConfig>) -> WsTable {
+        WsTable::new(self.run(sweep).0)
+    }
+
+    /// [`SweepRun::ws`] over `sweep` crossed with the standard mix suite: a
+    /// trailing `mix` axis runs every configuration under each of the
+    /// scale's mixes (`mix0`, `mix1`, ...).
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepRun::ws`], and if the scale has no mixes.
+    pub fn ws_over_mixes(&self, sweep: Sweep<SystemConfig>) -> WsTable {
+        let mixes = mix_axis(self.scale.mixes);
+        self.ws(sweep.axis("mix", mixes, |cfg, &id| cfg.clone().with_workload(mix(id))))
+    }
+
+    /// Classifies `sweep` against `store` under this run's task tag; with
+    /// no store, every point is a miss.
+    pub(crate) fn plan(
+        &self,
+        store: Option<&SweepStore>,
+        sweep: &Sweep<SystemConfig>,
+    ) -> SweepPlan {
+        match store {
+            Some(store) => SweepPlan::compute(store, sweep, cache_salt(), |sc| {
+                ws_canonical(self.task.tag(), sc.params)
+            }),
+            None => SweepPlan::uncached(sweep.len()),
+        }
+    }
+
+    /// Executes `plan` — the one executor entry point. Alone-IPC
+    /// denominators are computed first, for the missed points only, so a
+    /// fully warm sweep performs zero simulations; `watch` receives each
+    /// computed point's phase split, `on_point` every finished point.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store append failures.
+    pub(crate) fn execute(
+        &self,
+        store: Option<&mut SweepStore>,
+        sweep: &Sweep<SystemConfig>,
+        plan: &SweepPlan,
+        watch: Option<&ObsRun>,
+        on_point: OnPoint<'_>,
+    ) -> std::io::Result<(RunSet, CacheStats)> {
+        if self.task != Task::PerfKernel {
+            let misses = plan.miss_indices().map(|i| &sweep.points()[i].1);
+            warm_alone_cache(&self.ex, misses, sweep.base_seed(), self.scale);
+        }
+        let task = |sc: Scenario<'_, SystemConfig>| {
+            let (ms, t, phases) = self.task.point(sc.params, sc.key, self.scale);
+            if let Some(w) = watch {
+                w.record_phases(sc.key, phases);
+            }
+            (ms, t)
+        };
+        self.ex.run_cached(store, sweep, plan, task, Some(on_point))
+    }
+}
+
+/// The `mix` axis values `0..mixes` (label = mix id).
+///
+/// # Panics
+///
+/// Panics when `mixes` is zero.
+fn mix_axis(mixes: usize) -> Vec<(String, usize)> {
     assert!(
-        scale.mixes >= 1,
+        mixes >= 1,
         "HIRA_MIXES must be >= 1 (a data point needs at least one mix)"
     );
-    let full = sweep.expand("mix", |_, cfg| {
-        (0..scale.mixes)
-            .map(|id| {
-                let cfg = cfg
-                    .clone()
-                    .with_insts(scale.insts, scale.warmup)
-                    .with_workload(mix(id));
-                (id.to_string(), cfg)
-            })
-            .collect()
-    });
-    run_ws_points(ex, probes.attach(full), "mix", scale, false, cache, obs)
+    (0..mixes).map(|id| (id.to_string(), id)).collect()
 }
 
-/// Runs a sweep of system configurations **as configured**: every point
-/// keeps its own workload handle (a `--workload=` axis, a trace replay, a
-/// custom generator) instead of being crossed with the mix suite. The
-/// `workload_matrix` binary's path.
-///
-/// # Panics
-///
-/// Panics if `sweep` is empty, or if a point's workload yields instance
-/// names the standard registry cannot resolve (see [`alone_ipc`]).
-pub fn run_ws_as_configured(ex: &Executor, sweep: Sweep<SystemConfig>, scale: Scale) -> WsTable {
-    run_ws_as_configured_probed(ex, sweep, scale, &ProbeSpec::default())
-}
+/// A configuration grid over ordered key axes. Each method adds one axis
+/// — `policy`, `wl`, `dev`, `cap`, `plugin` or `mix` — crossed in call
+/// order, which is also the key order, so point seeds and cache hashes
+/// follow from the call order alone. An empty axis adds no key part. Every
+/// cell builds through [`SystemBuilder`] from the Table 3 defaults; the
+/// cells it refuses as a HiRA policy on a HiRA-inert device or a
+/// directed-refresh plugin on a VRR-less device come back from
+/// [`Grid::build`] with their reason.
+#[derive(Debug, Clone)]
+pub struct Grid(Sweep<SystemBuilder>);
 
-/// [`run_ws_as_configured`] with probes from a [`ProbeSpec`] attached to
-/// every point.
-pub fn run_ws_as_configured_probed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-) -> WsTable {
-    run_ws_as_configured_cached(ex, sweep, scale, probes, &CacheSpec::disabled())
-}
+/// The cells [`Grid::build`] skipped: each one's key and reason, such as
+/// `ddr4-2400 x hira4 (HiRA-inert device)`.
+pub type Skipped = Vec<(ScenarioKey, String)>;
 
-/// [`run_ws_as_configured_probed`] through the sweep cache selected by
-/// `cache` (see [`run_ws_probed_cached`]).
-pub fn run_ws_as_configured_cached(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-) -> WsTable {
-    run_ws_as_configured_observed(ex, sweep, scale, probes, cache, &ObsSpec::disabled())
-}
-
-/// [`run_ws_as_configured_cached`] with the observability selected by
-/// `obs` attached (see [`run_ws_observed`]).
-pub fn run_ws_as_configured_observed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
-    let full = sweep.map(|_, cfg| cfg.with_insts(scale.insts, scale.warmup));
-    run_ws_points(ex, probes.attach(full), "mix", scale, false, cache, obs)
-}
-
-/// [`run_ws_as_configured`] plus the channel-level metrics: every record
-/// set carries `read_lat` / `write_lat` (average demand latencies in
-/// memory cycles), `dbus` (mean per-channel data-bus busy fraction) and
-/// the histogram quantiles `read_p50` / `read_p99` / `write_p50` /
-/// `write_p99` alongside `ws`. The `device_matrix` binary's path.
-pub fn run_ws_with_stats(ex: &Executor, sweep: Sweep<SystemConfig>, scale: Scale) -> WsTable {
-    run_ws_with_stats_probed(ex, sweep, scale, &ProbeSpec::default())
-}
-
-/// [`run_ws_with_stats`] with probes from a [`ProbeSpec`] attached to
-/// every point.
-pub fn run_ws_with_stats_probed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-) -> WsTable {
-    run_ws_with_stats_cached(ex, sweep, scale, probes, &CacheSpec::disabled())
-}
-
-/// [`run_ws_with_stats_probed`] through the sweep cache selected by
-/// `cache` (see [`run_ws_probed_cached`]).
-pub fn run_ws_with_stats_cached(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-) -> WsTable {
-    run_ws_with_stats_observed(ex, sweep, scale, probes, cache, &ObsSpec::disabled())
-}
-
-/// [`run_ws_with_stats_cached`] with the observability selected by `obs`
-/// attached (see [`run_ws_observed`]).
-pub fn run_ws_with_stats_observed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
-    let full = sweep.map(|_, cfg| cfg.with_insts(scale.insts, scale.warmup));
-    run_ws_points(ex, probes.attach(full), "mix", scale, true, cache, obs)
-}
-
-/// One weighted-speedup point: simulate, normalize each core by its
-/// workload's alone-IPC, optionally add the channel-level metrics — the
-/// task body both the cached and the uncached runner execute.
-fn ws_point_task(
-    sc: Scenario<'_, SystemConfig>,
-    scale: Scale,
-    channel_stats: bool,
-) -> (Vec<Metric>, Option<PointTelemetry>) {
-    let (ms, t, _) = ws_point_task_phased(sc, scale, channel_stats);
-    (ms, t)
-}
-
-/// [`ws_point_task`] additionally reporting its phase split `(warmup_ms,
-/// measure_ms)`: measure is the simulation proper, warmup the alone-IPC
-/// normalization work (≈0 when the memo is already warm). The remainder of
-/// the point's wall — metric assembly, result hand-off — is the serialize
-/// phase, computed by the observer as `wall - warmup - measure`.
-fn ws_point_task_phased(
-    sc: Scenario<'_, SystemConfig>,
-    scale: Scale,
-    channel_stats: bool,
-) -> (Vec<Metric>, Option<PointTelemetry>, (f64, f64)) {
-    let cfg = sc.params;
-    let t_measure = Instant::now();
-    let (r, telemetry) = System::new(cfg.clone()).run_telemetered();
-    let measure_ms = t_measure.elapsed().as_secs_f64() * 1e3;
-    let t_warmup = Instant::now();
-    let alone: Vec<f64> = r
-        .workloads
-        .iter()
-        .map(|name| alone_ipc(name, &cfg.device, cfg.channels, cfg.ranks, scale))
-        .collect();
-    let warmup_ms = t_warmup.elapsed().as_secs_f64() * 1e3;
-    let mut ms = vec![metric("ws", r.weighted_speedup(&alone))];
-    if channel_stats {
-        ms.push(metric("read_lat", r.avg_read_latency()));
-        ms.push(metric("write_lat", r.avg_write_latency()));
-        let util = r.data_bus_utilization();
-        let mean_util = util.iter().sum::<f64>() / util.len().max(1) as f64;
-        ms.push(metric("dbus", mean_util));
-        // Histogram quantiles (memory cycles); 0 on empty histograms,
-        // matching the documented empty-run convention of the means.
-        let q = |v: Option<u64>| v.map_or(0.0, |x| x as f64);
-        ms.push(metric("read_p50", q(r.read_latency_quantile(0.50))));
-        ms.push(metric("read_p99", q(r.read_latency_quantile(0.99))));
-        ms.push(metric("write_p50", q(r.write_latency_quantile(0.50))));
-        ms.push(metric("write_p99", q(r.write_latency_quantile(0.99))));
+impl Grid {
+    /// A one-cell grid of the Table 3 defaults, named `name` (the sweep,
+    /// store-shard and `BENCH_<name>.json` name).
+    pub fn new(name: &str) -> Self {
+        Grid(Sweep::new(name).map(|_, ()| SystemBuilder::new()))
     }
-    // Points with controller plugins attached additionally report the
-    // defense counters — the victim-exposure surface `rh_matrix` plots.
-    // Plugin-free points are unchanged (keeps the committed matrix
-    // baselines' record sets stable).
-    if !r.plugin_stats.is_empty() {
-        let totals = r.plugin_totals();
-        ms.push(metric("plugin_acts", totals.acts_observed as f64));
-        ms.push(metric("plugin_injected", totals.injected as f64));
-        ms.push(metric("victim_max_exposure", totals.max_exposure as f64));
-        ms.push(metric("victim_mean_exposure", totals.mean_exposure()));
-        ms.push(metric(
-            "rows_over_threshold",
-            totals.rows_over_threshold as f64,
-        ));
-    }
-    let t = PointTelemetry {
-        events: telemetry.events,
-        peak_queue: telemetry.peak_queue,
-    };
-    (ms, Some(t), (warmup_ms, measure_ms))
-}
 
-/// Shared runner: simulates every point ([`ws_point_task`]) and collapses
-/// `mean_axis` (collapsing an absent axis is the identity grouping, so
-/// per-point tables fall out of the same path). With an active `cache`,
-/// the sweep goes through the store's plan/run path: hits replay, only
-/// misses are simulated — including their alone-IPC warmup, so a fully
-/// warm sweep performs zero simulations.
-fn run_ws_points(
-    ex: &Executor,
-    full: Sweep<SystemConfig>,
-    mean_axis: &str,
-    scale: Scale,
-    channel_stats: bool,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
-    assert!(!full.is_empty(), "weighted-speedup sweep has no points");
-    let watch = obs.begin(full.name(), full.len(), ex.threads());
-    let task = |sc: Scenario<'_, SystemConfig>| {
-        let key = watch.as_ref().map(|_| sc.key.clone());
-        let (ms, t, phases) = ws_point_task_phased(sc, scale, channel_stats);
-        if let (Some(w), Some(key)) = (&watch, key) {
-            w.record_phases(&key, phases);
+    fn axis<V>(
+        self,
+        axis: &str,
+        values: &[(String, V)],
+        set: impl Fn(SystemBuilder, &V) -> SystemBuilder,
+    ) -> Self {
+        if values.is_empty() {
+            return self;
         }
-        (ms, t)
-    };
-    let (run, stats) = if let Some(mut store) = cache.open_for(&full) {
-        let tag = if channel_stats { "ws+stats" } else { "ws" };
-        let plan = SweepPlan::compute(&store, &full, cache_salt(), |sc| {
-            ws_canonical(tag, sc.params)
-        });
-        warm_alone_cache(
-            ex,
-            plan.miss_indices().map(|i| &full.points()[i].1),
-            full.base_seed(),
-            scale,
-        );
-        let on_point = |o: PointOutcome<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(
-                    &full.points()[o.index].0,
-                    o.cached,
-                    o.queue_wait_ms,
-                    o.point.wall_ms,
-                );
-            }
-        };
-        let (run, stats) = ex
-            .run_cached(&mut store, &full, &plan, task, Some(&on_point))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "cache: cannot persist results at {}: {e}",
-                    store.dir().display()
-                )
-            });
-        cache.report(&stats);
-        (run, Some(stats))
-    } else {
-        warm_alone_cache(
-            ex,
-            full.points().iter().map(|(_, c)| c),
-            full.base_seed(),
-            scale,
-        );
-        let observer = |p: &PointRun<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(p.key, false, p.queue_wait_ms, p.wall_ms);
-            }
-        };
-        let (_, run) = ex.run_observed(
-            &full,
-            |sc| {
-                let (ms, t) = task(sc);
-                ((), ms, t)
-            },
-            Some(&observer),
-        );
-        (run, None)
-    };
-    if let Some(w) = watch {
-        w.finish(&run, stats.as_ref());
+        let values = values.iter().map(|(label, v)| (label.as_str(), v));
+        Grid(self.0.axis(axis, values, |b, v| set(b.clone(), v)))
     }
-    obs.report_slow(&run);
-    let means = run.mean_over(mean_axis, "ws");
-    WsTable { run, means }
-}
 
-/// The kernel A/B task over one `(policy, mix)` point: time the dense and
-/// event kernels on the same configuration, assert their results are
-/// identical (the `next_wake` contract, enforced at every computed point),
-/// and return the wall-clock pair plus their ratio as metrics.
-fn perf_kernel_task(sc: Scenario<'_, SystemConfig>) -> (Vec<Metric>, Option<PointTelemetry>) {
-    let base = sc.params;
-    let timed = |kernel: KernelMode| {
-        let cfg = base.clone().with_kernel(kernel);
-        let start = std::time::Instant::now();
-        let result = System::new(cfg).run();
-        (result, start.elapsed().as_secs_f64() * 1e3)
-    };
-    let (dense, wall_dense) = timed(KernelMode::Dense);
-    let (event, wall_event) = timed(KernelMode::Event);
-    assert_eq!(
-        dense, event,
-        "kernel divergence at {}: the next_wake contract is violated somewhere",
-        sc.key
-    );
-    (
-        vec![
-            metric("wall_dense_ms", wall_dense),
-            metric("wall_event_ms", wall_event),
-            metric("speedup", wall_dense / wall_event),
-        ],
-        None,
-    )
-}
+    /// The `policy` axis.
+    pub fn policies(self, axis: &[(String, PolicyHandle)]) -> Self {
+        self.axis("policy", axis, |b, p| b.policy(p.clone()))
+    }
 
-/// The `perf_kernel` binary's sweep: every `(policy, mix)` point timed
-/// under both kernels (`perf_kernel_task`), single-threaded so the
-/// wall-clock comparison measures the kernels, not the executor. Through
-/// an active `cache`, previously timed points replay their stored walls
-/// (the kernel-identity assertion ran when they were first computed) and
-/// a fully warm run is byte-reproducible; the returned stats say how many
-/// points actually ran.
-///
-/// # Panics
-///
-/// Panics when `policies` is empty, when the two kernels' results diverge
-/// at any computed point, or when the cache store cannot be opened or
-/// written.
-pub fn run_perf_kernel(
-    policies: &[(String, PolicyHandle)],
-    cap: f64,
-    scale: Scale,
-    cache: &CacheSpec,
-) -> (RunSet, CacheStats) {
-    run_perf_kernel_observed(policies, &[], cap, scale, cache, &ObsSpec::disabled())
-}
+    /// The `wl` (workload) axis.
+    pub fn workloads(self, axis: &[(String, WorkloadHandle)]) -> Self {
+        self.axis("wl", axis, |b, w| b.workload(w.clone()))
+    }
 
-/// [`run_perf_kernel`] with the observability selected by `obs` attached
-/// (see [`run_ws_observed`]) and an optional controller-plugin axis: with
-/// a non-empty `plugins`, every `(policy, mix)` point is crossed with the
-/// plugin axis and the dense-vs-event identity assertion runs with each
-/// plugin attached. The A/B timing itself is untouched.
-pub fn run_perf_kernel_observed(
-    policies: &[(String, PolicyHandle)],
-    plugins: &[(String, Option<PluginHandle>)],
-    cap: f64,
-    scale: Scale,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> (RunSet, CacheStats) {
-    let mut points = Vec::new();
-    for (name, policy) in policies {
-        for mix_id in 0..scale.mixes {
-            let cfg = SystemConfig::table3(cap, policy.clone())
-                .with_insts(scale.insts, scale.warmup)
-                .with_workload(mix(mix_id));
-            let key = ScenarioKey::root()
-                .with("policy", name)
-                .with("mix", mix_id.to_string());
-            points.push((key, cfg));
+    /// The `dev` (device) axis.
+    pub fn devices(self, axis: &[(String, DeviceHandle)]) -> Self {
+        self.axis("dev", axis, |b, d| b.device(d.clone()))
+    }
+
+    /// The `cap` axis: chip capacities in Gb, labelled by [`flabel`].
+    pub fn caps(self, caps: &[f64]) -> Self {
+        let axis: Vec<(String, f64)> = caps.iter().map(|&c| (flabel(c), c)).collect();
+        self.axis("cap", &axis, |b, &c| b.chip_gbit(c))
+    }
+
+    /// The `plugin` axis; a `None` entry (label `none`) is the undefended
+    /// point.
+    pub fn plugins(self, axis: &[(String, Option<PluginHandle>)]) -> Self {
+        self.axis("plugin", axis, |b, g| match g {
+            Some(h) => b.plugin(h.clone()),
+            None => b,
+        })
+    }
+
+    /// The `mix` axis: the first `mixes` mixes of the standard suite
+    /// (`mix0`, `mix1`, ...).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `mixes` is zero.
+    pub fn mixes(self, mixes: usize) -> Self {
+        self.axis("mix", &mix_axis(mixes), |b, &id| b.workload(mix(id)))
+    }
+
+    /// Builds every cell at `scale`'s instruction budget under `kernel`:
+    /// the sweep of built cells in grid order, plus every cell the builder
+    /// refused as HiRA-inert or VRR-less, with its reason.
+    ///
+    /// # Errors
+    ///
+    /// Any other build failure, naming its cell.
+    pub fn build(
+        self,
+        scale: Scale,
+        kernel: KernelMode,
+    ) -> Result<(Sweep<SystemConfig>, Skipped), String> {
+        let built = self
+            .0
+            .map(|_, b| b.insts(scale.insts, scale.warmup).kernel(kernel).build());
+        let mut skipped = Vec::new();
+        for (key, cell) in built.points() {
+            let label = |axis: &str, name: &str| key.get(axis).unwrap_or(name).to_owned();
+            let reason = match cell {
+                Ok(_) => continue,
+                Err(BuildError::DeviceLacksHira { device, policy }) => format!(
+                    "{} x {} (HiRA-inert device)",
+                    label("dev", device),
+                    label("policy", policy)
+                ),
+                Err(BuildError::DeviceLacksVrr { device, plugin }) => format!(
+                    "{} x {} (device drops directed refresh)",
+                    label("dev", device),
+                    label("plugin", plugin)
+                ),
+                Err(e) => return Err(format!("cannot build {key}: {e}")),
+            };
+            skipped.push((key.clone(), reason));
         }
+        let sweep = built
+            .retain(|_, cell| cell.is_ok())
+            .map(|_, cell| cell.expect("refused cells were dropped"));
+        Ok((sweep, skipped))
     }
-    let sweep = with_plugin_axis(
-        Sweep::from_points("perf_kernel", hira_engine::DEFAULT_BASE_SEED, points),
-        plugins,
-    );
-    assert!(!sweep.is_empty(), "perf_kernel sweep has no points");
-    let ex = Executor::with_threads(1);
-    let watch = obs.begin(sweep.name(), sweep.len(), ex.threads());
-    let task = |sc: Scenario<'_, SystemConfig>| {
-        let key = watch.as_ref().map(|_| sc.key.clone());
-        let t_measure = Instant::now();
-        let out = perf_kernel_task(sc);
-        if let (Some(w), Some(key)) = (&watch, key) {
-            // Both kernel runs are the measure phase; there is no warmup.
-            w.record_phases(&key, (0.0, t_measure.elapsed().as_secs_f64() * 1e3));
-        }
-        out
-    };
-    let via_cache;
-    let (run, stats) = if let Some(mut store) = cache.open_for(&sweep) {
-        via_cache = true;
-        let plan = SweepPlan::compute(&store, &sweep, cache_salt(), |sc| {
-            ws_canonical("perf_kernel", sc.params)
-        });
-        let on_point = |o: PointOutcome<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(
-                    &sweep.points()[o.index].0,
-                    o.cached,
-                    o.queue_wait_ms,
-                    o.point.wall_ms,
-                );
-            }
-        };
-        let (run, stats) = ex
-            .run_cached(&mut store, &sweep, &plan, task, Some(&on_point))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "cache: cannot persist results at {}: {e}",
-                    store.dir().display()
-                )
-            });
-        cache.report(&stats);
-        (run, stats)
-    } else {
-        via_cache = false;
-        let observer = |p: &PointRun<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(p.key, false, p.queue_wait_ms, p.wall_ms);
-            }
-        };
-        let (_, run) = ex.run_observed(
-            &sweep,
-            |sc| {
-                let (ms, t) = task(sc);
-                ((), ms, t)
-            },
-            Some(&observer),
-        );
-        let stats = CacheStats {
-            points: run.records.len() / 3,
-            hits: 0,
-            misses: run.records.len() / 3,
-            appended: 0,
-        };
-        (run, stats)
-    };
-    if let Some(w) = watch {
-        w.finish(&run, via_cache.then_some(&stats));
-    }
-    obs.report_slow(&run);
-    (run, stats)
 }
 
 /// The canonical configuration string of one weighted-speedup point under
@@ -767,21 +719,25 @@ pub fn ws_canonical(tag: &str, cfg: &SystemConfig) -> String {
 /// version plus the fingerprints of every registry a cached result depends
 /// on (policies, workloads, devices, probe forms, plugin forms). Any
 /// registry change — a handle added, removed or renamed — moves the salt
-/// and conservatively invalidates existing stores.
+/// and conservatively invalidates existing stores. The registries are fixed
+/// per binary, so the salt is computed once per process.
 pub fn cache_salt() -> u64 {
-    let owned = |v: Vec<&str>| v.into_iter().map(str::to_owned).collect::<Vec<_>>();
-    let forms = |v: Vec<(&str, &str)>| {
-        v.into_iter()
-            .map(|(form, _)| form.to_owned())
-            .collect::<Vec<_>>()
-    };
-    hira_store::code_version_salt([
-        ("policy", owned(PolicyRegistry::standard().names())),
-        ("workload", owned(WorkloadRegistry::standard().names())),
-        ("device", owned(DeviceRegistry::standard().names())),
-        ("probe", forms(ProbeRegistry::standard().forms())),
-        ("plugin", forms(PluginRegistry::standard().forms())),
-    ])
+    static SALT: OnceLock<u64> = OnceLock::new();
+    *SALT.get_or_init(|| {
+        let owned = |v: Vec<&str>| v.into_iter().map(str::to_owned).collect::<Vec<_>>();
+        let forms = |v: Vec<(&str, &str)>| {
+            v.into_iter()
+                .map(|(form, _)| form.to_owned())
+                .collect::<Vec<_>>()
+        };
+        hira_store::code_version_salt([
+            ("policy", owned(PolicyRegistry::standard().names())),
+            ("workload", owned(WorkloadRegistry::standard().names())),
+            ("device", owned(DeviceRegistry::standard().names())),
+            ("probe", forms(ProbeRegistry::standard().forms())),
+            ("plugin", forms(PluginRegistry::standard().forms())),
+        ])
+    })
 }
 
 /// The sweep-cache selection of a matrix binary: `--cache=<dir>` enables
@@ -913,23 +869,12 @@ impl CacheSpec {
 /// slower than 3× the sweep's median wall) to the run summary.
 /// Observation rides beside the results: canonical output is byte-
 /// identical with or without it, for any thread count and cache state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsSpec {
     trace: Option<PathBuf>,
     metrics: Option<PathBuf>,
     progress: bool,
     level: Level,
-}
-
-impl Default for ObsSpec {
-    fn default() -> Self {
-        ObsSpec {
-            trace: None,
-            metrics: None,
-            progress: false,
-            level: Level::Info,
-        }
-    }
 }
 
 /// The multiplier of [`ObsSpec::report_slow`]: a point is an outlier when
@@ -1007,17 +952,6 @@ impl ObsSpec {
     pub fn with_progress(mut self) -> Self {
         self.progress = true;
         self
-    }
-
-    /// Sets the trace level (the programmatic `--log-level=`).
-    pub fn with_level(mut self, level: Level) -> Self {
-        self.level = level;
-        self
-    }
-
-    /// The effective trace level.
-    pub fn level(&self) -> Level {
-        self.level
     }
 
     /// Starts observing one sweep: opens the trace sink, creates the
@@ -1116,36 +1050,26 @@ impl ObsSpec {
     }
 }
 
-/// Total kernel iterations of `run`: each point's telemetry counted once
-/// (a `ws+stats` point has several records sharing one simulation).
-pub(crate) fn kernel_events(run: &RunSet) -> u64 {
-    let mut seen: Vec<&ScenarioKey> = Vec::new();
-    let mut events = 0u64;
-    for r in &run.records {
-        let Some(t) = r.telemetry else { continue };
-        if seen.contains(&&r.key) {
-            continue;
-        }
-        seen.push(&r.key);
-        events += t.events;
-    }
-    events
+/// The first record of every point: a point's records share its key,
+/// wall and telemetry, so per-point sums count each point once.
+fn per_point(run: &RunSet) -> impl Iterator<Item = &RunRecord> {
+    let mut seen = HashSet::new();
+    run.records.iter().filter(move |r| seen.insert(&r.key))
+}
+
+/// Total kernel iterations of `run`.
+fn kernel_events(run: &RunSet) -> u64 {
+    per_point(run)
+        .filter_map(|r| r.telemetry)
+        .map(|t| t.events)
+        .sum()
 }
 
 /// The per-point walls of `run` that exceed `k` × the median point wall:
-/// `(median, outliers in point order)`. Walls are per *point* (each key's
-/// records share one wall), so a sweep with several metrics per point
-/// still counts each point once.
+/// `(median, outliers in point order)`.
 pub fn slow_points(run: &RunSet, k: f64) -> (f64, Vec<(ScenarioKey, f64)>) {
-    let mut seen: Vec<&ScenarioKey> = Vec::new();
-    let mut walls: Vec<(ScenarioKey, f64)> = Vec::new();
-    for r in &run.records {
-        if seen.contains(&&r.key) {
-            continue;
-        }
-        seen.push(&r.key);
-        walls.push((r.key.clone(), r.wall_ms));
-    }
+    let walls: Vec<(ScenarioKey, f64)> =
+        per_point(run).map(|r| (r.key.clone(), r.wall_ms)).collect();
     let mut sorted: Vec<f64> = walls.iter().map(|(_, w)| *w).collect();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
@@ -1222,6 +1146,22 @@ impl Meters {
         self.wall_us.observe(wall_ms * 1e3);
         self.queue_wait_us.observe(queue_wait_ms * 1e3);
     }
+
+    /// Folds one finished sweep into the run-level instruments (kernel
+    /// events, sweep wall, cache accounting when cached); returns the
+    /// sweep's kernel events.
+    pub(crate) fn sweep_done(&self, run: &RunSet, stats: Option<&CacheStats>) -> u64 {
+        let events = kernel_events(run);
+        self.kernel_events.add(events);
+        self.sweep_wall_ms.set(run.wall_ms);
+        self.sweeps.inc();
+        if let Some(s) = stats {
+            self.cache_hits.add(s.hits as u64);
+            self.cache_misses.add(s.misses as u64);
+            self.cache_appended.add(s.appended as u64);
+        }
+        events
+    }
 }
 
 /// One sweep under observation (see [`ObsSpec::begin`]): the trace sink,
@@ -1294,15 +1234,7 @@ impl ObsRun {
     ///
     /// Panics when the `--metrics` dump cannot be written.
     pub fn finish(&self, run: &RunSet, stats: Option<&CacheStats>) {
-        let kernel_events = kernel_events(run);
-        self.meters.kernel_events.add(kernel_events);
-        self.meters.sweep_wall_ms.set(run.wall_ms);
-        self.meters.sweeps.inc();
-        if let Some(s) = stats {
-            self.meters.cache_hits.add(s.hits as u64);
-            self.meters.cache_misses.add(s.misses as u64);
-            self.meters.cache_appended.add(s.appended as u64);
-        }
+        let kernel_events = self.meters.sweep_done(run, stats);
         if let Some(sink) = &self.sink {
             let mut fields = vec![
                 field("sweep", self.sweep.as_str()),
@@ -1339,23 +1271,9 @@ impl ObsRun {
     }
 }
 
-/// Mean weighted speedup of a single configuration over the mix suite —
-/// a one-point [`run_ws`] sweep.
-pub fn mean_ws(base_cfg: &SystemConfig, scale: Scale) -> f64 {
-    let mut sweep = Sweep::from_points("mean_ws", hira_engine::DEFAULT_BASE_SEED, Vec::new());
-    sweep.push(ScenarioKey::root(), base_cfg.clone());
-    run_ws(&Executor::from_env(), sweep, scale).mean(&[])
-}
-
 /// The periodic-refresh policies of Fig. 9 (display label, registry
-/// handle). The HiRA variants can be ablated through
-/// [`periodic_schemes_ablated`].
-pub fn periodic_schemes() -> Vec<(&'static str, PolicyHandle)> {
-    periodic_schemes_ablated(false)
-}
-
-/// [`periodic_schemes`] with refresh-access pairing optionally disabled on
-/// every HiRA point (the `--no-refresh-access` ablation of Fig. 9).
+/// handle), with refresh-access pairing optionally disabled on every HiRA
+/// point (the `--no-refresh-access` ablation of Fig. 9).
 pub fn periodic_schemes_ablated(no_refresh_access: bool) -> Vec<(&'static str, PolicyHandle)> {
     let hira = |n: u32| {
         if no_refresh_access {
@@ -1400,7 +1318,7 @@ pub fn preventive_schemes_geometry(nrh: u32) -> Vec<(&'static str, PolicyHandle)
 }
 
 /// Prints every registered refresh policy with its one-line summary (the
-/// `--list` output of [`policy_axis_from_args`]).
+/// `--policy=` part of a binary's `--list` output).
 pub fn print_policy_list() {
     println!("registered refresh policies (--policy=<name>):");
     for h in PolicyRegistry::standard().handles() {
@@ -1413,7 +1331,7 @@ pub fn print_policy_list() {
 }
 
 /// Prints every registered device with its one-line summary (the
-/// `--list` output of [`device_axis_from_args_or`]).
+/// `--device=` part of a binary's `--list` output).
 pub fn print_device_list() {
     println!("registered devices (--device=<name>):");
     for h in DeviceRegistry::standard().handles() {
@@ -1426,29 +1344,20 @@ pub fn print_device_list() {
 }
 
 /// Prints every registered workload with its family and one-line summary
-/// (the `--list` output of [`workload_axis_from_args`]).
+/// (the `--workload=` part of a binary's `--list` output).
 pub fn print_workload_list() {
     println!("registered workloads (--workload=<name>):");
     for h in WorkloadRegistry::standard().handles() {
         println!("  {:<12} [{}] {}", h.name(), h.family(), h.summary());
     }
-    for (form, what) in [
-        (
-            "mix<N>",
-            "multiprogrammed roster mix N of the standard suite",
-        ),
-        ("zipf<N>", "zipfian generator with theta = N/100"),
-        (
-            "rw<N>",
-            "uniform-random generator with N% stores (N <= 100)",
-        ),
-        (
-            "open<N>",
-            "open-loop generator at N accesses per kinst (N >= 1)",
-        ),
-        ("trace:<path>", "replay of the .trace file at <path>"),
+    for line in [
+        "mix<N>       (dynamic) multiprogrammed roster mix N of the standard suite",
+        "zipf<N>      (dynamic) zipfian generator with theta = N/100",
+        "rw<N>        (dynamic) uniform-random generator with N% stores (N <= 100)",
+        "open<N>      (dynamic) open-loop generator at N accesses per kinst (N >= 1)",
+        "trace:<path> (dynamic) replay of the .trace file at <path>",
     ] {
-        println!("  {form:<12} (dynamic) {what}");
+        println!("  {line}");
     }
 }
 
@@ -1459,18 +1368,12 @@ pub fn print_probe_list() {
     for (form, what) in ProbeRegistry::standard().forms() {
         println!("  {form:<28} {what}");
     }
-    for (short, what) in [
-        (
-            "--cmdtrace=<prefix>",
-            "shorthand for --probe=cmdtrace:<prefix>",
-        ),
-        (
-            "--stats-epoch=<cycles>",
-            "shorthand for --probe=epochs:<cycles>",
-        ),
-        ("--telemetry", "print the per-point run telemetry table"),
+    for line in [
+        "--cmdtrace=<prefix>          shorthand for --probe=cmdtrace:<prefix>",
+        "--stats-epoch=<cycles>       shorthand for --probe=epochs:<cycles>",
+        "--telemetry                  print the per-point run telemetry table",
     ] {
-        println!("  {short:<28} {what}");
+        println!("  {line}");
     }
 }
 
@@ -1571,16 +1474,10 @@ fn per_point_spec(spec: &str, tag: &str) -> String {
     }
 }
 
-/// True when `--telemetry` was passed: the binary prints the per-point
-/// run telemetry table after its result tables.
-pub fn telemetry_requested() -> bool {
-    std::env::args().any(|a| a == "--telemetry")
-}
-
 /// Prints the run's telemetry table when `--telemetry` was passed (and
 /// the run carries any telemetry).
 pub fn maybe_print_telemetry(run: &RunSet) {
-    if !telemetry_requested() {
+    if !std::env::args().any(|a| a == "--telemetry") {
         return;
     }
     let table = run.telemetry_table();
@@ -1589,6 +1486,17 @@ pub fn maybe_print_telemetry(run: &RunSet) {
     } else {
         println!("\n-- run telemetry: wall time, kernel events, peak queue per point --");
         print!("{table}");
+    }
+}
+
+/// Writes `BENCH_<sweep>.json` into `HIRA_BENCH_DIR` — or the working
+/// directory when it is unset — and says where; a failed write is a
+/// warning, not an error.
+pub fn write_bench(run: &RunSet) {
+    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
+    match run.write_bench_json(Path::new(&dir)) {
+        Ok(path) => println!("(result store written to {})", path.display()),
+        Err(e) => eprintln!("warning: could not write BENCH_{}.json: {e}", run.sweep),
     }
 }
 
@@ -1604,8 +1512,8 @@ pub fn extract_metric_value(json: &str, metric: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// True when `--list` was passed: the caller's axis helper prints its
-/// registry and exits.
+/// True when `--list` was passed: the binary prints the registries its
+/// flags draw from and exits.
 fn list_requested() -> bool {
     std::env::args().any(|a| a == "--list")
 }
@@ -1625,25 +1533,21 @@ fn axis_args(flag: &str) -> Vec<String> {
         .collect()
 }
 
-/// Shared implementation of every `--<flag>=` axis helper: print the
-/// registry and exit on `--list`, otherwise resolve the selected names —
-/// or `defaults` when none were passed — through `resolve` (which panics,
-/// with the registered names, on an unknown name).
-fn axis_from_args_or_with<T>(
-    flag: &str,
-    defaults: &[&str],
-    print_list: fn(),
-    resolve: impl Fn(&str) -> T,
-) -> Vec<(String, T)> {
-    if list_requested() {
-        print_list();
-        std::process::exit(0);
+/// The names `--<flag>=` arguments select, or `defaults` when none were
+/// passed.
+fn selected(flag: &str, defaults: &[&str]) -> Vec<String> {
+    let chosen = axis_args(flag);
+    if chosen.is_empty() {
+        defaults.iter().map(|s| (*s).to_owned()).collect()
+    } else {
+        chosen
     }
-    let mut selected = axis_args(flag);
-    if selected.is_empty() {
-        selected = defaults.iter().map(|s| (*s).to_owned()).collect();
-    }
-    selected
+}
+
+/// Resolves each name through `resolve` — which panics, listing the
+/// registered names, on an unknown one — into a labelled sweep axis.
+fn resolve_axis<T>(names: Vec<String>, resolve: impl Fn(&str) -> T) -> Vec<(String, T)> {
+    names
         .into_iter()
         .map(|name| {
             let handle = resolve(&name);
@@ -1652,12 +1556,9 @@ fn axis_from_args_or_with<T>(
         .collect()
 }
 
-/// The policy axis of a sweep, from `--policy=` CLI arguments: every
-/// `--policy=name[,name...]` argument adds registry lookups (label =
-/// registry key), and with no such argument every policy in the standard
-/// registry is swept. This is how bench binaries select refresh policies —
-/// an open, string-keyed axis instead of enum plumbing. With `--list`,
-/// prints every registered policy (name + profile one-liner) and exits.
+/// The policy axis of a sweep, from `--policy=name[,name...]` arguments
+/// (label = registry key), or every policy in the standard registry when
+/// none is passed — an open, string-keyed axis instead of enum plumbing.
 ///
 /// # Panics
 ///
@@ -1665,61 +1566,11 @@ fn axis_from_args_or_with<T>(
 /// policy.
 pub fn policy_axis_from_args() -> Vec<(String, PolicyHandle)> {
     let registry = PolicyRegistry::standard();
-    let names = registry.names();
-    policy_axis_from_args_or(&names)
+    resolve_axis(selected("policy", &registry.names()), policy::policy)
 }
 
-/// The policy axis of a sweep, from `--policy=` CLI arguments, with
-/// `defaults` (registry names) when no argument selects one — for
-/// binaries whose full-registry default would be too wide a grid.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument — or a default —
-/// names an unknown policy.
-pub fn policy_axis_from_args_or(defaults: &[&str]) -> Vec<(String, PolicyHandle)> {
-    axis_from_args_or_with("policy", defaults, print_policy_list, policy::policy)
-}
-
-/// The device axis of a sweep, from `--device=` CLI arguments, with
-/// `defaults` (registry names) when no argument selects one. With
-/// `--list`, prints every registered device (name + summary, plus the
-/// dynamic `ddr4-2400@<Gb>` form) and exits.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument — or a default —
-/// names an unknown device.
-pub fn device_axis_from_args_or(defaults: &[&str]) -> Vec<(String, DeviceHandle)> {
-    axis_from_args_or_with("device", defaults, print_device_list, |n| {
-        hira_sim::device::device(n)
-    })
-}
-
-/// The workload axis of a sweep, from `--workload=` CLI arguments, with
-/// `defaults` (registry names) when no argument selects one. With
-/// `--list`, prints every registered workload (name, family, profile
-/// one-liner, plus the dynamic forms) and exits.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument — or a default —
-/// names an unknown workload.
-pub fn workload_axis_from_args_or(defaults: &[&str]) -> Vec<(String, WorkloadHandle)> {
-    axis_from_args_or_with("workload", defaults, print_workload_list, |n| {
-        hira_workload::workload(n)
-    })
-}
-
-/// [`workload_axis_from_args_or`] defaulting to the full standard registry.
-pub fn workload_axis_from_args() -> Vec<(String, WorkloadHandle)> {
-    let registry = WorkloadRegistry::standard();
-    let names = registry.names();
-    workload_axis_from_args_or(&names)
-}
-
-/// Prints the accepted controller-plugin forms (the `--plugin=` grammar of
-/// [`plugin_axis_from_args`]) plus the `none` baseline.
+/// Prints the accepted controller-plugin forms (the `--plugin=` grammar)
+/// plus the `none` baseline.
 pub fn print_plugin_list() {
     println!("controller plugins (--plugin=<form>, repeatable):");
     println!(
@@ -1731,60 +1582,38 @@ pub fn print_plugin_list() {
     }
 }
 
-/// The controller-plugin axis of a sweep, from `--plugin=` CLI arguments,
-/// with `defaults` (registry forms, or `"none"`) when no argument selects
-/// one. Each entry is the canonical plugin name paired with `Some(handle)`
-/// — or `"none"` / `None` for the undefended baseline point. With
-/// `--list`, prints the accepted forms and exits.
+/// The controller-plugin axis `--plugin=` arguments select: empty when the
+/// flag was never passed, so a sweep gains its `plugin` axis opt-in and
+/// its keys (and the committed `BENCH_*.json` keys) are otherwise
+/// unchanged.
 ///
 /// # Panics
 ///
-/// Panics (with the accepted forms) when an argument — or a default —
-/// matches no plugin form.
-pub fn plugin_axis_from_args_or(defaults: &[&str]) -> Vec<(String, Option<PluginHandle>)> {
-    let axis = axis_from_args_or_with("plugin", defaults, print_plugin_list, |spec| {
-        (spec != "none").then(|| hira_sim::plugin::plugin(spec))
-    });
-    axis.into_iter()
-        // Key by the handle's *canonical* name (`oracle:01024` and
-        // `oracle:1024` must land on one scenario key / cache entry).
-        .map(|(raw, h)| match h {
-            Some(h) => (h.name().to_owned(), Some(h)),
-            None => (raw, None),
+/// Panics (with the accepted forms) when an argument matches no plugin
+/// form.
+pub fn plugin_axis_from_args() -> Vec<(String, Option<PluginHandle>)> {
+    plugin_axis(axis_args("plugin"))
+}
+
+/// Resolves plugin forms into a plugin axis: `none` is the undefended
+/// `None` point, and every other form is keyed by its handle's canonical
+/// name (`oracle:01024` and `oracle:1024` land on one scenario key and
+/// cache entry).
+fn plugin_axis(forms: Vec<String>) -> Vec<(String, Option<PluginHandle>)> {
+    forms
+        .into_iter()
+        .map(|spec| {
+            if spec == "none" {
+                return (spec, None);
+            }
+            let h = hira_sim::plugin::plugin(&spec);
+            (h.name().to_owned(), Some(h))
         })
         .collect()
 }
 
-/// The controller-plugin axis selected by explicit `--plugin=` arguments
-/// only: empty when the flag was never passed. The matrix binaries use
-/// this to add a `plugin` scenario-key axis *opt-in* — without the flag
-/// their sweeps (and the committed `BENCH_*.json` keys) are unchanged.
-pub fn plugin_axis_from_args() -> Vec<(String, Option<PluginHandle>)> {
-    if axis_args("plugin").is_empty() && !list_requested() {
-        return Vec::new();
-    }
-    plugin_axis_from_args_or(&[])
-}
-
-/// Expands `sweep` with a `plugin` scenario-key axis when `plugins` is
-/// non-empty (each point's config gains the entry's handle; the `none` /
-/// `None` entry leaves it untouched), and passes the sweep through
-/// unchanged otherwise.
-pub fn with_plugin_axis(
-    sweep: Sweep<SystemConfig>,
-    plugins: &[(String, Option<PluginHandle>)],
-) -> Sweep<SystemConfig> {
-    if plugins.is_empty() {
-        return sweep;
-    }
-    sweep.axis("plugin", plugins.to_vec(), |cfg, p| match p {
-        Some(h) => cfg.clone().with_plugin(h.clone()),
-        None => cfg.clone(),
-    })
-}
-
 /// Prints the accepted kernel modes (the `--kernel=` values of
-/// [`kernel_from_args`]) — the `--list` output every axis helper offers.
+/// [`kernel_from_args`]).
 pub fn print_kernel_list() {
     println!("simulation kernels (--kernel=<name>):");
     for (name, what) in [
@@ -1799,17 +1628,12 @@ pub fn print_kernel_list() {
 /// [`KernelMode::Event`], the fast path). The dense kernel is the
 /// bit-identical legacy reference — `--kernel=dense` is the escape hatch
 /// for A/B-ing a result against it (see the `perf_kernel` binary for the
-/// systematic harness). With `--list`, prints the accepted modes and exits
-/// — the same contract as every other axis helper.
+/// systematic harness).
 ///
 /// # Panics
 ///
 /// Panics when the argument names an unknown kernel mode.
 pub fn kernel_from_args() -> KernelMode {
-    if list_requested() {
-        print_kernel_list();
-        std::process::exit(0);
-    }
     let selected = axis_args("kernel");
     assert!(
         selected.len() <= 1,
@@ -1849,7 +1673,7 @@ mod tests {
 
     #[test]
     fn scheme_lists_cover_the_paper_configs() {
-        assert_eq!(periodic_schemes().len(), 5);
+        assert_eq!(periodic_schemes_ablated(false).len(), 5);
         assert_eq!(preventive_schemes(512).len(), 5);
     }
 
@@ -1867,8 +1691,12 @@ mod tests {
         }
     }
 
+    fn run(threads: usize) -> SweepRun {
+        SweepRun::new(Executor::with_threads(threads), tiny_scale())
+    }
+
     #[test]
-    fn run_ws_means_match_engine_records() {
+    fn ws_table_means_match_engine_records() {
         let sweep = Sweep::new("ws_smoke").axis(
             "scheme",
             [
@@ -1877,8 +1705,8 @@ mod tests {
             ],
             |_, s| SystemConfig::table3(8.0, s.clone()),
         );
-        let t = run_ws(&Executor::with_threads(2), sweep, tiny_scale());
-        assert_eq!(t.means().len(), 2);
+        let t = run(2).ws_over_mixes(sweep);
+        assert_eq!(t.means.len(), 2);
         // The mean over the mix axis really is the average of the records.
         let per_mix: Vec<f64> = t
             .run
@@ -1895,7 +1723,7 @@ mod tests {
     }
 
     #[test]
-    fn run_ws_with_stats_emits_channel_metrics() {
+    fn ws_stats_task_emits_channel_metrics() {
         let devices = [
             ("ddr4-2400", hira_sim::device::ddr4_2400()),
             ("lpddr4-3200", hira_sim::device::lpddr4_3200()),
@@ -1908,7 +1736,7 @@ mod tests {
                 .build()
                 .unwrap()
         });
-        let t = run_ws_with_stats(&Executor::with_threads(2), sweep, tiny_scale());
+        let t = run(2).task(Task::WsStats).ws(sweep);
         for m in ["ws", "read_lat", "write_lat", "dbus"] {
             assert!(
                 t.run.records.iter().any(|r| r.metric == m),
@@ -1936,7 +1764,7 @@ mod tests {
 
     #[test]
     fn ablated_schemes_rename_their_hira_points() {
-        let plain = periodic_schemes();
+        let plain = periodic_schemes_ablated(false);
         let ablated = periodic_schemes_ablated(true);
         assert_eq!(plain[1].1.name(), "hira0");
         assert_eq!(ablated[1].1.name(), "hira0-noRA");
@@ -1944,13 +1772,13 @@ mod tests {
     }
 
     #[test]
-    fn run_ws_records_carry_run_telemetry() {
+    fn ws_records_carry_run_telemetry() {
         let mut sweep = Sweep::from_points("tel_smoke", hira_engine::DEFAULT_BASE_SEED, Vec::new());
         sweep.push(
             ScenarioKey::root(),
             SystemConfig::table3(8.0, policy::baseline()),
         );
-        let t = run_ws(&Executor::with_threads(1), sweep, tiny_scale());
+        let t = run(1).ws_over_mixes(sweep);
         for r in &t.run.records {
             let tel = r.telemetry.expect("every ws record carries telemetry");
             assert!(tel.events > 0);
@@ -2033,12 +1861,48 @@ mod tests {
     }
 
     #[test]
-    fn mean_ws_agrees_with_single_point_sweep() {
-        let scale = tiny_scale();
-        let cfg = SystemConfig::table3(8.0, policy::baseline());
-        let a = mean_ws(&cfg, scale);
-        let b = mean_ws(&cfg, scale);
-        assert_eq!(a, b, "mean_ws must be deterministic");
+    fn single_point_ws_sweeps_are_deterministic() {
+        let sweep = || {
+            let cfg = SystemConfig::table3(8.0, policy::baseline());
+            Sweep::from_points("one_point", 0, vec![(ScenarioKey::root(), cfg)])
+        };
+        let a = run(2).ws_over_mixes(sweep()).mean(&[]);
+        let b = run(1).ws_over_mixes(sweep()).mean(&[]);
+        assert_eq!(a, b, "a single-point ws sweep must be deterministic");
+    }
+
+    /// A two-device table whose cells differ: lookups that leave `dev`
+    /// open must fail loudly, and `mean_over` must average both cells.
+    fn two_device_table() -> WsTable {
+        let devices = [
+            ("ddr4-2400", hira_sim::device::ddr4_2400()),
+            ("lpddr4-3200", hira_sim::device::lpddr4_3200()),
+        ];
+        let sweep = Sweep::new("two_devices").axis("dev", devices, |_, d| {
+            SystemBuilder::new()
+                .device(d.clone())
+                .workload(hira_workload::stream())
+                .build()
+                .unwrap()
+        });
+        run(2).ws(sweep)
+    }
+
+    #[test]
+    #[should_panic(expected = "matches 2 cells, not one: dev=ddr4-2400; dev=lpddr4-3200")]
+    fn lookups_matching_several_cells_panic_and_list_them() {
+        two_device_table().mean(&[]);
+    }
+
+    #[test]
+    fn mean_over_averages_the_named_axes() {
+        let t = two_device_table();
+        let a = t.mean(&[("dev", "ddr4-2400")]);
+        let b = t.mean(&[("dev", "lpddr4-3200")]);
+        assert_ne!(a, b, "the two parts must differ for this test to bite");
+        assert_eq!(t.mean_over(&["dev"], "ws", &[]), Some((a + b) / 2.0));
+        assert_eq!(t.mean_over(&["dev"], "ws", &[("dev", "x")]), None);
+        assert_eq!(t.mean_over(&[], "ws", &[("dev", "ddr4-2400")]), Some(a));
     }
 
     #[test]
@@ -2085,7 +1949,6 @@ mod tests {
     fn cached_run_ws_replays_bench_json_byte_identically() {
         let dir = std::env::temp_dir().join(format!("hira-bench-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let scale = tiny_scale();
         let mk = || {
             Sweep::new("cache_smoke").axis(
                 "policy",
@@ -2093,31 +1956,13 @@ mod tests {
                 |_, p| SystemConfig::table3(8.0, p.clone()),
             )
         };
-        let uncached = run_ws(&Executor::with_threads(2), mk(), scale);
+        let uncached = run(2).ws_over_mixes(mk());
         let spec = CacheSpec::at(&dir);
-        let cold = run_ws_probed_cached(
-            &Executor::with_threads(2),
-            mk(),
-            scale,
-            &ProbeSpec::default(),
-            &spec,
-        );
-        let warm = run_ws_probed_cached(
-            &Executor::with_threads(2),
-            mk(),
-            scale,
-            &ProbeSpec::default(),
-            &spec,
-        );
+        let cold = run(2).cache(spec.clone()).ws_over_mixes(mk());
+        let warm = run(2).cache(spec.clone()).ws_over_mixes(mk());
         // A different worker count on a warm store must not matter either:
         // nothing runs, so only the reported thread width can change.
-        let warm_serial = run_ws_probed_cached(
-            &Executor::with_threads(1),
-            mk(),
-            scale,
-            &ProbeSpec::default(),
-            &spec,
-        );
+        let warm_serial = run(1).cache(spec).ws_over_mixes(mk());
         assert_eq!(
             uncached.run.canonical_json(),
             cold.run.canonical_json(),

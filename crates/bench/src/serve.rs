@@ -57,14 +57,14 @@
 //!   `{"op":"metrics"}`: one JSON string holding the Prometheus text.
 //! * `{"event":"bye"}` — shutdown (op or end of input).
 
-use crate::{cache_salt, kernel_events, ws_canonical, ws_point_task, CacheSpec, Meters, Scale};
+use crate::{CacheSpec, Grid, Meters, Scale, SweepRun, Task};
 use hira_engine::json::{self, Value};
-use hira_engine::{flabel, Executor, ScenarioKey, Sweep};
+use hira_engine::{Executor, ScenarioKey, Sweep};
 use hira_obs::{field, Counter, Gauge, Level, MetricsRegistry, Progress, TraceSink};
-use hira_sim::builder::{BuildError, SystemBuilder};
-use hira_sim::config::SystemConfig;
-use hira_store::{CacheExecutorExt, CacheStats, SweepPlan, SweepStore};
+use hira_sim::config::{KernelMode, SystemConfig};
+use hira_store::{CacheStats, SweepStore};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One parsed request line.
@@ -214,101 +214,64 @@ impl SweepSpec {
     /// Returns a message (for an `error` event) on unknown registry names,
     /// non-geometry build errors, or an empty grid.
     pub fn build(&self, scale: Scale) -> Result<(Sweep<SystemConfig>, usize), String> {
-        let policy_reg = hira_sim::policy::PolicyRegistry::standard();
-        let device_reg = hira_sim::device::DeviceRegistry::standard();
-        let workload_reg = hira_workload::WorkloadRegistry::standard();
-        let plugin_reg = hira_sim::plugin::PluginRegistry::standard();
-        let insts = self.insts.unwrap_or(scale.insts);
-        let warmup = insts / 5;
-
-        // Resolve the plugin axis once up front: unknown forms reject the
-        // spec before any cell builds. `"none"` is the undefended point.
-        let plugins: Vec<(Option<String>, Option<hira_sim::plugin::PluginHandle>)> =
-            if self.plugins.is_empty() {
-                vec![(None, None)]
-            } else {
-                self.plugins
-                    .iter()
-                    .map(|gn| {
-                        if gn == "none" {
-                            return Ok((Some("none".to_owned()), None));
-                        }
-                        let h = plugin_reg
-                            .lookup(gn)
-                            .ok_or_else(|| format!("unknown plugin `{gn}`"))?;
-                        Ok((Some(h.name().to_owned()), Some(h)))
-                    })
-                    .collect::<Result<_, String>>()?
-            };
-
-        let mut points = Vec::new();
-        let mut skipped = 0usize;
-        for pn in &self.policies {
-            let p = policy_reg
-                .lookup(pn)
-                .ok_or_else(|| format!("unknown policy `{pn}`"))?;
-            for wn in &self.workloads {
-                let w = workload_reg
-                    .lookup(wn)
-                    .ok_or_else(|| format!("unknown workload `{wn}`"))?;
-                // Optional axes expand to a single no-axis pseudo-value.
-                let devs: Vec<Option<&str>> = if self.devices.is_empty() {
-                    vec![None]
-                } else {
-                    self.devices.iter().map(|d| Some(d.as_str())).collect()
-                };
-                for dn in devs {
-                    let caps: Vec<Option<f64>> = if self.caps.is_empty() {
-                        vec![None]
-                    } else {
-                        self.caps.iter().map(|&c| Some(c)).collect()
-                    };
-                    for cap in caps {
-                        for (gn, g) in &plugins {
-                            let mut b = SystemBuilder::new()
-                                .policy(p.clone())
-                                .workload(w.clone())
-                                .insts(insts, warmup);
-                            if let Some(dn) = dn {
-                                let d = device_reg
-                                    .lookup(dn)
-                                    .ok_or_else(|| format!("unknown device `{dn}`"))?;
-                                b = b.device(d);
-                            }
-                            if let Some(c) = cap {
-                                b = b.chip_gbit(c);
-                            }
-                            if let Some(g) = g {
-                                b = b.plugin(g.clone());
-                            }
-                            let mut key = ScenarioKey::root().with("policy", pn).with("wl", wn);
-                            if let Some(dn) = dn {
-                                key = key.with("dev", dn);
-                            }
-                            if let Some(c) = cap {
-                                key = key.with("cap", flabel(c));
-                            }
-                            if let Some(gn) = gn {
-                                key = key.with("plugin", gn);
-                            }
-                            match b.build() {
-                                Ok(cfg) => points.push((key, cfg)),
-                                Err(BuildError::DeviceLacksHira { .. }) => skipped += 1,
-                                Err(BuildError::DeviceLacksVrr { .. }) => skipped += 1,
-                                Err(e) => return Err(format!("cannot build {key}: {e}")),
-                            }
-                        }
-                    }
-                }
-            }
+        fn resolve<T>(
+            kind: &str,
+            names: &[String],
+            lookup: impl Fn(&str) -> Option<T>,
+        ) -> Result<Vec<(String, T)>, String> {
+            names
+                .iter()
+                .map(|n| {
+                    let h = lookup(n).ok_or_else(|| format!("unknown {kind} `{n}`"))?;
+                    Ok((n.clone(), h))
+                })
+                .collect()
         }
-        if points.is_empty() {
+        // Unknown plugin forms reject the spec before any cell builds;
+        // `none` is the undefended point, the rest key by canonical name.
+        let plugin_reg = hira_sim::plugin::PluginRegistry::standard();
+        let plugins = self
+            .plugins
+            .iter()
+            .map(|g| match g.as_str() {
+                "none" => Ok((g.clone(), None)),
+                _ => plugin_reg
+                    .lookup(g)
+                    .map(|h| (h.name().to_owned(), Some(h)))
+                    .ok_or_else(|| format!("unknown plugin `{g}`")),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let policy_reg = hira_sim::policy::PolicyRegistry::standard();
+        let workload_reg = hira_workload::WorkloadRegistry::standard();
+        let device_reg = hira_sim::device::DeviceRegistry::standard();
+        let (sweep, skipped) = Grid::new(&self.name)
+            .policies(&resolve("policy", &self.policies, |n| {
+                policy_reg.lookup(n)
+            })?)
+            .workloads(&resolve("workload", &self.workloads, |n| {
+                workload_reg.lookup(n)
+            })?)
+            .devices(&resolve("device", &self.devices, |n| device_reg.lookup(n))?)
+            .caps(&self.caps)
+            .plugins(&plugins)
+            .build(self.scale(scale), KernelMode::default())?;
+        if sweep.is_empty() {
             return Err("sweep grid is empty (every combo skipped or no axes)".to_owned());
         }
-        Ok((
-            Sweep::from_points(&self.name, hira_engine::DEFAULT_BASE_SEED, points),
-            skipped,
-        ))
+        Ok((sweep, skipped.len()))
+    }
+
+    /// The session scale with this spec's `insts` override applied (warmup
+    /// a fifth of the budget, as [`Scale::from_env`] sets it) — alone-IPC
+    /// keys include the instruction counts, so the override reaches them
+    /// too.
+    fn scale(&self, session: Scale) -> Scale {
+        let insts = self.insts.unwrap_or(session.insts);
+        Scale {
+            insts,
+            warmup: insts / 5,
+            ..session
+        }
     }
 }
 
@@ -370,10 +333,15 @@ impl Server {
     /// Panics when the store cannot be opened (an explicitly requested
     /// cache that cannot work is an error, not a silent slow path).
     pub fn new(ex: Executor, scale: Scale, cache: &CacheSpec) -> Self {
+        // One scratch directory per server: dropping one server must not
+        // remove the store of another in the same process.
+        static SCRATCH: AtomicUsize = AtomicUsize::new(0);
         let (dir, scratch) = match cache.dir() {
             Some(dir) => (dir.to_path_buf(), None),
             None => {
-                let dir = std::env::temp_dir().join(format!("hira-serve-{}", std::process::id()));
+                let n = SCRATCH.fetch_add(1, Ordering::Relaxed);
+                let name = format!("hira-serve-{}-{n}", std::process::id());
+                let dir = std::env::temp_dir().join(name);
                 (dir.clone(), Some(dir))
             }
         };
@@ -450,14 +418,7 @@ impl Server {
         };
         match parse_op(line) {
             Err(msg) => {
-                self.errors.inc();
-                self.trace_error(&msg);
-                emit(&obj(vec![
-                    ("event", jstr("error")),
-                    ("id", jstr("")),
-                    ("line", self.lines.to_string()),
-                    ("message", jstr(&msg)),
-                ]));
+                emit(&self.error_event("", &msg));
                 true
             }
             Ok(Op::Shutdown) => {
@@ -496,21 +457,16 @@ impl Server {
             Ok(Op::Sweep(spec)) => {
                 request_counter("sweep").inc();
                 if let Err(msg) = self.run_sweep(&spec, emit) {
-                    self.errors.inc();
-                    self.trace_error(&msg);
-                    emit(&obj(vec![
-                        ("event", jstr("error")),
-                        ("id", jstr(&spec.id)),
-                        ("line", self.lines.to_string()),
-                        ("message", jstr(&msg)),
-                    ]));
+                    emit(&self.error_event(&spec.id, &msg));
                 }
                 true
             }
         }
     }
 
-    fn trace_error(&self, msg: &str) {
+    /// Counts and traces a rejected request; returns its `error` event.
+    fn error_event(&self, id: &str, msg: &str) -> String {
+        self.errors.inc();
         if let Some(s) = &self.sink {
             s.event(
                 Level::Warn,
@@ -518,14 +474,23 @@ impl Server {
                 &[field("line", self.lines), field("message", msg)],
             );
         }
+        obj(vec![
+            ("event", jstr("error")),
+            ("id", jstr(id)),
+            ("line", self.lines.to_string()),
+            ("message", jstr(msg)),
+        ])
     }
 
     fn run_sweep(&mut self, spec: &SweepSpec, emit: &(dyn Fn(&str) + Sync)) -> Result<(), String> {
         let (sweep, skipped) = spec.build(self.scale)?;
-        let tag = if spec.channel_stats { "ws+stats" } else { "ws" };
-        let plan = SweepPlan::compute(&self.store, &sweep, cache_salt(), |sc| {
-            ws_canonical(tag, sc.params)
-        });
+        let task = if spec.channel_stats {
+            Task::WsStats
+        } else {
+            Task::Ws
+        };
+        let runner = SweepRun::new(self.ex, spec.scale(self.scale)).task(task);
+        let plan = runner.plan(Some(&self.store), &sweep);
         let span = self.sink.as_ref().map(|s| {
             s.span(
                 Level::Info,
@@ -552,16 +517,6 @@ impl Server {
             ("skipped", skipped.to_string()),
         ]));
 
-        // Alone-IPC denominators only for the points that actually run.
-        let scale = self.scale_for(spec);
-        crate::warm_alone_cache(
-            &self.ex,
-            plan.miss_indices().map(|i| &sweep.points()[i].1),
-            sweep.base_seed(),
-            scale,
-        );
-
-        let channel_stats = spec.channel_stats;
         let meters = &self.meters;
         let streamed = &self.streamed;
         let progress = Progress::new(plan.len());
@@ -599,23 +554,10 @@ impl Server {
                 ),
             ]));
         };
-        let (run, stats) = self
-            .ex
-            .run_cached(
-                &mut self.store,
-                &sweep,
-                &plan,
-                |sc| ws_point_task(sc, scale, channel_stats),
-                Some(&on_point),
-            )
+        let (run, stats) = runner
+            .execute(Some(&mut self.store), &sweep, &plan, None, &on_point)
             .map_err(|e| format!("cannot persist results: {e}"))?;
-
-        self.meters.kernel_events.add(kernel_events(&run));
-        self.meters.sweep_wall_ms.set(run.wall_ms);
-        self.meters.sweeps.inc();
-        self.meters.cache_hits.add(stats.hits as u64);
-        self.meters.cache_misses.add(stats.misses as u64);
-        self.meters.cache_appended.add(stats.appended as u64);
+        self.meters.sweep_done(&run, Some(&stats));
         drop(span);
         if let Some(s) = &self.sink {
             s.flush();
@@ -635,18 +577,6 @@ impl Server {
             ("wall_ms", jf64(run.wall_ms)),
         ]));
         Ok(())
-    }
-
-    /// The session scale with the spec's overrides applied — alone-IPC
-    /// keys include the instruction counts, so the override must reach
-    /// them too.
-    fn scale_for(&self, spec: &SweepSpec) -> Scale {
-        let mut scale = self.scale;
-        if let Some(insts) = spec.insts {
-            scale.insts = insts;
-            scale.warmup = insts / 5;
-        }
-        scale
     }
 }
 
@@ -764,18 +694,21 @@ mod tests {
         // HiRA-on-inert-device combos are skipped, not fatal.
         let hira_on_inert = SweepSpec {
             policies: vec!["hira4".into(), "baseline".into()],
+            devices: vec!["samsung-ddr4-2400".into()],
+            ..spec.clone()
+        };
+        let (sweep, skipped) = hira_on_inert.build(tiny_scale()).unwrap();
+        assert_eq!(skipped, 1);
+        assert_eq!(sweep.len(), 1);
+        // An unregistered part rejects the spec by name.
+        let unknown = SweepSpec {
             devices: vec!["ddr4-2133".into()],
             ..spec.clone()
         };
-        match hira_on_inert.build(tiny_scale()) {
-            Ok((sweep, skipped)) => {
-                assert_eq!(skipped, 1);
-                assert_eq!(sweep.len(), 1);
-            }
-            // If the registry has no HiRA-inert part, the lookup fails
-            // loudly instead — either way nothing is silently dropped.
-            Err(msg) => assert!(msg.contains("ddr4-2133")),
-        }
+        assert!(unknown
+            .build(tiny_scale())
+            .unwrap_err()
+            .contains("ddr4-2133"));
     }
 
     #[test]
@@ -1079,6 +1012,26 @@ mod tests {
                 .any(|l| l.contains("\"event\":\"sweep\"") && l.contains("\"dur_us\":")),
             "{lines:?}"
         );
+    }
+
+    #[test]
+    fn dropping_one_cacheless_server_keeps_another_serving() {
+        let server = || {
+            Server::new(
+                Executor::with_threads(1),
+                tiny_scale(),
+                &CacheSpec::disabled(),
+            )
+        };
+        let first = server();
+        let mut second = server();
+        drop(first);
+        let (_, events) = collect(
+            &mut second,
+            "{\"op\":\"sweep\",\"id\":\"d\",\"policies\":[\"noref\"],\
+             \"workloads\":[\"stream\"]}",
+        );
+        assert_eq!(field(events.last().unwrap(), "event"), "\"done\"");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! byte-identical to an unobserved run — at any thread count, and whether
 //! points are computed or replayed from the cache.
 
-use hira_bench::{run_ws_observed, CacheSpec, ObsSpec, ProbeSpec, Scale, SLOW_POINT_FACTOR};
+use hira_bench::{CacheSpec, ObsSpec, Scale, SweepRun, SLOW_POINT_FACTOR};
 use hira_engine::{Executor, Sweep};
 use hira_obs::parse_prometheus;
 use hira_sim::config::SystemConfig;
@@ -61,15 +61,8 @@ fn check_trace_line(line: &str) {
 fn fully_observed_runs_are_byte_identical_to_unobserved() {
     let dir = scratch("identity");
     let scale = tiny_scale();
-    let probes = ProbeSpec::default();
-    let reference = run_ws_observed(
-        &Executor::with_threads(1),
-        mk_sweep("obs_identity"),
-        scale,
-        &probes,
-        &CacheSpec::disabled(),
-        &ObsSpec::disabled(),
-    );
+    let reference =
+        SweepRun::new(Executor::with_threads(1), scale).ws_over_mixes(mk_sweep("obs_identity"));
     let canonical = reference.run.canonical_json();
 
     // Cold at 1 thread, then cold+warm at 8 threads against one store —
@@ -86,14 +79,10 @@ fn fully_observed_runs_are_byte_identical_to_unobserved() {
             .with_trace(&out)
             .with_metrics(&out)
             .with_progress();
-        let observed = run_ws_observed(
-            &Executor::with_threads(threads),
-            mk_sweep("obs_identity"),
-            scale,
-            &probes,
-            &cache,
-            &obs,
-        );
+        let observed = SweepRun::new(Executor::with_threads(threads), scale)
+            .cache(cache)
+            .obs(obs)
+            .ws_over_mixes(mk_sweep("obs_identity"));
         assert_eq!(
             canonical,
             observed.run.canonical_json(),

@@ -2,9 +2,7 @@
 //! real system configurations: caching changes nothing, warm stores run
 //! nothing, and tasks measuring different metric sets never share keys.
 
-use hira_bench::{
-    run_ws_as_configured_cached, run_ws_with_stats_cached, CacheSpec, ProbeSpec, Scale,
-};
+use hira_bench::{CacheSpec, Scale, SweepRun, Task};
 use hira_engine::{Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -48,32 +46,17 @@ fn shard_lines(dir: &std::path::Path, sweep: &str) -> usize {
 fn cached_runs_are_bit_identical_across_thread_counts() {
     let dir = scratch("threads");
     let scale = tiny_scale();
-    let probes = ProbeSpec::default();
-    let reference = run_ws_as_configured_cached(
-        &Executor::with_threads(1),
-        mk_sweep("it_threads"),
-        scale,
-        &probes,
-        &CacheSpec::disabled(),
-    );
+    let reference = SweepRun::new(Executor::with_threads(1), scale).ws(mk_sweep("it_threads"));
     // Cold pass at 8 threads populates the store.
     let spec = CacheSpec::at(&dir);
-    let cold = run_ws_as_configured_cached(
-        &Executor::with_threads(8),
-        mk_sweep("it_threads"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let cold = SweepRun::new(Executor::with_threads(8), scale)
+        .cache(spec.clone())
+        .ws(mk_sweep("it_threads"));
     assert_eq!(reference.run.canonical_json(), cold.run.canonical_json());
     // Warm pass at 8 threads replays everything, wall times included.
-    let warm = run_ws_as_configured_cached(
-        &Executor::with_threads(8),
-        mk_sweep("it_threads"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let warm = SweepRun::new(Executor::with_threads(8), scale)
+        .cache(spec.clone())
+        .ws(mk_sweep("it_threads"));
     assert_eq!(cold.run.bench_json(), warm.run.bench_json());
     assert_eq!(
         shard_lines(&dir, "it_threads"),
@@ -90,25 +73,17 @@ fn cached_runs_are_bit_identical_across_thread_counts() {
 fn ws_and_ws_with_stats_never_share_cache_keys() {
     let dir = scratch("tasks");
     let scale = tiny_scale();
-    let probes = ProbeSpec::default();
     let spec = CacheSpec::at(&dir);
-    let plain = run_ws_as_configured_cached(
-        &Executor::with_threads(2),
-        mk_sweep("it_tasks"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let plain = SweepRun::new(Executor::with_threads(2), scale)
+        .cache(spec.clone())
+        .ws(mk_sweep("it_tasks"));
     assert_eq!(shard_lines(&dir, "it_tasks"), 3);
     // Identical configurations, richer task: every point must MISS — a hit
     // would replay a record set without the channel metrics.
-    let stats = run_ws_with_stats_cached(
-        &Executor::with_threads(2),
-        mk_sweep("it_tasks"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let stats = SweepRun::new(Executor::with_threads(2), scale)
+        .task(Task::WsStats)
+        .cache(spec.clone())
+        .ws(mk_sweep("it_tasks"));
     assert_eq!(
         shard_lines(&dir, "it_tasks"),
         6,
@@ -120,13 +95,10 @@ fn ws_and_ws_with_stats_never_share_cache_keys() {
         "the plain task stays plain"
     );
     // And the richer records really were cached under their own keys.
-    let warm = run_ws_with_stats_cached(
-        &Executor::with_threads(2),
-        mk_sweep("it_tasks"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let warm = SweepRun::new(Executor::with_threads(2), scale)
+        .task(Task::WsStats)
+        .cache(spec.clone())
+        .ws(mk_sweep("it_tasks"));
     assert_eq!(stats.run.bench_json(), warm.run.bench_json());
     assert_eq!(shard_lines(&dir, "it_tasks"), 6);
     let _ = std::fs::remove_dir_all(&dir);

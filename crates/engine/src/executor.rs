@@ -141,7 +141,8 @@ impl Executor {
         let slots: Vec<Slot<R>> = (0..n).map(|_| Mutex::new(None)).collect();
 
         std::thread::scope(|s| {
-            for _ in 0..workers {
+            // An empty sweep (a fully cached one's misses) spawns no worker.
+            for _ in 0..workers.min(n) {
                 s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -167,11 +168,13 @@ impl Executor {
 
         let mut outputs = Vec::with_capacity(n);
         let mut records = Vec::new();
+        let mut total_ms = 0.0;
         for (i, slot) in slots.into_iter().enumerate() {
             let (out, metrics, telemetry, wall_ms) = slot
                 .into_inner()
                 .expect("result slot")
                 .expect("point executed");
+            total_ms += wall_ms;
             let key = &sweep.points()[i].0;
             for m in metrics {
                 records.push(RunRecord {
@@ -187,7 +190,7 @@ impl Executor {
         let run = RunSet {
             sweep: sweep.name().to_string(),
             threads: workers,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+            wall_ms: total_ms,
             records,
         };
         (outputs, run)
@@ -262,6 +265,9 @@ mod tests {
         assert_eq!(run.records.len(), 3);
         assert_eq!(run.value(&[("i", "2")], "v"), 2.0);
         assert!(run.records.iter().all(|r| r.wall_ms >= 0.0));
+        // The run's wall is its points' summed walls (one record each).
+        let summed: f64 = run.records.iter().map(|r| r.wall_ms).sum();
+        assert_eq!(run.wall_ms, summed);
     }
 
     #[test]
@@ -269,6 +275,7 @@ mod tests {
         let empty: Sweep<u32> = Sweep::from_points("empty", 0, Vec::new());
         let run = Executor::with_threads(8).run(&empty, |_| vec![]);
         assert!(run.records.is_empty());
+        assert_eq!(run.wall_ms, 0.0);
         let one = Sweep::from_points("one", 0, vec![(ScenarioKey::root(), 7u32)]);
         let (outs, run) = Executor::with_threads(8).run_with(&one, |sc| (*sc.params, vec![]));
         assert_eq!(outs, vec![7]);

@@ -85,7 +85,10 @@ pub struct RunSet {
     pub sweep: String,
     /// Worker threads the executor used (metadata, not part of the results).
     pub threads: usize,
-    /// Total wall time of the sweep in milliseconds.
+    /// Summed per-point wall time of the sweep in milliseconds: the work
+    /// the sweep took, independent of the thread count and (for replayed
+    /// points) of the cache. A caller that wants elapsed time times the
+    /// run itself.
     pub wall_ms: f64,
     /// Records in point order, metrics in task-emission order.
     pub records: Vec<RunRecord>,
@@ -115,12 +118,13 @@ impl RunSet {
         })
     }
 
-    /// Collapses one axis by arithmetic mean: records of `metric` whose keys
-    /// differ only in `axis` are grouped (first-seen order) and averaged.
-    pub fn mean_over(&self, axis: &str, metric: &str) -> Vec<(ScenarioKey, f64)> {
+    /// Collapses `axes` by arithmetic mean: records of `metric` whose keys
+    /// differ only in those axes are grouped (first-seen order) and
+    /// averaged. An axis no key carries collapses nothing.
+    pub fn mean_over(&self, axes: &[&str], metric: &str) -> Vec<(ScenarioKey, f64)> {
         let mut groups: Vec<(ScenarioKey, f64, usize)> = Vec::new();
         for r in self.records.iter().filter(|r| r.metric == metric) {
-            let k = r.key.without(axis);
+            let k = axes.iter().fold(r.key.clone(), |k, a| k.without(a));
             match groups.iter_mut().find(|(g, _, _)| *g == k) {
                 Some((_, sum, n)) => {
                     *sum += r.value;
@@ -424,10 +428,13 @@ mod tests {
     #[test]
     fn mean_over_collapses_one_axis() {
         let rs = sample();
-        let means = rs.mean_over("mix", "ws");
+        let means = rs.mean_over(&["mix"], "ws");
         assert_eq!(means.len(), 1);
         assert_eq!(means[0].0.to_string(), "scheme=B");
         assert_eq!(means[0].1, 3.0);
+        // Several axes collapse at once; an absent axis collapses nothing.
+        let all = rs.mean_over(&["scheme", "mix", "absent"], "ws");
+        assert_eq!(all, vec![(ScenarioKey::root(), 3.0)]);
     }
 
     #[test]

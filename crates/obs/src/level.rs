@@ -11,13 +11,14 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Event severity / verbosity, least verbose first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Level {
     /// A failure the run could not honor.
     Error,
     /// Something off, but the run continues.
     Warn,
     /// Run milestones: sweeps, points, phases (the default).
+    #[default]
     Info,
     /// Per-operation detail.
     Debug,

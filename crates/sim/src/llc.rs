@@ -35,7 +35,10 @@ struct Mshr {
 /// The shared LLC.
 #[derive(Debug)]
 pub struct Llc {
-    sets: Vec<Vec<Line>>,
+    /// Every set's lines in one allocation: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    ways: usize,
     set_mask: u64,
     stamp: u64,
     mshrs: HashMap<u64, Mshr>,
@@ -60,19 +63,15 @@ impl Llc {
     pub fn new(bytes: usize, ways: usize) -> Self {
         let sets = bytes / 64 / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let empty = Line {
+            tag: 0,
+            dirty: false,
+            used: 0,
+            valid: false,
+        };
         Llc {
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        dirty: false,
-                        used: 0,
-                        valid: false
-                    };
-                    ways
-                ];
-                sets
-            ],
+            lines: vec![empty; sets * ways],
+            ways,
             set_mask: sets as u64 - 1,
             stamp: 0,
             mshrs: HashMap::new(),
@@ -84,8 +83,10 @@ impl Llc {
         }
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    /// The positions in `lines` of the set `line` maps to.
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+        let start = (line & self.set_mask) as usize * self.ways;
+        start..start + self.ways
     }
 
     /// Accesses `line` (a byte address divided by 64). On a miss the fetch
@@ -94,7 +95,10 @@ impl Llc {
         self.stamp += 1;
         let stamp = self.stamp;
         let set = self.set_of(line);
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == line) {
+        if let Some(l) = self.lines[set]
+            .iter_mut()
+            .find(|l| l.valid && l.tag == line)
+        {
             l.used = stamp;
             l.dirty |= is_store;
             self.hits += 1;
@@ -134,7 +138,7 @@ impl Llc {
             return Vec::new();
         };
         let set = self.set_of(line);
-        let victim = self.sets[set]
+        let victim = self.lines[set]
             .iter_mut()
             .min_by_key(|l| if l.valid { l.used } else { 0 })
             .expect("non-zero associativity");

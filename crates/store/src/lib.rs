@@ -48,11 +48,11 @@
 //! let ex = Executor::with_threads(2);
 //! let plan = SweepPlan::compute(&store, &sweep, salt, canon);
 //! assert_eq!(plan.misses(), 2); // cold cache
-//! let (cold, _) = ex.run_cached(&mut store, &sweep, &plan, task, None)?;
+//! let (cold, _) = ex.run_cached(Some(&mut store), &sweep, &plan, task, None)?;
 //!
 //! let plan = SweepPlan::compute(&store, &sweep, salt, canon);
 //! assert!(plan.is_warm()); // every point is now a hit…
-//! let (warm, stats) = ex.run_cached(&mut store, &sweep, &plan, task, None)?;
+//! let (warm, stats) = ex.run_cached(Some(&mut store), &sweep, &plan, task, None)?;
 //! assert_eq!((stats.hits, stats.misses), (2, 0)); // …so nothing is computed
 //! assert_eq!(warm.bench_json(), cold.bench_json()); // byte-identical replay
 //! # std::fs::remove_dir_all(&dir).ok();

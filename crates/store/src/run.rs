@@ -21,7 +21,9 @@
 //! Usage is two-phase — [`SweepPlan::compute`] classifies every point as
 //! hit or miss without running anything, so callers can scope side work
 //! (e.g. alone-IPC warmup) to the misses; then
-//! [`CacheExecutorExt::run_cached`] executes the plan.
+//! [`CacheExecutorExt::run_cached`] executes the plan. A run without a
+//! store takes the same path: [`SweepPlan::uncached`] plans every point
+//! as a miss and nothing is persisted.
 
 use crate::store::{StoredPoint, SweepStore};
 use hira_engine::{Executor, Metric, PointTelemetry, RunRecord, RunSet, Scenario, Sweep};
@@ -59,6 +61,15 @@ impl SweepPlan {
             hashes.push(hash);
         }
         SweepPlan { hashes, hits }
+    }
+
+    /// The plan of a run without a store: every one of `len` points is a
+    /// miss, and none has a content hash (nothing will be persisted).
+    pub fn uncached(len: usize) -> Self {
+        SweepPlan {
+            hashes: vec![String::new(); len],
+            hits: vec![None; len],
+        }
     }
 
     /// Number of planned points.
@@ -139,10 +150,11 @@ pub type OnPoint<'a> = &'a (dyn Fn(PointOutcome<'_>) + Sync);
 /// The cache-aware run path, as an extension of the engine's [`Executor`].
 pub trait CacheExecutorExt {
     /// Executes `plan`: replays every hit from `store`, schedules only the
-    /// misses on the executor's work queue, persists the new results, and
-    /// assembles the full [`RunSet`] in point order — bit-identical to the
-    /// run set an uncached execution of `sweep` would produce, for any
-    /// thread count and any hit/miss split.
+    /// misses on the executor's work queue, persists the new results (when
+    /// a store is given), and assembles the full [`RunSet`] in point order
+    /// — bit-identical to the run set an uncached execution of `sweep`
+    /// would produce, for any thread count and any hit/miss split. The run
+    /// set's `wall_ms` is the sum of its per-point walls.
     ///
     /// `task` is the uncached per-point computation (metrics + optional
     /// telemetry); it is invoked **only for misses**. `on_point` observes
@@ -159,7 +171,7 @@ pub trait CacheExecutorExt {
     /// mismatch), and propagates task panics.
     fn run_cached<P, F>(
         &self,
-        store: &mut SweepStore,
+        store: Option<&mut SweepStore>,
         sweep: &Sweep<P>,
         plan: &SweepPlan,
         task: F,
@@ -173,7 +185,7 @@ pub trait CacheExecutorExt {
 impl CacheExecutorExt for Executor {
     fn run_cached<P, F>(
         &self,
-        store: &mut SweepStore,
+        store: Option<&mut SweepStore>,
         sweep: &Sweep<P>,
         plan: &SweepPlan,
         task: F,
@@ -246,7 +258,10 @@ impl CacheExecutorExt for Executor {
             }
             point
         });
-        let appended = store.append(computed.clone())?;
+        let appended = match store {
+            Some(store) => store.append(computed.clone())?,
+            None => 0,
+        };
 
         // Assemble the full run set in point order. Replayed records carry
         // the querying sweep's key (stored keys are provenance, and a result
@@ -341,7 +356,7 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 0, "planning runs nothing");
 
         let (cold, stats) = ex
-            .run_cached(&mut store, &sweep, &plan, task, None)
+            .run_cached(Some(&mut store), &sweep, &plan, task, None)
             .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 9);
         assert_eq!(
@@ -357,7 +372,7 @@ mod tests {
         let plan = SweepPlan::compute(&store, &sweep, 7, canon);
         assert!(plan.is_warm());
         let (warm, stats) = ex
-            .run_cached(&mut store, &sweep, &plan, task, None)
+            .run_cached(Some(&mut store), &sweep, &plan, task, None)
             .unwrap();
         assert_eq!(
             calls.load(Ordering::Relaxed),
@@ -379,7 +394,7 @@ mod tests {
         // Reference: a cold run through the cached path at 1 thread.
         let plan = SweepPlan::compute(&seed_store, &sweep, 7, canon);
         let (reference, _) = Executor::with_threads(1)
-            .run_cached(&mut seed_store, &sweep, &plan, demo_task, None)
+            .run_cached(Some(&mut seed_store), &sweep, &plan, demo_task, None)
             .unwrap();
         // And the engine's plain uncached path agrees on the canonical form.
         let plain = Executor::with_threads(1).run_instrumented(&sweep, |sc| {
@@ -397,12 +412,12 @@ mod tests {
             let subset = demo_sweep(prewarm);
             let plan = SweepPlan::compute(&store, &subset, 7, canon);
             Executor::with_threads(threads)
-                .run_cached(&mut store, &subset, &plan, demo_task, None)
+                .run_cached(Some(&mut store), &subset, &plan, demo_task, None)
                 .unwrap();
             let plan = SweepPlan::compute(&store, &sweep, 7, canon);
             assert_eq!(plan.hits(), prewarm as usize);
             let (run, stats) = Executor::with_threads(threads)
-                .run_cached(&mut store, &sweep, &plan, demo_task, None)
+                .run_cached(Some(&mut store), &sweep, &plan, demo_task, None)
                 .unwrap();
             assert_eq!(stats.misses, 12 - prewarm as usize);
             assert_eq!(
@@ -427,7 +442,7 @@ mod tests {
         // Prewarm points 0..3 via a subset sweep.
         let subset = demo_sweep(3);
         let plan = SweepPlan::compute(&store, &subset, 7, canon);
-        ex.run_cached(&mut store, &subset, &plan, demo_task, None)
+        ex.run_cached(Some(&mut store), &subset, &plan, demo_task, None)
             .unwrap();
 
         let seen: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
@@ -442,7 +457,7 @@ mod tests {
         };
         let plan = SweepPlan::compute(&store, &sweep, 7, canon);
         let (_, stats) = ex
-            .run_cached(&mut store, &sweep, &plan, demo_task, Some(&observer))
+            .run_cached(Some(&mut store), &sweep, &plan, demo_task, Some(&observer))
             .unwrap();
         assert_eq!(
             stats,
@@ -471,13 +486,41 @@ mod tests {
     }
 
     #[test]
+    fn uncached_plans_compute_every_point_and_persist_nothing() {
+        let dir = tmp_dir("uncached");
+        let mut store = SweepStore::open(&dir).unwrap();
+        let sweep = demo_sweep(5);
+        let ex = Executor::with_threads(2);
+        let plan = SweepPlan::compute(&store, &sweep, 7, canon);
+        let (cached, _) = ex
+            .run_cached(Some(&mut store), &sweep, &plan, demo_task, None)
+            .unwrap();
+        let plan = SweepPlan::uncached(sweep.len());
+        assert_eq!((plan.hits(), plan.misses()), (0, 5));
+        let (run, stats) = ex.run_cached(None, &sweep, &plan, demo_task, None).unwrap();
+        assert_eq!(
+            stats,
+            CacheStats {
+                points: 5,
+                hits: 0,
+                misses: 5,
+                appended: 0
+            }
+        );
+        assert_eq!(run.canonical_json(), cached.canonical_json());
+        let summed: f64 = (0..5).map(|i| run.records[2 * i].wall_ms).sum();
+        assert_eq!(run.wall_ms, summed, "wall_ms sums the per-point walls");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn changing_the_salt_invalidates_every_point() {
         let dir = tmp_dir("salt");
         let mut store = SweepStore::open(&dir).unwrap();
         let sweep = demo_sweep(4);
         let ex = Executor::with_threads(2);
         let plan = SweepPlan::compute(&store, &sweep, 7, canon);
-        ex.run_cached(&mut store, &sweep, &plan, demo_task, None)
+        ex.run_cached(Some(&mut store), &sweep, &plan, demo_task, None)
             .unwrap();
         assert!(SweepPlan::compute(&store, &sweep, 7, canon).is_warm());
         let other = SweepPlan::compute(&store, &sweep, 8, canon);
@@ -492,7 +535,7 @@ mod tests {
         let mut store = SweepStore::open(&dir).unwrap();
         let plan = SweepPlan::compute(&store, &demo_sweep(2), 7, canon);
         let _ = Executor::with_threads(1).run_cached(
-            &mut store,
+            Some(&mut store),
             &demo_sweep(3),
             &plan,
             demo_task,

@@ -5,7 +5,7 @@
 
 use hira::engine::{Executor, Sweep};
 use hira::prelude::*;
-use hira_bench::{run_ws_with_stats, Scale};
+use hira_bench::{Scale, SweepRun, Task};
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -47,7 +47,9 @@ fn every_registered_device_is_thread_count_invariant() {
         Sweep::from_points("device_axis", hira::engine::DEFAULT_BASE_SEED, points)
     };
     let canonical = |threads: usize| {
-        run_ws_with_stats(&Executor::with_threads(threads), sweep(), tiny_scale())
+        SweepRun::new(Executor::with_threads(threads), tiny_scale())
+            .task(Task::WsStats)
+            .ws(sweep())
             .run
             .canonical_json()
     };

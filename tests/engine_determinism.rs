@@ -5,7 +5,7 @@
 
 use hira::engine::{derive_seed, metric, Executor, ScenarioKey, Sweep};
 use hira::prelude::{policy, SystemConfig};
-use hira_bench::{run_ws, Scale};
+use hira_bench::{Scale, SweepRun};
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -30,7 +30,8 @@ fn ws_sweep() -> Sweep<SystemConfig> {
 #[test]
 fn simulator_sweep_is_byte_identical_across_1_2_and_8_threads() {
     let canonical = |threads: usize| {
-        run_ws(&Executor::with_threads(threads), ws_sweep(), tiny_scale())
+        SweepRun::new(Executor::with_threads(threads), tiny_scale())
+            .ws_over_mixes(ws_sweep())
             .run
             .canonical_json()
     };
@@ -64,7 +65,8 @@ fn policy_sweep_is_byte_identical_across_thread_counts() {
         rows: 16,
     };
     let canonical = |threads: usize| {
-        run_ws(&Executor::with_threads(threads), sweep(), scale)
+        SweepRun::new(Executor::with_threads(threads), scale)
+            .ws_over_mixes(sweep())
             .run
             .canonical_json()
     };

@@ -10,7 +10,7 @@
 use hira::engine::{Executor, Sweep};
 use hira::prelude::*;
 use hira::workload::workload;
-use hira_bench::{run_ws, Scale};
+use hira_bench::{Scale, SweepRun};
 
 fn build(
     device: &DeviceHandle,
@@ -289,7 +289,8 @@ fn engine_thread_count_determinism_holds_in_event_mode() {
         )
     };
     let canonical = |threads| {
-        run_ws(&Executor::with_threads(threads), sweep(), scale)
+        SweepRun::new(Executor::with_threads(threads), scale)
+            .ws_over_mixes(sweep())
             .run
             .canonical_json()
     };

@@ -7,7 +7,7 @@
 
 use hira::engine::{Executor, Sweep};
 use hira::prelude::*;
-use hira_bench::{run_ws, Scale};
+use hira_bench::{Scale, SweepRun};
 
 fn scale() -> Scale {
     Scale {
@@ -52,13 +52,10 @@ fn plugin_axis_is_thread_count_deterministic() {
     // 1 vs 8 engine threads over the full plugin roster × two policy
     // families: canonical result sets must be byte-identical.
     let canonical = |threads| {
-        run_ws(
-            &Executor::with_threads(threads),
-            plugin_sweep(KernelMode::Event),
-            scale(),
-        )
-        .run
-        .canonical_json()
+        SweepRun::new(Executor::with_threads(threads), scale())
+            .ws_over_mixes(plugin_sweep(KernelMode::Event))
+            .run
+            .canonical_json()
     };
     let single = canonical(1);
     assert!(!single.is_empty());
@@ -71,9 +68,9 @@ fn plugin_axis_is_kernel_invariant_through_the_engine() {
     // every per-point record) must agree cell for cell. Complements the
     // single-system checks in kernel_equivalence.rs by going through the
     // engine's seeding and the bench runner's mix expansion.
-    let ex = Executor::with_threads(4);
-    let event = run_ws(&ex, plugin_sweep(KernelMode::Event), scale());
-    let dense = run_ws(&ex, plugin_sweep(KernelMode::Dense), scale());
+    let run = SweepRun::new(Executor::with_threads(4), scale());
+    let event = run.ws_over_mixes(plugin_sweep(KernelMode::Event));
+    let dense = run.ws_over_mixes(plugin_sweep(KernelMode::Dense));
     for (ev, de) in event.run.records.iter().zip(&dense.run.records) {
         assert_eq!(ev.key, de.key, "record order diverged across kernels");
         assert_eq!(

@@ -5,7 +5,7 @@
 
 use hira::engine::{Executor, Sweep};
 use hira::prelude::*;
-use hira_bench::{run_ws_as_configured, Scale};
+use hira_bench::{Scale, SweepRun};
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -34,7 +34,8 @@ fn every_registered_workload_is_thread_count_invariant() {
         )
     };
     let canonical = |threads: usize| {
-        run_ws_as_configured(&Executor::with_threads(threads), sweep(), tiny_scale())
+        SweepRun::new(Executor::with_threads(threads), tiny_scale())
+            .ws(sweep())
             .run
             .canonical_json()
     };
