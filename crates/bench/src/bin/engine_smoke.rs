@@ -6,10 +6,11 @@
 //! This is the cheap CI-facing proof that scheduling never leaks into
 //! results; the figure binaries then scale the same machinery up.
 
-use hira_bench::{Scale, SweepRun, WsTable};
+use hira_bench::{alone_ipc, Scale, SweepRun, WsTable};
 use hira_engine::{flabel, Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
+use hira_workload::mix;
 use std::time::Instant;
 
 fn sweep() -> Sweep<SystemConfig> {
@@ -37,6 +38,15 @@ fn main() {
     let ex = Executor::from_env();
 
     println!("== engine smoke: {} worker thread(s) vs 1 ==", ex.threads());
+    // Both timed runs must do the same work: the alone-IPC denominators
+    // are memoized process-wide, so whichever run went first would also
+    // pay for every alone run. Fill the memo untimed.
+    for id in 0..scale.mixes {
+        let cfg = SystemConfig::table3(8.0, policy::noref()).with_workload(mix(id));
+        for name in cfg.workload.instance_names(cfg.cores, cfg.seed) {
+            alone_ipc(&name, &cfg.device, cfg.channels, cfg.ranks, scale);
+        }
+    }
     // The run set's wall is the summed per-point work; the speed of the
     // executor shows in the elapsed time, timed here.
     let timed = |ex: Executor| -> (WsTable, f64) {

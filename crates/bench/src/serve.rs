@@ -65,6 +65,7 @@ use hira_sim::config::{KernelMode, SystemConfig};
 use hira_store::{CacheStats, SweepStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One parsed request line.
@@ -201,6 +202,28 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
     }
 }
 
+/// The standard registries a [`SweepSpec`] resolves its names against.
+/// They are fixed per binary, so they are built once per process rather
+/// than once per request.
+struct Registries {
+    policy: hira_sim::policy::PolicyRegistry,
+    workload: hira_workload::WorkloadRegistry,
+    device: hira_sim::device::DeviceRegistry,
+    plugin: hira_sim::plugin::PluginRegistry,
+}
+
+impl Registries {
+    fn get() -> &'static Registries {
+        static REGISTRIES: OnceLock<Registries> = OnceLock::new();
+        REGISTRIES.get_or_init(|| Registries {
+            policy: hira_sim::policy::PolicyRegistry::standard(),
+            workload: hira_workload::WorkloadRegistry::standard(),
+            device: hira_sim::device::DeviceRegistry::standard(),
+            plugin: hira_sim::plugin::PluginRegistry::standard(),
+        })
+    }
+}
+
 impl SweepSpec {
     /// Builds the grid: policy × workload (× device × cap × plugin),
     /// resolving every name against the standard registries. Combos the
@@ -227,31 +250,29 @@ impl SweepSpec {
                 })
                 .collect()
         }
+        let reg = Registries::get();
         // Unknown plugin forms reject the spec before any cell builds;
         // `none` is the undefended point, the rest key by canonical name.
-        let plugin_reg = hira_sim::plugin::PluginRegistry::standard();
         let plugins = self
             .plugins
             .iter()
             .map(|g| match g.as_str() {
                 "none" => Ok((g.clone(), None)),
-                _ => plugin_reg
+                _ => reg
+                    .plugin
                     .lookup(g)
                     .map(|h| (h.name().to_owned(), Some(h)))
                     .ok_or_else(|| format!("unknown plugin `{g}`")),
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let policy_reg = hira_sim::policy::PolicyRegistry::standard();
-        let workload_reg = hira_workload::WorkloadRegistry::standard();
-        let device_reg = hira_sim::device::DeviceRegistry::standard();
         let (sweep, skipped) = Grid::new(&self.name)
             .policies(&resolve("policy", &self.policies, |n| {
-                policy_reg.lookup(n)
+                reg.policy.lookup(n)
             })?)
             .workloads(&resolve("workload", &self.workloads, |n| {
-                workload_reg.lookup(n)
+                reg.workload.lookup(n)
             })?)
-            .devices(&resolve("device", &self.devices, |n| device_reg.lookup(n))?)
+            .devices(&resolve("device", &self.devices, |n| reg.device.lookup(n))?)
             .caps(&self.caps)
             .plugins(&plugins)
             .build(self.scale(scale), KernelMode::default())?;

@@ -429,19 +429,59 @@ impl HiraMc {
     /// mutating state — so a time-skipping host may safely not call them.
     ///
     /// With requests queued (or overflowed) the answer is `now`: service
-    /// opportunities depend on bank state the controller cannot see, so
-    /// the host must keep polling every tick. With the queues empty the
-    /// wake is the earliest of the next periodic generation instant and
-    /// the window-rollover accounting point.
+    /// opportunities depend on bank state the controller cannot see, so a
+    /// host that cannot refine the wake against that state (through
+    /// [`HiraMc::next_due`] and [`HiraMc::queued_banks`]) must keep
+    /// polling every tick. With the queues empty the wake is
+    /// [`HiraMc::generation_wake`].
     pub fn next_wake(&self, now: f64) -> f64 {
         if !self.table.is_empty() || !self.overflow.is_empty() {
             return now;
         }
+        self.generation_wake()
+    }
+
+    /// The next instant [`HiraMc::tick`] changes state at: the earliest of
+    /// the next periodic generation and the window-rollover accounting
+    /// point. Queued requests do not move it.
+    pub fn generation_wake(&self) -> f64 {
         let gen = self
             .periodic
             .as_ref()
             .map_or(f64::INFINITY, PeriodicRc::next_due);
         gen.min(self.window_end)
+    }
+
+    /// When [`HiraMc::next_due_bank`] starts naming a bank, and which one,
+    /// while the queues stay as they are: the earliest `now` at which it
+    /// returns `Some(bank)`, found with its own float test
+    /// (`deadline <= now + tRC`), so the instant is exact. Overflowed
+    /// requests are due at any instant (`f64::NEG_INFINITY`). `None` with
+    /// nothing queued.
+    pub fn next_due(&self) -> Option<(f64, BankId)> {
+        if let Some(e) = self.overflow.front() {
+            return Some((f64::NEG_INFINITY, e.bank));
+        }
+        let t_rc = self.params.timing.t_rc;
+        let e = self.table.earliest()?;
+        // The smallest f64 `now` with `deadline <= now + t_rc`: the float
+        // sum is monotone in `now`, so step from the algebraic guess to
+        // the boundary.
+        let mut now = e.deadline - t_rc;
+        while now + t_rc < e.deadline {
+            now = now.next_up();
+        }
+        while now.next_down() + t_rc >= e.deadline {
+            now = now.next_down();
+        }
+        Some((now, e.bank))
+    }
+
+    /// The bank of every request in the Refresh Table, one per entry (a
+    /// bank may repeat): the banks [`HiraMc::opportunistic_work`] can
+    /// serve.
+    pub fn queued_banks(&self) -> impl Iterator<Item = BankId> + '_ {
+        self.table.iter().map(|e| e.bank)
     }
 
     /// Earliest queued deadline (scheduling hint).

@@ -599,13 +599,15 @@ impl SystemBuilder {
             ),
         };
         let mut plugins = self.plugins;
-        let plugin_registry = PluginRegistry::standard();
-        for name in self.plugins_by_name {
-            plugins.push(
-                plugin_registry
-                    .lookup(&name)
-                    .ok_or(BuildError::UnknownPlugin { name })?,
-            );
+        if !self.plugins_by_name.is_empty() {
+            let plugin_registry = PluginRegistry::standard();
+            for name in self.plugins_by_name {
+                plugins.push(
+                    plugin_registry
+                        .lookup(&name)
+                        .ok_or(BuildError::UnknownPlugin { name })?,
+                );
+            }
         }
         let refresh = match self.para {
             None => refresh,

@@ -43,9 +43,11 @@ pub enum KernelMode {
     Dense,
     /// Event-driven time skipping: the clock advances to the minimum of
     /// the cores' and channels' next interesting instants (blocked cores
-    /// sleep until their fill, compute bubbles batch arithmetically,
-    /// policies sleep until their declared
-    /// [`crate::policy::RefreshPolicy::next_wake`]).
+    /// sleep until their fill, compute stretches batch arithmetically
+    /// while loads are in flight, channels sleep until a queued request
+    /// can be picked, policies sleep until their declared
+    /// [`crate::policy::RefreshPolicy::next_wake`], refined against bank
+    /// state by [`crate::policy::RefreshPolicy::next_wake_under`]).
     #[default]
     Event,
 }

@@ -210,6 +210,31 @@ pub struct ChannelStats {
     pub refresh_busy: u64,
 }
 
+/// One rank's bank state as the [`RankView`] handed to its policy sees it:
+/// scratch reused across polls to keep them allocation-free, refilled by
+/// [`Channel::fill_bank_view`] before each.
+#[derive(Debug)]
+struct ViewScratch {
+    next_act: Vec<MemCycle>,
+    demand: Vec<bool>,
+    open: Vec<bool>,
+    clock: MemClock,
+    t_rc: MemCycle,
+}
+
+impl ViewScratch {
+    fn view(&self, now: MemCycle) -> RankView<'_> {
+        RankView {
+            now,
+            clock: self.clock,
+            t_rc: self.t_rc,
+            bank_next_act: &self.next_act,
+            bank_has_demand: &self.demand,
+            bank_open: &self.open,
+        }
+    }
+}
+
 /// One memory channel and its controller.
 #[derive(Debug)]
 pub struct Channel {
@@ -232,14 +257,12 @@ pub struct Channel {
     completions: BinaryHeap<Reverse<(MemCycle, u64)>>,
     write_mode: bool,
     stats: ChannelStats,
-    /// Scratch behind the [`RankView`] handed to policies (reused across
-    /// ticks to keep the refresh poll allocation-free). Demand flags cover
-    /// every bank of every rank and are rebuilt once per tick (one queue
-    /// scan); the bank-state slices are per-rank and refreshed per poll.
-    view_next_act: Vec<MemCycle>,
-    view_demand: Vec<bool>,
-    view_open: Vec<bool>,
-    /// Event-kernel scratch: per-rank "policy wake has arrived" flags,
+    /// Demand requests queued (read and write) per bank of every rank,
+    /// kept as requests enqueue and commit.
+    queued: Vec<u32>,
+    /// Scratch behind the [`RankView`] handed to policies.
+    view: ViewScratch,
+    /// Event-kernel scratch: per-rank "refresh machinery is due" flags,
     /// computed once per [`Channel::refresh_step`] (the gate and the rank
     /// loop share them).
     rank_due: Vec<bool>,
@@ -300,9 +323,14 @@ impl Channel {
             completions: BinaryHeap::new(),
             write_mode: false,
             stats: ChannelStats::default(),
-            view_next_act: vec![0; cfg.banks as usize],
-            view_demand: vec![false; cfg.ranks * cfg.banks as usize],
-            view_open: vec![false; cfg.banks as usize],
+            queued: vec![0; cfg.ranks * cfg.banks as usize],
+            view: ViewScratch {
+                next_act: vec![0; cfg.banks as usize],
+                demand: vec![false; cfg.banks as usize],
+                open: vec![false; cfg.banks as usize],
+                clock,
+                t_rc: timing.rc,
+            },
             rank_due: vec![false; cfg.ranks],
         }
     }
@@ -356,6 +384,8 @@ impl Channel {
 
     /// Enqueues a request (caller must have checked acceptance).
     pub fn enqueue(&mut self, req: MemRequest) {
+        let bi = self.bank_index(req.addr.rank, req.addr.bank);
+        self.queued[bi] += 1;
         if req.is_write {
             debug_assert!(self.can_accept_write());
             self.write_q.push(req);
@@ -375,13 +405,14 @@ impl Channel {
     fn act_constraint(&self, rank: usize, bg: u16, earliest: MemCycle) -> MemCycle {
         let r = &self.ranks[rank];
         let mut a = earliest.max(r.next_act_any).max(r.next_act_bg[bg as usize]);
-        // tFAW: the 4th-most-recent ACT before `a` must be faw-old.
+        // tFAW: the 4th-most-recent ACT before `a` must be faw-old. `acts`
+        // is ascending, so the ACTs at or before `a` are a prefix.
         loop {
-            let recent: Vec<MemCycle> = r.acts.iter().copied().filter(|&t| t <= a).collect();
-            if recent.len() < 4 {
+            let recent = r.acts.iter().take_while(|&&t| t <= a).count();
+            if recent < 4 {
                 break;
             }
-            let fourth = recent[recent.len() - 4];
+            let fourth = r.acts[recent - 4];
             if fourth + self.timing.faw <= a {
                 break;
             }
@@ -673,59 +704,107 @@ impl Channel {
         }
     }
 
-    /// Rebuilds the all-rank demand flags (one pass over both queues).
-    /// Refresh actions never touch the queues, so once per tick suffices.
-    fn fill_demand(&mut self) {
-        self.view_demand.fill(false);
-        for r in self.read_q.iter().chain(self.write_q.iter()) {
-            self.view_demand[r.addr.rank * self.banks_per_rank as usize + r.addr.bank as usize] =
-                true;
-        }
-    }
-
     /// Refills the per-rank bank-state slices behind the [`RankView`]
     /// (these *do* change as the tick's earlier actions execute).
     fn fill_bank_view(&mut self, rank: usize) {
+        let base = rank * self.banks_per_rank as usize;
         for b in 0..self.banks_per_rank as usize {
-            let bank = &self.banks[rank * self.banks_per_rank as usize + b];
-            self.view_next_act[b] = bank.next_act;
-            self.view_open[b] = bank.open_row.is_some();
+            let bank = &self.banks[base + b];
+            self.view.next_act[b] = bank.next_act;
+            self.view.open[b] = bank.open_row.is_some();
+            self.view.demand[b] = self.queued[base + b] > 0;
+        }
+    }
+
+    /// The wake of `rank`'s refresh machinery: the earliest cycle at which
+    /// its policy or a plugin may act, with the rank's bank state held as
+    /// it is now. The time-only `next_wake`s are asked first; only a policy
+    /// wake that has arrived is refined through
+    /// [`RefreshPolicy::next_wake_under`] against a freshly filled view,
+    /// so time-gated policies never build one.
+    fn rank_wake(&mut self, rank: usize, now: MemCycle, now_ns: f64) -> MemCycle {
+        let mut wake = MemCycle::MAX;
+        if !self.ranks[rank].policy.inert() {
+            wake = self
+                .clock
+                .wake_cycle(self.ranks[rank].policy.next_wake(now_ns));
+            if wake <= now {
+                self.fill_bank_view(rank);
+                let view = self.view.view(now);
+                wake = self
+                    .clock
+                    .wake_cycle(self.ranks[rank].policy.next_wake_under(now_ns, &view));
+            }
+        }
+        for p in &self.ranks[rank].plugins {
+            wake = wake.min(self.clock.wake_cycle(p.next_wake(now_ns)));
+        }
+        wake
+    }
+
+    /// The first cycle after `now` at which [`Channel::demand_step`] could
+    /// do anything with the queues and bank state as they are:
+    ///
+    /// * `now + 1` when the write-drain toggle flips there (including its
+    ///   tick-by-tick oscillation while the read queue is empty and at
+    ///   most [`WQ_LOW`] writes wait);
+    /// * otherwise the first cycle at which [`Channel::pick_frfcfs`] could
+    ///   pick from the queue the drain state selects: the earliest start
+    ///   of a request's bank less [`COMMIT_HORIZON`]. A row hit starts at
+    ///   the earlier of its bank's next CAS and next PRE, because the pick
+    ///   falls through to its startable test;
+    /// * [`MemCycle::MAX`] with nothing queued.
+    fn demand_wake(&self, now: MemCycle) -> MemCycle {
+        let (reads, writes) = (self.read_q.len(), self.write_q.len());
+        let flips = if self.write_mode {
+            writes <= WQ_LOW
+        } else {
+            writes >= WQ_HIGH || (reads == 0 && writes > 0)
+        };
+        if flips {
+            return now + 1;
+        }
+        let q = if self.write_mode || reads == 0 {
+            &self.write_q
+        } else {
+            &self.read_q
+        };
+        let start = q
+            .iter()
+            .map(|r| {
+                let b = &self.banks[self.bank_index(r.addr.rank, r.addr.bank)];
+                match b.open_row {
+                    Some(row) if row == r.addr.row.0 => b.next_cas.min(b.next_pre),
+                    Some(_) => b.next_pre,
+                    None => b.next_act,
+                }
+            })
+            .min();
+        match start {
+            Some(start) => start.saturating_sub(COMMIT_HORIZON).max(now + 1),
+            None => MemCycle::MAX,
         }
     }
 
     /// The next memory cycle strictly after `now` at which ticking this
     /// channel could do anything — the channel's contribution to the event
     /// kernel's time skip. Ticks in `(now, next_event)` are provably
-    /// no-ops: with both queues empty and the write-drain hysteresis
-    /// settled, [`Channel::tick`] only pops due completions and polls
-    /// policies, and the policies' [`RefreshPolicy::next_wake`] contract
-    /// covers the latter. Returns [`MemCycle::MAX`] for a fully idle
-    /// channel. Bank/bus timestamps need no ticking — they are lazy.
-    pub fn next_event(&self, now: MemCycle) -> MemCycle {
-        if !self.read_q.is_empty() || !self.write_q.is_empty() {
-            // Demand scheduling commits (at most) one request per cycle:
-            // every cycle matters while work is queued.
-            return now + 1;
-        }
-        if self.write_mode {
-            // One more cycle for the write-drain hysteresis to observe the
-            // drained queue and flip back to read mode.
-            return now + 1;
-        }
-        let mut next = MemCycle::MAX;
+    /// no-ops while the queues and bank state stay as they are (the kernel
+    /// asks again after every cycle it processes): the write-drain toggle
+    /// holds and FR-FCFS can pick no queued request, no completion falls
+    /// due, and no rank's refresh machinery may act (under the
+    /// [`RefreshPolicy::next_wake`] and
+    /// [`RefreshPolicy::next_wake_under`] contracts). Returns
+    /// [`MemCycle::MAX`] for a fully idle channel. Bank/bus timestamps need
+    /// no ticking — they are lazy.
+    pub fn next_event(&mut self, now: MemCycle) -> MemCycle {
+        let mut next = self.demand_wake(now);
         if let Some(&Reverse((t, _))) = self.completions.peek() {
             next = next.min(t.max(now + 1));
         }
         let now_ns = self.clock.cycles_to_ns(now);
-        for r in &self.ranks {
-            if !r.policy.inert() {
-                let wake = self.clock.wake_cycle(r.policy.next_wake(now_ns));
-                next = next.min(wake.max(now + 1));
-            }
-            for p in &r.plugins {
-                let wake = self.clock.wake_cycle(p.next_wake(now_ns));
-                next = next.min(wake.max(now + 1));
-            }
+        for rank in 0..self.ranks.len() {
+            next = next.min(self.rank_wake(rank, now, now_ns).max(now + 1));
         }
         next
     }
@@ -767,26 +846,22 @@ impl Channel {
             return;
         }
         // Event kernel: skip the tick/poll machinery for every rank whose
-        // policy and plugins all declared a future wake (the `next_wake`
-        // contracts make those calls no-ops). The dense kernel runs the
-        // legacy path. Each rank's due flag is computed once and shared by
-        // this gate and the poll loop below.
+        // policy and plugins all declared a future wake under the rank's
+        // current bank state (the `next_wake`/`next_wake_under` contracts
+        // make those calls no-ops). The dense kernel runs the legacy path.
+        // Each rank's due flag is computed once and shared by this gate
+        // and the poll loop below.
         if self.kernel == KernelMode::Event {
             let mut any_due = false;
-            for (rank, due) in self.rank_due.iter_mut().enumerate() {
-                let r = &self.ranks[rank];
-                *due = (!r.policy.inert()
-                    && self.clock.wake_cycle(r.policy.next_wake(now_ns)) <= now)
-                    || r.plugins
-                        .iter()
-                        .any(|p| self.clock.wake_cycle(p.next_wake(now_ns)) <= now);
-                any_due |= *due;
+            for rank in 0..self.ranks.len() {
+                let due = self.rank_wake(rank, now, now_ns) <= now;
+                self.rank_due[rank] = due;
+                any_due |= due;
             }
             if !any_due {
                 return;
             }
         }
-        self.fill_demand();
         for rank in 0..self.ranks.len() {
             if self.kernel == KernelMode::Event && !self.rank_due[rank] {
                 continue;
@@ -797,18 +872,10 @@ impl Channel {
             // stream in one tick.
             let budget = 3 * self.banks_per_rank as usize + 16;
             if !self.ranks[rank].policy.inert() {
-                let demand_base = rank * self.banks_per_rank as usize;
                 for _ in 0..budget {
                     self.fill_bank_view(rank);
                     let action = {
-                        let view = RankView {
-                            now,
-                            t_rc: self.timing.rc,
-                            bank_next_act: &self.view_next_act,
-                            bank_has_demand: &self.view_demand
-                                [demand_base..demand_base + self.banks_per_rank as usize],
-                            bank_open: &self.view_open,
-                        };
+                        let view = self.view.view(now);
                         self.ranks[rank].policy.next_action(now_ns, &view)
                     };
                     match action {
@@ -855,6 +922,8 @@ impl Channel {
             self.read_q[idx]
         };
         if self.commit(now, &req, probes) {
+            let bi = self.bank_index(req.addr.rank, req.addr.bank);
+            self.queued[bi] -= 1;
             if from_writes {
                 self.write_q.swap_remove(idx);
             } else {
@@ -1272,6 +1341,35 @@ mod tests {
             "read latency {latency} vs tRFC {}",
             ch.timing.rfc
         );
+    }
+
+    #[test]
+    fn next_event_waits_out_a_refresh_blocked_bank() {
+        // A read queued behind a 64 Gb tRFC: nothing can be picked until
+        // its bank's next ACT is within the commit horizon, so that is the
+        // channel's next event, and ticking every cycle before it commits
+        // nothing.
+        let mut cfg = SystemConfig::table3(64.0, policy::baseline());
+        cfg.kernel = KernelMode::Dense;
+        let mut ch = Channel::new(&cfg, 0);
+        ch.tick(0);
+        assert_eq!(ch.stats().ref_commands, 1, "the first REF is due at 0");
+        let req = read_at(&cfg, 1, 0x40000, 0);
+        ch.enqueue(req);
+        let next_act = ch.banks[ch.bank_index(req.addr.rank, req.addr.bank)].next_act;
+        assert!(next_act > COMMIT_HORIZON + 1, "bank not refresh-blocked");
+        let wake = ch.next_event(0);
+        assert_eq!(wake, next_act - COMMIT_HORIZON);
+        for now in 1..wake {
+            ch.tick(now);
+            assert_eq!(
+                ch.stats().reads_done,
+                0,
+                "committed at {now}, before {wake}"
+            );
+        }
+        ch.tick(wake);
+        assert_eq!(ch.stats().reads_done, 1, "nothing committed at the wake");
     }
 
     #[test]

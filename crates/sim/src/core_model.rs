@@ -6,20 +6,20 @@
 //! the head and up to 4 dispatch into the tail each cycle. Non-memory
 //! instructions complete immediately; loads complete when the cache/memory
 //! hierarchy answers; stores retire through a write buffer without waiting.
+//!
+//! Every dispatched instruction takes the next id, so the window is the id
+//! range `[head, next_id)`. Only loads can be unfinished, and their ids are
+//! kept in dispatch order with a completion flag each, which makes the
+//! window's shape — how many done slots sit ahead of the oldest in-flight
+//! load — an O(1) question.
 
 use hira_workload::{Op, Workload};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Issue/retire width.
 pub const WIDTH: usize = 4;
 /// Instruction-window capacity.
 pub const WINDOW: usize = 128;
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    id: u64,
-    done: bool,
-}
 
 /// What the core asks of the memory hierarchy this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,16 +36,17 @@ pub struct Core {
     /// Core index.
     pub id: usize,
     wl: Box<dyn Workload>,
-    window: VecDeque<Slot>,
+    /// Id of the oldest in-flight instruction: the window is the id range
+    /// `[head, next_id)`.
+    head: u64,
     next_id: u64,
-    completed: HashSet<u64>,
+    /// The in-flight loads, oldest first — the only window slots that are
+    /// not done at dispatch — as `(id, completed)`.
+    loads: VecDeque<(u64, bool)>,
     /// Pending compute burst from the trace.
     compute_left: u32,
     /// A memory op that could not issue (back-pressure) and must retry.
     stalled_op: Option<Op>,
-    /// Window slots with `done == false` (outstanding loads). Maintained
-    /// incrementally so the event kernel's wake computation is O(1).
-    undone: usize,
     /// Retired instruction count.
     pub retired: u64,
     /// Cycle at which `retired` first reached the measurement target.
@@ -65,12 +66,11 @@ impl Core {
         Core {
             id,
             wl,
-            window: VecDeque::with_capacity(WINDOW),
+            head: 0,
             next_id: 0,
-            completed: HashSet::new(),
+            loads: VecDeque::new(),
             compute_left: 0,
             stalled_op: None,
-            undone: 0,
             retired: 0,
             finished_at: None,
             hit_returns: VecDeque::new(),
@@ -98,8 +98,18 @@ impl Core {
 
     /// Marks a load entry complete (memory response).
     pub fn complete(&mut self, entry: u64) {
-        self.completed.insert(entry);
+        self.mark_completed(entry);
         self.wake_cache = 0;
+    }
+
+    /// Sets an in-flight load's completion flag (ids are sorted, so this
+    /// is a binary search).
+    fn mark_completed(&mut self, entry: u64) {
+        let found = self.loads.binary_search_by_key(&entry, |&(id, _)| id);
+        debug_assert!(found.is_ok(), "completion for load {entry} not in flight");
+        if let Ok(i) = found {
+            self.loads[i].1 = true;
+        }
     }
 
     /// Schedules an LLC-hit completion.
@@ -120,24 +130,21 @@ impl Core {
                 break;
             }
             self.hit_returns.pop_front();
-            self.completed.insert(entry);
+            self.mark_completed(entry);
         }
 
-        // Retire up to WIDTH from the head.
+        // Retire up to WIDTH from the head; a load retires once completed.
         let mut retired_now = 0;
-        while retired_now < WIDTH {
-            let Some(head) = self.window.front().copied() else {
-                break;
-            };
-            let done = head.done || self.completed.contains(&head.id);
-            if !done {
-                break;
+        while retired_now < WIDTH && self.head < self.next_id {
+            if let Some(&(load, completed)) = self.loads.front() {
+                if load == self.head {
+                    if !completed {
+                        break;
+                    }
+                    self.loads.pop_front();
+                }
             }
-            self.completed.remove(&head.id);
-            self.window.pop_front();
-            if !head.done {
-                self.undone -= 1;
-            }
+            self.head += 1;
             self.retired += 1;
             retired_now += 1;
         }
@@ -147,11 +154,10 @@ impl Core {
 
         // Dispatch up to WIDTH into the tail.
         let mut dispatched = 0;
-        while dispatched < WIDTH && self.window.len() < WINDOW {
+        while dispatched < WIDTH && self.window_occupancy() < WINDOW {
             if self.compute_left > 0 {
                 self.compute_left -= 1;
-                let id = self.bump();
-                self.window.push_back(Slot { id, done: true });
+                self.next_id += 1;
                 dispatched += 1;
                 continue;
             }
@@ -164,7 +170,11 @@ impl Core {
                     self.compute_left = n;
                 }
                 Op::Load(addr) => {
-                    let entry = self.bump();
+                    // In flight before `issue` runs, so a completion it
+                    // delivers at once finds the load.
+                    let entry = self.next_id;
+                    self.next_id += 1;
+                    self.loads.push_back((entry, false));
                     if issue(
                         self,
                         CoreRequest::Load {
@@ -172,14 +182,10 @@ impl Core {
                             entry,
                         },
                     ) {
-                        self.window.push_back(Slot {
-                            id: entry,
-                            done: false,
-                        });
-                        self.undone += 1;
                         dispatched += 1;
                     } else {
                         // Back-pressure: retry the same op next cycle.
+                        self.loads.pop_back();
                         self.next_id -= 1;
                         self.stalled_op = Some(op);
                         break;
@@ -187,8 +193,7 @@ impl Core {
                 }
                 Op::Store(addr) => {
                     if issue(self, CoreRequest::Store { line: addr / 64 }) {
-                        let id = self.bump();
-                        self.window.push_back(Slot { id, done: true });
+                        self.next_id += 1;
                         dispatched += 1;
                     } else {
                         self.stalled_op = Some(op);
@@ -199,99 +204,136 @@ impl Core {
         }
     }
 
-    fn bump(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// Number of in-flight window entries.
     pub fn window_occupancy(&self) -> usize {
-        self.window.len()
+        (self.next_id - self.head) as usize
     }
 
-    /// True when this core is in the *mechanical compute* state the event
-    /// kernel can advance arithmetically: every window slot retires
-    /// without consulting the completed set, at least a full issue width
-    /// is resident, a full width of compute remains to dispatch, and no
-    /// op is awaiting a back-pressure retry (retries touch LLC state
-    /// every cycle, so they must tick densely). In this state each tick
-    /// retires exactly [`WIDTH`] slots and dispatches exactly [`WIDTH`]
-    /// fresh compute slots — the window length is invariant and the slot
-    /// ids are dead state (done slots never match the completed set).
-    fn mechanical(&self) -> bool {
-        self.undone == 0
-            && self.stalled_op.is_none()
-            && self.compute_left as usize >= WIDTH
-            && self.window.len() >= WIDTH
-            && self.hit_returns.is_empty()
+    /// The *mechanical* stretch this core is in: the ticks ahead whose
+    /// every effect is a fixed function of the state, so the event kernel
+    /// can skip them in O(1). A stretch has two phases:
+    ///
+    /// * `rotate` ticks, each retiring exactly [`WIDTH`] done slots from the
+    ///   head and dispatching exactly [`WIDTH`] fresh compute slots. The
+    ///   phase ends before the tick that would exhaust the compute burst
+    ///   (and so call into the workload) or reach the oldest in-flight
+    ///   load (tracked in O(1): the front of `loads`).
+    /// * then, if the rotation lands exactly on that load and it is still
+    ///   waiting, `fill` ticks that retire nothing and dispatch compute
+    ///   slots into the free room. When the burst covers the room the
+    ///   window fills and the core sleeps, so the phase never ends on its
+    ///   own (`u64::MAX`; a fully blocked window is its zero-room case).
+    ///   Otherwise it ends before the tick that would exhaust the burst.
+    ///
+    /// A back-pressure retry touches LLC state every cycle, so a stalled
+    /// op dispatches in no stretch (it only ever waits with the burst
+    /// spent).
+    fn stretch(&self) -> Option<Stretch> {
+        let w = WIDTH as u64;
+        let compute = self.compute_left as u64;
+        let len = self.window_occupancy() as u64;
+        let bursts = if self.stalled_op.is_none() {
+            compute / w
+        } else {
+            0
+        };
+        let Some(&(load, completed)) = self.loads.front() else {
+            // Nothing in flight: every slot is done, and a rotation keeps
+            // the window exactly as long as it is.
+            return (len >= w && bursts > 0).then_some(Stretch {
+                rotate: bursts,
+                fill: 0,
+            });
+        };
+        let ahead = load - self.head;
+        let rotate = bursts.min(ahead / w);
+        let fill = if completed || ahead != rotate * w {
+            0
+        } else {
+            let left = compute - rotate * w;
+            if left >= WINDOW as u64 - len {
+                u64::MAX
+            } else {
+                bursts - rotate
+            }
+        };
+        (rotate > 0 || fill > 0).then_some(Stretch { rotate, fill })
     }
 
     /// The first cycle at or after `now` whose [`Core::tick`] would do
     /// anything the event kernel cannot reproduce with [`Core::skip`] —
-    /// the core's contribution to the kernel's next wake. Returns
-    /// `u64::MAX` when only an external event (a fill delivered through
-    /// [`Core::complete`]) can make this core progress; waking it earlier
-    /// is always safe (the tick is then a no-op, exactly as in the dense
-    /// kernel).
+    /// the core's contribution to the kernel's next wake. A mechanical
+    /// stretch (a compute burst retiring and dispatching at full width past
+    /// in-flight loads, or filling the window behind a waiting load) is
+    /// skipped up to the first tick that delivers a pending LLC-hit return
+    /// or crosses the warmup or target retirement count (observed by the
+    /// run loop). Returns `u64::MAX` when only an external event (a fill
+    /// delivered through [`Core::complete`]) can make this core progress;
+    /// waking it earlier is always safe (the tick is then a no-op, exactly
+    /// as in the dense kernel).
     pub fn next_wake(&self, now: u64, target: u64, warmup: u64) -> u64 {
-        if self.mechanical() {
-            // Mechanical ticks retire WIDTH each; the tick that exhausts
-            // the compute burst (and so calls into the workload) and the
-            // ticks crossing the warmup/target retirement thresholds
-            // (observed by the run loop) must execute for real.
-            let w = WIDTH as u64;
-            let mut j = self.compute_left as u64 / w;
-            if self.retired < target {
-                j = j.min((target - self.retired).div_ceil(w) - 1);
-            }
-            if self.retired < warmup {
-                j = j.min((warmup - self.retired).div_ceil(w) - 1);
-            }
-            return now + j;
+        let Some(stretch) = self.stretch() else {
+            // Calling into the workload, retiring a completed load,
+            // retrying a stalled op or draining a sub-width window: tick
+            // densely.
+            return now;
+        };
+        let mut span = stretch.rotate.saturating_add(stretch.fill);
+        if let Some(&(t, _)) = self.hit_returns.front() {
+            span = span.min(t.saturating_sub(now));
         }
-        if self.window.len() == WINDOW {
-            let head = self.window.front().expect("full window has a head");
-            if !head.done && !self.completed.contains(&head.id) {
-                // Fully blocked: no retirement, no dispatch (the window-full
-                // check precedes any stalled-op retry), no LLC traffic —
-                // asleep until a hit return or an external fill.
-                return self
-                    .hit_returns
-                    .front()
-                    .map_or(u64::MAX, |&(t, _)| t.max(now));
+        for count in [target, warmup] {
+            // Only the rotation retires: the crossing is its `ticks`-th
+            // tick, if the rotation gets that far.
+            let ticks = count.saturating_sub(self.retired).div_ceil(WIDTH as u64);
+            if ticks > 0 && ticks <= stretch.rotate {
+                span = span.min(ticks - 1);
             }
         }
-        // Anything else (dispatching, retiring, retrying a stalled op,
-        // draining a sub-width window) must tick densely.
-        now
+        now.saturating_add(span)
     }
 
     /// Advances this core over `span` cycles the kernel has proven
     /// uninteresting (every skipped cycle is strictly before the wake
-    /// [`Core::next_wake`] reported, and no external completion arrived).
-    /// A blocked core's state is untouched; a mechanical-compute core
-    /// retires and dispatches [`WIDTH`] instructions per cycle in O(1).
-    /// The window's slot ids intentionally go stale: done slots never
-    /// consult the completed set, so only the window *length* — which is
-    /// invariant here — and `next_id` are live state.
+    /// [`Core::next_wake`] reported, and no external completion arrived),
+    /// in O(1): the rotation retires and dispatches [`WIDTH`] slots per
+    /// cycle, so in-flight loads keep their ids and move closer to the
+    /// head; the fill then dispatches [`WIDTH`] compute slots per cycle
+    /// until the window is full. Any other core is asleep and unchanged.
     pub fn skip(&mut self, span: u64) {
-        if span == 0 || !self.mechanical() {
+        let Some(stretch) = self.stretch().filter(|_| span > 0) else {
             return;
-        }
-        let insts = WIDTH as u64 * span;
-        debug_assert!(self.compute_left as u64 >= insts, "skipped past a bubble");
-        debug_assert!(self.completed.is_empty());
-        self.retired += insts;
-        self.compute_left -= insts as u32;
-        self.next_id += insts;
+        };
+        debug_assert!(
+            span <= stretch.rotate.saturating_add(stretch.fill),
+            "skipped {span} ticks past {stretch:?}"
+        );
+        let w = WIDTH as u64;
+        let rotated = w * span.min(stretch.rotate);
+        let room = (WINDOW - self.window_occupancy()) as u64;
+        let filled = w.saturating_mul(span - span.min(stretch.rotate)).min(room);
+        self.retired += rotated;
+        self.head += rotated;
+        self.compute_left -= (rotated + filled) as u32;
+        self.next_id += rotated + filled;
     }
+}
+
+/// A mechanical stretch ([`Core::stretch`]): `rotate` ticks that each
+/// retire and dispatch [`WIDTH`] slots, then `fill` ticks (`u64::MAX`:
+/// until a completion) that dispatch into the free room while the head
+/// waits on its load.
+#[derive(Debug, Clone, Copy)]
+struct Stretch {
+    rotate: u64,
+    fill: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hira_workload::{spec, WorkloadEnv};
+    use crate::llc::Llc;
+    use hira_workload::{spec, Family, WorkloadEnv, WorkloadProfile};
 
     fn core(name: &str) -> Core {
         let env = WorkloadEnv {
@@ -397,5 +439,116 @@ mod tests {
         }
         let t = c.finished_at.expect("must finish");
         assert!(t < 2_000, "finished at {t}");
+    }
+
+    /// A frontend that plays a fixed op script, for hand-built windows.
+    #[derive(Debug)]
+    struct Script(Vec<Op>, usize);
+
+    impl Workload for Script {
+        fn name(&self) -> &str {
+            "script"
+        }
+
+        fn next_access(&mut self) -> Op {
+            let op = self.0[self.1 % self.0.len()];
+            self.1 += 1;
+            op
+        }
+
+        fn profile(&self) -> WorkloadProfile {
+            WorkloadProfile {
+                family: Family::Generator,
+                summary: String::new(),
+                mem_per_kinst: 0.0,
+                store_frac: 0.0,
+                footprint_lines: 2,
+            }
+        }
+    }
+
+    /// Drives a core densely into the shape the event kernel batches past:
+    /// a first load (line 0) misses and fills at cycle 40 while 400
+    /// compute slots fill the window behind it; the window then rotates
+    /// until a second load (line 1) dispatches deep in it, 125 slots from
+    /// the head — an LLC hit when `second_hits`, else a miss that stays in
+    /// flight. Returns the core and the first cycle after that dispatch.
+    fn deep_load(second_hits: bool) -> (Core, u64) {
+        let script = vec![
+            Op::Load(0),
+            Op::Compute(400),
+            Op::Load(64),
+            Op::Compute(1_000),
+        ];
+        let mut c = Core::new(0, Box::new(Script(script, 0)));
+        for cycle in 0..1_000 {
+            let mut second = false;
+            c.tick(cycle, u64::MAX, |c, req| {
+                if let CoreRequest::Load { line: 1, entry } = req {
+                    second = true;
+                    if second_hits {
+                        c.complete_at(cycle + Llc::HIT_LATENCY, entry);
+                    }
+                }
+                true
+            });
+            if cycle == 40 {
+                c.complete(0);
+            }
+            if second {
+                return (c, cycle + 1);
+            }
+        }
+        panic!("the second load never dispatched");
+    }
+
+    fn shape(c: &Core) -> (u64, u64, u64, u32, Vec<(u64, bool)>) {
+        let loads = c.loads.iter().copied().collect();
+        (c.head, c.next_id, c.retired, c.compute_left, loads)
+    }
+
+    #[test]
+    fn skip_rotates_the_window_past_in_flight_loads() {
+        let (mut event, now) = deep_load(false);
+        let (mut dense, _) = deep_load(false);
+        let (load, _) = *event.loads.front().expect("second load in flight");
+        let ahead = load - event.head;
+        assert!(ahead >= 8 * WIDTH as u64, "load only {ahead} slots deep");
+        // The stretch runs up to the load: one tick per WIDTH done slots.
+        let wake = event.next_wake(now, u64::MAX, 0);
+        assert_eq!(wake - now, ahead / WIDTH as u64);
+        event.skip(wake - now);
+        for cycle in now..wake {
+            dense.tick(cycle, u64::MAX, |_, _| true);
+        }
+        assert_eq!(shape(&event), shape(&dense), "skip diverged from ticking");
+        // The window rotated for real: the load kept its id and moved to
+        // within one issue width of the head.
+        assert_eq!(event.loads.front(), Some(&(load, false)));
+        assert!(load - event.head < WIDTH as u64);
+        assert_eq!(event.window_occupancy(), WINDOW);
+    }
+
+    #[test]
+    fn a_pending_hit_return_ends_a_stretch() {
+        let (mut event, now) = deep_load(true);
+        let (mut dense, _) = deep_load(true);
+        let (hit, entry) = event.hit_returns[0];
+        let ahead = event.loads.front().expect("hit load in flight").0 - event.head;
+        assert!(
+            now + ahead / WIDTH as u64 > hit,
+            "the stretch must outlast the hit return for this test to bite"
+        );
+        // The span stops at the tick that delivers the hit return...
+        assert_eq!(event.next_wake(now, u64::MAX, 0), hit);
+        event.skip(hit - now);
+        for cycle in now..hit {
+            dense.tick(cycle, u64::MAX, |_, _| true);
+        }
+        assert_eq!(shape(&event), shape(&dense));
+        // ...which then runs for real and files the completion.
+        event.tick(hit, u64::MAX, |_, _| true);
+        assert!(event.hit_returns.is_empty());
+        assert!(event.loads.contains(&(entry, true)));
     }
 }

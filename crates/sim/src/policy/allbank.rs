@@ -82,6 +82,7 @@ mod tests {
     fn view() -> RankView<'static> {
         RankView {
             now: 0,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &[0; 16],
             bank_has_demand: &[false; 16],

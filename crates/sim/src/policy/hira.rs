@@ -48,6 +48,27 @@ pub(super) fn poll_mc(mc: &mut HiraMc, now_ns: f64, view: &RankView<'_>) -> Opti
     None
 }
 
+/// The HiRA-MC wake under `view`'s bank state: the first instant at which
+/// [`poll_mc`] could return work or [`HiraMc::tick`] could change state.
+/// [`poll_mc`] serves
+///
+/// * deadline work once the earliest deadline is within `tRC` (the exact
+///   instant [`HiraMc::next_due`] reports) and its bank is not backlogged;
+/// * opportunistic work once a demand-free closed bank holding queued
+///   requests reaches its next `ACT`.
+pub(super) fn mc_wake_under(mc: &HiraMc, view: &RankView<'_>) -> f64 {
+    let mut wake = mc.generation_wake();
+    if let Some((due, bank)) = mc.next_due() {
+        wake = wake.min(due.max(view.ns(view.unbacklogged_at(bank))));
+    }
+    for bank in mc.queued_banks() {
+        if let Some(idle) = view.idle_at(bank) {
+            wake = wake.min(view.ns(idle));
+        }
+    }
+    wake
+}
+
 fn work_to_action(work: DeadlineWork) -> RefreshAction {
     match work {
         DeadlineWork::Single { bank, row } => RefreshAction::Single { bank, row },
@@ -103,6 +124,10 @@ impl RefreshPolicy for HiraPolicy {
 
     fn next_wake(&self, now_ns: f64) -> f64 {
         self.mc.next_wake(now_ns)
+    }
+
+    fn next_wake_under(&self, _now_ns: f64, view: &RankView<'_>) -> f64 {
+        mc_wake_under(&self.mc, view)
     }
 
     fn on_demand_act(&mut self, now_ns: f64, bank: BankId, row: RowId) -> DemandDecision {
@@ -200,6 +225,7 @@ mod tests {
     fn idle_view() -> RankView<'static> {
         RankView {
             now: 1_000_000,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &[0; 16],
             bank_has_demand: &[false; 16],
@@ -230,6 +256,7 @@ mod tests {
         let blocked = [u64::MAX; 16];
         let busy = RankView {
             now: 0,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &blocked,
             bank_has_demand: &[true; 16],

@@ -88,7 +88,7 @@ pub use preventive::{ImmediatePara, QueuedPara};
 pub use raidr::{raidr, RaidrBinned, RAIDR_REFERENCE_TEMP_C};
 pub use registry::{policy, PolicyRegistry};
 
-use crate::clock::MemCycle;
+use crate::clock::{MemClock, MemCycle};
 use crate::config::SystemConfig;
 use hira_core::finder::McStats;
 use hira_dram::addr::{BankId, RowId};
@@ -158,6 +158,19 @@ pub fn probe(cfg: &SystemConfig) -> Box<dyn RefreshPolicy> {
     cfg.refresh.build(&PolicyEnv::for_rank(cfg, 0, 0))
 }
 
+/// `policy`'s wake as the controller sees it under `view`: the time-only
+/// [`RefreshPolicy::next_wake`], refined through
+/// [`RefreshPolicy::next_wake_under`] once it has arrived. Composition
+/// layers fold their inner policy's wake in through this.
+pub fn wake_under(policy: &dyn RefreshPolicy, now_ns: f64, view: &RankView<'_>) -> f64 {
+    let wake = policy.next_wake(now_ns);
+    if wake <= now_ns {
+        policy.next_wake_under(now_ns, view)
+    } else {
+        wake
+    }
+}
+
 /// A scheduling request the policy asks the controller to execute. The
 /// controller owns all command-level timing (`tRRD`, `tFAW`, bus slots);
 /// the action names rows and banks, plus the one duration — `tRFCpb` —
@@ -212,11 +225,15 @@ pub enum DemandDecision {
 }
 
 /// Read-only per-rank scheduling state the controller exposes while polling
-/// [`RefreshPolicy::next_action`].
+/// [`RefreshPolicy::next_action`] and refining a wake through
+/// [`RefreshPolicy::next_wake_under`].
 #[derive(Debug, Clone, Copy)]
 pub struct RankView<'a> {
     /// Current command-clock cycle.
     pub now: MemCycle,
+    /// The command clock `now` and the bank timestamps tick on (maps them
+    /// onto the policy's ns timeline exactly as the controller does).
+    pub clock: MemClock,
     /// `tRC` in command-clock cycles (the backlog unit).
     pub t_rc: MemCycle,
     /// Earliest cycle each bank can start an `ACT`.
@@ -237,14 +254,38 @@ impl RankView<'_> {
     /// deadline-driven policies should hold that bank's work for a later
     /// tick rather than pile further onto it.
     pub fn backlogged(&self, bank: BankId) -> bool {
-        self.bank_next_act[bank.index()] > self.now + 4 * self.t_rc
+        self.unbacklogged_at(bank) > self.now
+    }
+
+    /// The first cycle at or after `now` at which
+    /// [`backlogged`](Self::backlogged) is false for `bank`, with this
+    /// bank state held fixed.
+    pub fn unbacklogged_at(&self, bank: BankId) -> MemCycle {
+        self.bank_next_act[bank.index()]
+            .saturating_sub(4 * self.t_rc)
+            .max(self.now)
     }
 
     /// True when `bank` is demand-free, closed and ready — the
     /// zero-interference slot opportunistic refresh targets.
     pub fn idle(&self, bank: BankId) -> bool {
+        self.idle_at(bank) == Some(self.now)
+    }
+
+    /// The first cycle at or after `now` at which [`idle`](Self::idle)
+    /// holds for `bank`, with this bank state held fixed; `None` while the
+    /// bank has demand queued or a row open.
+    pub fn idle_at(&self, bank: BankId) -> Option<MemCycle> {
         let b = bank.index();
-        !self.bank_has_demand[b] && !self.bank_open[b] && self.bank_next_act[b] <= self.now
+        (!self.bank_has_demand[b] && !self.bank_open[b])
+            .then(|| self.bank_next_act[b].max(self.now))
+    }
+
+    /// Command-clock cycle `cycle` in ns, as the controller converts `now`
+    /// for the policy — so a wake returned as `ns(c)` arrives exactly at
+    /// cycle `c`.
+    pub fn ns(&self, cycle: MemCycle) -> f64 {
+        self.clock.cycles_to_ns(cycle)
     }
 }
 
@@ -340,11 +381,20 @@ impl PolicyStats {
 ///   controller never filters it.
 ///
 /// Under the event-driven kernel ([`crate::config::KernelMode::Event`])
-/// steps 1–2 are elided on ticks the policy has declared uninteresting
-/// through [`next_wake`](Self::next_wake); the dense kernel
-/// ([`crate::config::KernelMode::Dense`]) always performs them, and the
-/// two must be observationally identical — the `next_wake` contract is
-/// exactly that guarantee.
+/// steps 1–2 are elided on ticks the policy has declared uninteresting;
+/// the dense kernel ([`crate::config::KernelMode::Dense`]) always performs
+/// them, and the two must be observationally identical. Two hooks make the
+/// declaration, and their contracts are exactly that guarantee:
+///
+/// * [`next_wake`](Self::next_wake) — a time-only wake, valid under *any*
+///   [`RankView`]. The controller asks it first, and while it lies ahead
+///   it never builds a view for the policy.
+/// * [`next_wake_under`](Self::next_wake_under) — once the time-only wake
+///   has arrived, a refinement valid *under this* [`RankView`]: work held
+///   for bank state (a backlogged or busy bank) can name the cycle that
+///   bank state releases it. The controller asks again after every tick
+///   it processes, so a refinement never outlives the bank state it was
+///   computed from.
 pub trait RefreshPolicy: fmt::Debug + Send {
     /// Display name (diagnostics and stats attribution).
     fn name(&self) -> &str;
@@ -366,6 +416,9 @@ pub trait RefreshPolicy: fmt::Debug + Send {
     /// executes, and re-queries the wake afterwards, so a policy whose
     /// next action depends on those callbacks (e.g. a PARA layer) must
     /// fold them in by returning `now_ns` while it holds serveable work.
+    /// Work that only bank state can release (a queue held for a busy
+    /// bank) is likewise `now_ns` here and refined by
+    /// [`next_wake_under`](Self::next_wake_under).
     ///
     /// Waking *early* is always safe (the skipped calls are no-ops by the
     /// same argument the dense kernel relies on); waking *late* breaks
@@ -373,6 +426,25 @@ pub trait RefreshPolicy: fmt::Debug + Send {
     /// "poll me every tick" — which preserves exact legacy behavior for
     /// out-of-tree policies that predate this hook.
     fn next_wake(&self, now_ns: f64) -> f64 {
+        now_ns
+    }
+
+    /// Refines an arrived [`next_wake`](Self::next_wake) against the rank's
+    /// current bank state. The controller calls it only once `next_wake`
+    /// has arrived (`next_wake(now_ns) <= now_ns`).
+    ///
+    /// By returning `w > now_ns` the policy **guarantees** that at every
+    /// controller tick `t` with `now_ns <= t < w`, [`tick`](Self::tick)
+    /// would not change its state and [`next_action`](Self::next_action)
+    /// would return `None` *under this* [`RankView`] — the same
+    /// `bank_next_act`, `bank_has_demand` and `bank_open`, with `now`
+    /// advanced to `t`. [`RankView::unbacklogged_at`],
+    /// [`RankView::idle_at`] and [`RankView::ns`] turn the view's bank
+    /// state into such instants. As with `next_wake`, waking early is
+    /// always safe and waking late breaks bit-identity with the dense
+    /// kernel. The default returns `now_ns` — "poll me every tick while
+    /// `next_wake` says so".
+    fn next_wake_under(&self, now_ns: f64, _view: &RankView<'_>) -> f64 {
         now_ns
     }
 
@@ -572,6 +644,76 @@ mod tests {
         assert_eq!(h.name(), "baseline+para@hira4(p=0.5000)");
         let h = noref().with_para_immediate(0.125);
         assert_eq!(h.name(), "noref+para(p=0.1250)");
+    }
+
+    /// Polls two instances of `handle` under one fixed bank state: a dense
+    /// twin every cycle, an event twin only once [`wake_under`] (taken
+    /// after the previous cycle, as the event controller takes it) has
+    /// arrived. Both see the same executed activations. They must issue
+    /// identical actions at identical cycles; returns the event twin's
+    /// poll count.
+    fn refined_polls_match_dense_polls(handle: PolicyHandle, cycles: u64) -> u64 {
+        let clock = MemClock::ddr4_2400();
+        let next_act: Vec<MemCycle> = (0..16).map(|b| (b % 4) * 700).collect();
+        let demand: Vec<bool> = (0..16).map(|b| b % 3 == 0).collect();
+        let open: Vec<bool> = (0..16).map(|b| b % 5 == 0).collect();
+        let view = |now| RankView {
+            now,
+            clock,
+            t_rc: 56,
+            bank_next_act: &next_act,
+            bank_has_demand: &demand,
+            bank_open: &open,
+        };
+        let env = PolicyEnv::for_rank(&SystemConfig::table3(8.0, handle.clone()), 0, 0);
+        let (mut dense, mut event) = (handle.build(&env), handle.build(&env));
+        let (mut dense_log, mut event_log) = (Vec::new(), Vec::new());
+        let (mut wake, mut polls) = (0, 0);
+        for c in 0..cycles {
+            let (ns, v) = (clock.cycles_to_ns(c), view(c));
+            dense.tick(ns);
+            while let Some(a) = dense.next_action(ns, &v) {
+                dense_log.push((c, a));
+            }
+            if c >= wake {
+                polls += 1;
+                event.tick(ns);
+                while let Some(a) = event.next_action(ns, &v) {
+                    event_log.push((c, a));
+                }
+            }
+            if c % 97 == 0 {
+                let (bank, row) = (BankId((c % 16) as u16), RowId(c as u32));
+                dense.on_act_executed(ns, bank, row);
+                event.on_act_executed(ns, bank, row);
+            }
+            wake = clock.wake_cycle(wake_under(&*event, ns, &v));
+        }
+        assert!(!dense_log.is_empty(), "{}: nothing issued", handle.name());
+        assert_eq!(dense_log, event_log, "{}: polls diverged", handle.name());
+        assert_eq!(dense.stats(), event.stats());
+        assert_eq!(dense.mc_stats(), event.mc_stats());
+        polls
+    }
+
+    #[test]
+    fn refined_wakes_never_hide_an_action() {
+        let cycles = 12_000;
+        for handle in [hira(0), hira(4), hira(8), raidr()] {
+            let polls = refined_polls_match_dense_polls(handle.clone(), cycles);
+            assert!(
+                polls * 2 < cycles,
+                "{}: polled {polls} of {cycles} cycles",
+                handle.name()
+            );
+        }
+        for handle in [
+            baseline().with_para_hira(0.5, 4),
+            hira(4).with_para_hira(0.5, 4),
+            refpb().with_para_immediate(0.5),
+        ] {
+            refined_polls_match_dense_polls(handle, cycles);
+        }
     }
 
     #[test]

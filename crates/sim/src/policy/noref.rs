@@ -51,6 +51,7 @@ mod tests {
         assert!(!p.performs_refresh());
         let view = RankView {
             now: 0,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &[0; 4],
             bank_has_demand: &[false; 4],

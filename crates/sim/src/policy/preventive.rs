@@ -2,9 +2,10 @@
 //! policy through [`super::PolicyHandle::with_para_immediate`] and
 //! [`super::PolicyHandle::with_para_hira`].
 
-use super::hira::{build_mc, poll_mc};
+use super::hira::{build_mc, mc_wake_under, poll_mc};
 use super::{
-    DemandDecision, PolicyEnv, PolicyProfile, PolicyStats, RankView, RefreshAction, RefreshPolicy,
+    wake_under, DemandDecision, PolicyEnv, PolicyProfile, PolicyStats, RankView, RefreshAction,
+    RefreshPolicy,
 };
 use hira_core::config::HiraConfig;
 use hira_core::finder::{HiraMc, McAction, McStats};
@@ -108,6 +109,14 @@ impl RefreshPolicy for ImmediatePara {
         }
     }
 
+    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
+        if self.queue.is_empty() {
+            wake_under(&*self.inner, now_ns, view)
+        } else {
+            now_ns
+        }
+    }
+
     fn hira_lead(&self) -> Option<(f64, f64)> {
         self.inner.hira_lead()
     }
@@ -204,6 +213,10 @@ impl RefreshPolicy for QueuedPara {
         self.inner.next_wake(now_ns).min(self.mc.next_wake(now_ns))
     }
 
+    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
+        wake_under(&*self.inner, now_ns, view).min(mc_wake_under(&self.mc, view))
+    }
+
     fn hira_lead(&self) -> Option<(f64, f64)> {
         let t = self.mc.config().op.timings;
         Some((t.t1, t.t2))
@@ -246,6 +259,7 @@ mod tests {
     fn idle_view() -> RankView<'static> {
         RankView {
             now: 1_000_000,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &[0; 16],
             bank_has_demand: &[false; 16],
@@ -279,6 +293,7 @@ mod tests {
         // Slack = 8·tRC = 370 ns: nothing due yet at t=110 on busy banks.
         let busy = RankView {
             now: 0,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &[u64::MAX; 16],
             bank_has_demand: &[true; 16],

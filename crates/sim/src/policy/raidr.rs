@@ -147,14 +147,26 @@ impl RefreshPolicy for RaidrBinned {
     }
 
     fn next_wake(&self, now_ns: f64) -> f64 {
-        // Parked refreshes unblock on bank state this policy cannot see:
-        // keep polling every tick while any are held. Otherwise nothing
-        // can happen before the emission schedule's next row-slot.
+        // Parked refreshes unblock on bank state (refined against it in
+        // `next_wake_under`). Otherwise nothing can happen before the
+        // emission schedule's next row-slot.
         if self.pending.is_empty() {
             self.next_slot_ns
         } else {
             now_ns
         }
+    }
+
+    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
+        // A full parking lot forces its oldest entry out at once; otherwise
+        // the next row-slot or the first parked bank to drain.
+        if self.pending.len() >= MAX_PENDING {
+            return now_ns;
+        }
+        self.pending
+            .iter()
+            .map(|&(bank, _)| view.ns(view.unbacklogged_at(bank)))
+            .fold(self.next_slot_ns, f64::min)
     }
 
     fn profile(&self) -> PolicyProfile {
@@ -192,6 +204,7 @@ mod tests {
     fn view() -> RankView<'static> {
         RankView {
             now: 0,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &[0; 16],
             bank_has_demand: &[false; 16],
@@ -251,6 +264,7 @@ mod tests {
         let blocked = [u64::MAX; 16];
         let v = RankView {
             now: 0,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &blocked,
             bank_has_demand: &[false; 16],
@@ -278,6 +292,7 @@ mod tests {
         next_act[0] = u64::MAX;
         let v = RankView {
             now: 0,
+            clock: crate::clock::MemClock::ddr4_2400(),
             t_rc: 56,
             bank_next_act: &next_act,
             bank_has_demand: &[false; 16],

@@ -6,15 +6,19 @@
 //! * **Dense** — the legacy reference loop: every core ticks every CPU
 //!   cycle, the memory side ticks on every command-clock edge.
 //! * **Event** — time skipping: between *interesting* cycles the clock
-//!   jumps. A cycle is interesting when a core can retire/dispatch for
-//!   real (cores blocked on a DRAM fill sleep; pure compute bubbles are
-//!   batched arithmetically at retire width), when a channel has queued
-//!   demand or a due completion, or when a refresh policy's declared
-//!   [`crate::policy::RefreshPolicy::next_wake`] arrives. The memory-tick
-//!   rational accumulator is advanced in closed form across skips, so the
-//!   observable cycle numbers — and therefore every statistic in
-//!   [`SimResult`] — are **bit-identical** between the two kernels (the
-//!   `perf_kernel` harness and `tests/kernel_equivalence.rs` enforce it).
+//!   jumps. A cycle is interesting when a core leaves a mechanical stretch
+//!   ([`Core::next_wake`]: blocked cores sleep, and compute stretches are
+//!   batched arithmetically at issue width, also while loads are in
+//!   flight), when a channel could pick a queued request, flip its
+//!   write-drain mode or deliver a completion, or when a rank's refresh
+//!   machinery may act
+//!   ([`crate::policy::RefreshPolicy::next_wake`], refined against bank
+//!   state by [`crate::policy::RefreshPolicy::next_wake_under`]). The
+//!   memory-tick rational accumulator is advanced in closed form across
+//!   skips, so the observable cycle numbers — and therefore every
+//!   statistic in [`SimResult`] — are **bit-identical** between the two
+//!   kernels (the `perf_kernel` harness and `tests/kernel_equivalence.rs`
+//!   enforce it).
 
 use crate::config::{KernelMode, SystemConfig};
 use crate::controller::Channel;
@@ -181,7 +185,7 @@ impl System {
         self.mem_tick_acc += self.tick_num;
         while self.mem_tick_acc >= self.tick_den {
             self.mem_tick_acc -= self.tick_den;
-            self.tick_mem();
+            self.tick_mem(cycle, target, warmup);
         }
     }
 
@@ -326,7 +330,7 @@ impl System {
     /// containing the channels' next memory-side event. Pending LLC→
     /// channel transfers pin the answer to `cur` (their retry runs inside
     /// every `tick_cpu`).
-    fn next_interesting_cycle(&self, cur: u64) -> u64 {
+    fn next_interesting_cycle(&mut self, cur: u64) -> u64 {
         if !self.llc.fetch_queue.is_empty() || !self.llc.writeback_queue.is_empty() {
             return cur;
         }
@@ -340,7 +344,7 @@ impl System {
             }
         }
         let mut tick = u64::MAX;
-        for ch in &self.channels {
+        for ch in &mut self.channels {
             tick = tick.min(ch.next_event(self.mem_cycle));
         }
         if tick != u64::MAX {
@@ -495,9 +499,11 @@ impl System {
         });
     }
 
-    fn tick_mem(&mut self) {
+    /// One memory tick, inside the iteration of CPU cycle `cycle`.
+    fn tick_mem(&mut self, cycle: u64, target: u64, warmup: u64) {
         self.mem_cycle += 1;
         let now = self.mem_cycle;
+        let event = self.cfg.kernel == KernelMode::Event;
         let System {
             cores,
             llc,
@@ -511,7 +517,15 @@ impl System {
                 if let Some(line) = inflight.remove(&req_id) {
                     let waiters: Vec<Waiter> = llc.fill(line);
                     for (core, entry) in waiters {
-                        cores[core].complete(entry);
+                        let c = &mut cores[core];
+                        c.complete(entry);
+                        // The core's tick for this cycle already ran, so
+                        // its wake can be re-derived right away: a fill
+                        // deeper in the window does not cut a compute
+                        // stretch short.
+                        if event {
+                            c.wake_cache = c.next_wake(cycle + 1, target, warmup);
+                        }
                     }
                 }
             }

@@ -66,6 +66,44 @@ fn every_policy_workload_device_point_is_kernel_invariant() {
 }
 
 #[test]
+fn write_drain_and_refresh_cells_are_kernel_invariant() {
+    // The cells above are shorter than one tREFI and never write to DRAM.
+    // A 16 KB LLC under rw50 evicts dirty lines from the start, so these
+    // runs drive the write queue through both drain watermarks, and at
+    // 20,000 instructions they span several tREFI: every registered
+    // policy's refresh machinery runs beside demand reads and writes.
+    for policy in PolicyRegistry::standard().handles() {
+        let run = |kernel| {
+            let cfg = SystemBuilder::table3(64.0)
+                .policy(policy.clone())
+                .workload(workload("rw50"))
+                .llc(16 << 10, 8)
+                .insts(20_000, 2_000)
+                .kernel(kernel)
+                .build()
+                .unwrap();
+            System::new(cfg).run()
+        };
+        let dense = run(KernelMode::Dense);
+        let event = run(KernelMode::Event);
+        assert_eq!(dense, event, "kernels diverged under {}", policy.name());
+        let writes: u64 = dense.channel_stats.iter().map(|s| s.writes_done).sum();
+        let refs: u64 = dense.channel_stats.iter().map(|s| s.ref_commands).sum();
+        let refpbs: u64 = dense.channel_stats.iter().map(|s| s.refpb_commands).sum();
+        assert!(
+            writes > 0,
+            "{}: no DRAM write — the cell is vacuous",
+            policy.name()
+        );
+        match policy.name() {
+            "baseline" => assert!(refs > 0, "baseline issued no REF"),
+            "refpb" => assert!(refpbs > 0, "refpb issued no REFpb"),
+            _ => {}
+        }
+    }
+}
+
+#[test]
 fn para_layers_are_kernel_invariant() {
     // The composition layers have their own next_wake logic (immediate
     // queues, a second HiRA-MC): cover both over a non-HiRA inner policy
@@ -297,4 +335,29 @@ fn engine_thread_count_determinism_holds_in_event_mode() {
     let single = canonical(1);
     assert!(!single.is_empty());
     assert_eq!(single, canonical(8), "8 threads diverged from 1");
+}
+
+#[test]
+fn event_kernel_processes_few_events_per_kcycle() {
+    // The event kernel's reason to exist: on the Table 3 system at 64 Gb,
+    // every policy family processes at most one cycle in five. Compute
+    // stretches past in-flight loads are batched, channels wake only when
+    // a queued request could be picked, and refresh queues only when
+    // queued work can move — a regression in any of the three shows here.
+    for name in ["noref", "baseline", "raidr", "hira0", "hira4"] {
+        let cfg = SystemBuilder::table3(64.0)
+            .policy_name(name)
+            .workload(workload("mix0"))
+            .insts(10_000, 2_000)
+            .build()
+            .unwrap();
+        let (result, telemetry) = System::new(cfg).run_telemetered();
+        let per_kcycle = telemetry.events as f64 * 1_000.0 / result.cycles as f64;
+        assert!(
+            per_kcycle <= 200.0,
+            "{name}: {per_kcycle:.1} events per kcycle ({} events over {} cycles)",
+            telemetry.events,
+            result.cycles
+        );
+    }
 }
