@@ -48,7 +48,7 @@ use std::time::Instant;
 pub mod presets;
 pub mod serve;
 
-pub use presets::{Geometry, Matrix, MatrixArgs};
+pub use presets::{Figure, Geometry, Matrix, MatrixArgs};
 
 pub use hira_engine::RunSet;
 pub use hira_store::CacheStats;

@@ -1,13 +1,15 @@
 //! Sweep presets: the four comparison matrices as presets of one [`Grid`]
-//! with the flags they share ([`MatrixArgs`]), and the channel/rank twins
-//! of Figs. 13–16 ([`Geometry`]).
+//! with the flags they share ([`MatrixArgs`]), and the simulator's paper
+//! figures ([`Figure`]), whose channel/rank twins share a [`Geometry`].
 
 use crate::{
-    axis_args, kernel_from_args, list_requested, maybe_print_telemetry, plugin_axis,
-    preventive_schemes_geometry, print_device_list, print_kernel_list, print_plugin_list,
-    print_policy_list, print_probe_list, print_series, print_workload_list, resolve_axis,
-    write_bench, CacheSpec, Grid, ObsSpec, ProbeSpec, Scale, SweepRun, Task, WsTable,
+    axis_args, kernel_from_args, list_requested, maybe_print_telemetry, periodic_schemes_ablated,
+    plugin_axis, preventive_schemes, preventive_schemes_geometry, print_device_list,
+    print_kernel_list, print_plugin_list, print_policy_list, print_probe_list, print_series,
+    print_workload_list, resolve_axis, write_bench, CacheSpec, Grid, ObsSpec, ProbeSpec, Scale,
+    SweepRun, Task, WsTable,
 };
+use hira_core::config::HiraConfig;
 use hira_engine::{flabel, Executor, RunRecord, ScenarioKey, Sweep};
 use hira_sim::config::{KernelMode, SystemConfig};
 use hira_sim::device::DeviceHandle;
@@ -366,6 +368,33 @@ impl Geometry {
         }
     }
 
+    /// The paper figure that sweeps this axis with PARA off or on: its
+    /// number, its sweep name and what the paper reports.
+    fn figure(self, para: bool) -> (u32, &'static str, &'static str) {
+        match (self, para) {
+            (Geometry::Channels, false) => (
+                13,
+                "fig13_channels_periodic",
+                "(paper: performance rises with channels; HiRA > Baseline at every channel count)",
+            ),
+            (Geometry::Ranks, false) => (
+                14,
+                "fig14_ranks_periodic",
+                "(paper: 1->2 ranks helps; beyond 2 the shared command bus erodes gains; HiRA stays ahead)",
+            ),
+            (Geometry::Channels, true) => (
+                15,
+                "fig15_channels_para",
+                "(paper: more channels help; HiRA beats PARA at every channel count and gap widens at low NRH)",
+            ),
+            (Geometry::Ranks, true) => (
+                16,
+                "fig16_ranks_para",
+                "(paper: HiRA-2/4 improve over PARA by 30.5 %/42.9 % even at 8 ranks, NRH=64)",
+            ),
+        }
+    }
+
     /// Crosses `sweep` with this axis.
     fn axis(self, sweep: Sweep<SystemConfig>) -> Sweep<SystemConfig> {
         let counts = Self::COUNTS.map(|n| (n.to_string(), n));
@@ -396,52 +425,212 @@ impl Geometry {
     }
 }
 
-/// Figs. 13/14: periodic refresh over the channel or rank count at 2, 8
-/// and 32 Gb — one sweep over `capacity × scheme × geometry`, normalized
-/// to Baseline at one channel and one rank. Prints the tables and the
-/// `paper` note, and emits `BENCH_<name>.json` on request.
-pub fn geometry_periodic(fig: u32, name: &str, geometry: Geometry, paper: &str) {
-    let scale = Scale::from_env();
-    let caps = [2.0, 8.0, 32.0];
-    let schemes = [
+/// A paper figure the simulator reproduces, as a preset: its sweep, its
+/// printed tables and its `BENCH_<name>.json`. The binary of the same
+/// name runs [`Figure::main`]; `tests/bench_baselines.rs` regenerates the
+/// committed baseline through [`Figure::run`] without printing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Figure {
+    /// Fig. 9: periodic refresh over chip capacity, 2–128 Gb: `scheme`,
+    /// `cap`, `mix`. `no_refresh_access` turns refresh-access pairing off
+    /// on every HiRA point (the binary's `--no-refresh-access` ablation).
+    Periodic {
+        /// Disable refresh-access pairing on the HiRA points.
+        no_refresh_access: bool,
+    },
+    /// Fig. 12: PARA with and without HiRA over the RowHammer threshold:
+    /// `nrh`, `scheme`, `mix`, plus one `no-defense` point.
+    Para,
+    /// Figs. 13/14: periodic refresh over the channel or rank count at 2,
+    /// 8 and 32 Gb: `cap`, `scheme`, `ch`/`rk`, `mix`.
+    GeometryPeriodic(Geometry),
+    /// Figs. 15/16: PARA with and without HiRA over the channel or rank
+    /// count: `nrh`, `scheme`, `ch`/`rk`, `mix`, plus one `no-defense`
+    /// point.
+    GeometryPara(Geometry),
+    /// The HiRA-4 mechanism ablation at 64 Gb: `scheme`, `mix`.
+    Ablation,
+}
+
+impl Figure {
+    /// The sweep name (also the binary and `BENCH_<name>.json` name).
+    pub fn name(self) -> &'static str {
+        match self {
+            Figure::Periodic { .. } => "fig09_periodic",
+            Figure::Para => "fig12_para",
+            Figure::GeometryPeriodic(geometry) => geometry.figure(false).1,
+            Figure::GeometryPara(geometry) => geometry.figure(true).1,
+            Figure::Ablation => "ablation_mechanisms",
+        }
+    }
+
+    /// The figure's sweep, before the `mix` axis.
+    fn sweep(self) -> Sweep<SystemConfig> {
+        let name = self.name();
+        match self {
+            Figure::Periodic { no_refresh_access } => {
+                let mut schemes = vec![("NoRefresh", policy::noref())];
+                schemes.extend(periodic_schemes_ablated(no_refresh_access));
+                Sweep::new(name)
+                    .axis("scheme", schemes, |_, s| s.clone())
+                    .axis("cap", FIG09_CAPS.map(|c| (flabel(c), c)), |s, c| {
+                        SystemConfig::table3(*c, s.clone())
+                    })
+            }
+            Figure::Para => para_sweep(name, &FIG12_NRHS, preventive_schemes, |s| s),
+            Figure::GeometryPeriodic(geometry) => {
+                let sweep = Sweep::new(name)
+                    .axis("cap", GEOMETRY_CAPS.map(|c| (flabel(c), c)), |_, c| *c)
+                    .axis("scheme", geometry_schemes(), |&c, s| {
+                        SystemConfig::table3(c, s.clone())
+                    });
+                geometry.axis(sweep)
+            }
+            Figure::GeometryPara(geometry) => {
+                para_sweep(name, &GEOMETRY_NRHS, preventive_schemes_geometry, |s| {
+                    geometry.axis(s)
+                })
+            }
+            Figure::Ablation => Sweep::new(name).axis("scheme", ablation_schemes(), |_, s| {
+                SystemConfig::table3(ABLATION_CAP, s.clone())
+            }),
+        }
+    }
+
+    /// Runs the figure's sweep over `run`'s mix suite.
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepRun::ws_over_mixes`].
+    pub fn run(self, run: &SweepRun) -> WsTable {
+        run.ws_over_mixes(self.sweep())
+    }
+
+    /// Prints the figure's tables from `t`, a run of [`Figure::run`] at
+    /// `scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` lacks a cell the tables read.
+    pub fn print(self, t: &WsTable, scale: Scale) {
+        match self {
+            Figure::Periodic { no_refresh_access } => print_fig09(t, scale, no_refresh_access),
+            Figure::Para => print_fig12(t, scale),
+            Figure::GeometryPeriodic(geometry) => {
+                let (key, label) = geometry.names();
+                let (fig, _, paper) = geometry.figure(false);
+                for cap in GEOMETRY_CAPS {
+                    let counts = Geometry::COUNTS;
+                    println!(
+                        "== Fig. {fig}: {cap} Gb chips, {label} {counts:?} (normalized to Baseline 1ch/1rk) =="
+                    );
+                    let cap = flabel(cap);
+                    let base = t.mean(&[("cap", &cap), ("scheme", "Baseline"), (key, "1")]);
+                    let names = geometry_schemes().map(|(n, _)| n);
+                    geometry.print(t, &[("cap", &cap)], &names, base);
+                }
+                println!("{paper}");
+            }
+            Figure::GeometryPara(geometry) => {
+                let base = t.mean(&[("scheme", "no-defense")]);
+                let label = geometry.names().1;
+                let (fig, _, paper) = geometry.figure(true);
+                for nrh in GEOMETRY_NRHS {
+                    let counts = Geometry::COUNTS;
+                    println!(
+                        "== Fig. {fig}: NRH = {nrh}, {label} {counts:?} (normalized to no-defense 1ch/1rk) =="
+                    );
+                    let nrh = nrh.to_string();
+                    geometry.print(t, &[("nrh", &nrh)], &["PARA", "HiRA-2", "HiRA-4"], base);
+                }
+                println!("{paper}");
+            }
+            Figure::Ablation => {
+                println!(
+                    "== Ablation: HiRA-4 mechanisms at {ABLATION_CAP} Gb, {} mixes x {} insts ==",
+                    scale.mixes, scale.insts
+                );
+                let ideal = t.mean(&[("scheme", "NoRefresh")]);
+                println!("(weighted speedup normalized to the ideal No-Refresh system)");
+                for (name, _) in ablation_schemes().iter().skip(1) {
+                    print_series(name, &[t.mean(&[("scheme", name)]) / ideal]);
+                }
+            }
+        }
+    }
+
+    /// The figure binary: runs the sweep at [`Scale::from_env`] on
+    /// [`Executor::from_env`], prints the tables, and writes
+    /// `BENCH_<name>.json` when `HIRA_BENCH_DIR` is set.
+    pub fn main(self) {
+        let scale = Scale::from_env();
+        let t = self.run(&SweepRun::new(Executor::from_env(), scale));
+        self.print(&t, scale);
+        t.emit();
+    }
+}
+
+/// Fig. 9's chip capacities, Gb.
+const FIG09_CAPS: [f64; 7] = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+/// Fig. 12's RowHammer thresholds.
+const FIG12_NRHS: [u32; 5] = [1024, 512, 256, 128, 64];
+/// The chip capacities of Figs. 13/14, Gb.
+const GEOMETRY_CAPS: [f64; 3] = [2.0, 8.0, 32.0];
+/// The RowHammer thresholds of Figs. 15/16.
+const GEOMETRY_NRHS: [u32; 3] = [1024, 256, 64];
+/// The ablation's chip capacity, Gb.
+const ABLATION_CAP: f64 = 64.0;
+
+/// The periodic arrangements of Figs. 13/14.
+fn geometry_schemes() -> [(&'static str, PolicyHandle); 3] {
+    [
         ("Baseline", policy::baseline()),
         ("HiRA-2", policy::hira(2)),
         ("HiRA-4", policy::hira(4)),
-    ];
-    let sweep = Sweep::new(name)
-        .axis("cap", caps.map(|c| (flabel(c), c)), |_, c| *c)
-        .axis("scheme", schemes.clone(), |&c, s| {
-            SystemConfig::table3(c, s.clone())
-        });
-    let t = SweepRun::new(Executor::from_env(), scale).ws_over_mixes(geometry.axis(sweep));
-    let names = schemes.map(|(n, _)| n);
-    let (key, label) = geometry.names();
-    for cap in caps {
-        let counts = Geometry::COUNTS;
-        println!(
-            "== Fig. {fig}: {cap} Gb chips, {label} {counts:?} (normalized to Baseline 1ch/1rk) =="
-        );
-        let cap = flabel(cap);
-        let base = t.mean(&[("cap", &cap), ("scheme", "Baseline"), (key, "1")]);
-        geometry.print(&t, &[("cap", &cap)], &names, base);
-    }
-    println!("{paper}");
-    t.emit();
+    ]
 }
 
-/// Figs. 15/16: PARA with and without HiRA over the channel or rank count
-/// — one sweep over `NRH × scheme × geometry`, where each scheme's `p_th`
-/// depends on the NRH axis, plus one no-defense point all series are
-/// normalized to. Prints the tables and the `paper` note, and emits
-/// `BENCH_<name>.json` on request.
-pub fn geometry_para(fig: u32, name: &str, geometry: Geometry, paper: &str) {
-    let scale = Scale::from_env();
-    let nrhs = [1024u32, 256, 64];
-    let mut sweep = geometry.axis(
+/// The ablation's arrangements: the ideal bound first, then the printed
+/// rows.
+fn ablation_schemes() -> Vec<(&'static str, PolicyHandle)> {
+    let hira4 = || HiraConfig::hira_n(4);
+    vec![
+        ("NoRefresh", policy::noref()),
+        ("Baseline", policy::baseline()),
+        ("HiRA-4 full", policy::hira(4)),
+        (
+            "no refresh-access",
+            policy::hira_custom("hira4-noRA", hira4().without_refresh_access()),
+        ),
+        (
+            "no refresh-refresh",
+            policy::hira_custom("hira4-noRR", hira4().without_refresh_refresh()),
+        ),
+        (
+            "singles only",
+            policy::hira_custom(
+                "hira4-singles",
+                hira4().without_refresh_access().without_refresh_refresh(),
+            ),
+        ),
+    ]
+}
+
+/// The PARA sweeps of Figs. 12, 15 and 16: `nrh`, then `scheme`, where
+/// each scheme's `p_th` depends on the NRH point, then whatever `extend`
+/// crosses in, plus one undefended `no-defense` point every series is
+/// normalized to.
+fn para_sweep(
+    name: &str,
+    nrhs: &[u32],
+    schemes: fn(u32) -> Vec<(&'static str, PolicyHandle)>,
+    extend: impl FnOnce(Sweep<SystemConfig>) -> Sweep<SystemConfig>,
+) -> Sweep<SystemConfig> {
+    let mut sweep = extend(
         Sweep::new(name)
-            .axis("nrh", nrhs.map(|n| (n.to_string(), n)), |_, n| *n)
-            .expand("scheme", |_, &nrh| {
-                preventive_schemes_geometry(nrh)
+            .axis("nrh", nrhs.iter().map(|n| (n.to_string(), *n)), |_, n| *n)
+            .expand("scheme", move |_, &nrh| {
+                schemes(nrh)
                     .into_iter()
                     .map(|(n, handle)| (n.to_string(), SystemConfig::table3(8.0, handle)))
                     .collect()
@@ -451,17 +640,77 @@ pub fn geometry_para(fig: u32, name: &str, geometry: Geometry, paper: &str) {
         ScenarioKey::root().with("scheme", "no-defense"),
         SystemConfig::table3(8.0, policy::baseline()),
     );
-    let t = SweepRun::new(Executor::from_env(), scale).ws_over_mixes(sweep);
-    let base = t.mean(&[("scheme", "no-defense")]);
-    let label = geometry.names().1;
-    for nrh in nrhs {
-        let counts = Geometry::COUNTS;
-        println!(
-            "== Fig. {fig}: NRH = {nrh}, {label} {counts:?} (normalized to no-defense 1ch/1rk) =="
-        );
-        let nrh = nrh.to_string();
-        geometry.print(&t, &[("nrh", &nrh)], &["PARA", "HiRA-2", "HiRA-4"], base);
+    sweep
+}
+
+/// Fig. 9a and 9b: each periodic scheme over capacity, normalized to
+/// No-Refresh and to Baseline.
+fn print_fig09(t: &WsTable, scale: Scale, no_refresh_access: bool) {
+    println!(
+        "== Fig. 9: periodic refresh, capacities 2..128 Gb, {} mixes x {} insts ==",
+        scale.mixes, scale.insts
+    );
+    println!("capacity (Gb): {FIG09_CAPS:?}");
+    let series = |name: &str| -> Vec<f64> {
+        FIG09_CAPS
+            .iter()
+            .map(|&c| t.mean(&[("scheme", name), ("cap", &flabel(c))]))
+            .collect()
+    };
+    let ideal = series("NoRefresh");
+    let base = series("Baseline");
+    let names: Vec<&str> = periodic_schemes_ablated(no_refresh_access)
+        .iter()
+        .map(|(n, _)| *n)
+        .collect();
+    println!(
+        "\n-- Fig. 9a: WS normalized to No-Refresh (paper: baseline drops to ~0.74 at 128 Gb) --"
+    );
+    for name in &names {
+        let norm: Vec<f64> = series(name)
+            .iter()
+            .zip(&ideal)
+            .map(|(w, i)| w / i)
+            .collect();
+        print_series(name, &norm);
     }
-    println!("{paper}");
-    t.emit();
+    println!("\n-- Fig. 9b: WS normalized to Baseline (paper: HiRA-2 reaches ~1.126 at 128 Gb) --");
+    for name in &names {
+        let norm: Vec<f64> = series(name).iter().zip(&base).map(|(w, b)| w / b).collect();
+        print_series(name, &norm);
+    }
+}
+
+/// Fig. 12a and 12b: each PARA arrangement over NRH, normalized to the
+/// no-defense point and to plain PARA.
+fn print_fig12(t: &WsTable, scale: Scale) {
+    println!(
+        "== Fig. 12: PARA +- HiRA, NRH sweep {:?}, {} mixes x {} insts ==",
+        FIG12_NRHS, scale.mixes, scale.insts
+    );
+    let base_ws = t.mean(&[("scheme", "no-defense")]);
+    let series = |name: &str| -> Vec<f64> {
+        FIG12_NRHS
+            .iter()
+            .map(|&n| t.mean(&[("nrh", &n.to_string()), ("scheme", name)]))
+            .collect()
+    };
+    let names: Vec<&str> = preventive_schemes(FIG12_NRHS[0])
+        .iter()
+        .map(|(n, _)| *n)
+        .collect();
+    println!("\n-- Fig. 12a: WS normalized to no-defense baseline --");
+    println!("(paper: PARA 0.71 at NRH=1024 down to 0.04 at NRH=64)");
+    println!("NRH:         {FIG12_NRHS:?}");
+    for name in &names {
+        let norm: Vec<f64> = series(name).iter().map(|w| w / base_ws).collect();
+        print_series(name, &norm);
+    }
+    println!("\n-- Fig. 12b: WS normalized to plain PARA --");
+    println!("(paper: HiRA-2 1.054x at NRH=1024, 2.75x at NRH=64; HiRA-4 3.73x at NRH=64)");
+    let para = series("PARA");
+    for name in &names {
+        let norm: Vec<f64> = series(name).iter().zip(&para).map(|(w, p)| w / p).collect();
+        print_series(name, &norm);
+    }
 }

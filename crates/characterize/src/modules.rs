@@ -69,14 +69,6 @@ pub fn characterize_module(spec: ModuleSpec, cfg: &CharacterizeConfig) -> Module
     }
 }
 
-/// Characterizes all seven Table 1 modules.
-pub fn characterize_table1(cfg: &CharacterizeConfig) -> Vec<ModuleCharacterization> {
-    ModuleSpec::table1_modules()
-        .into_iter()
-        .map(|spec| characterize_module(spec, cfg))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -212,11 +212,6 @@ impl HiraMc {
         &self.params.config
     }
 
-    /// Full construction parameters (hosts size analytic budgets off them).
-    pub fn params(&self) -> &HiraMcParams {
-        &self.params
-    }
-
     /// Enables the PARA preventive-request generator on an existing
     /// controller — the hook refresh-policy layers use to fold a preventive
     /// layer into a HiRA-MC that already performs periodic refresh, instead
@@ -370,16 +365,6 @@ impl HiraMc {
         Some(DeadlineWork::Single { bank, row: first })
     }
 
-    /// Whether any queued request's deadline falls within the next `tRC`
-    /// (lets the host prioritize the watchdog without popping work).
-    pub fn deadline_pending(&self, now: f64) -> bool {
-        if !self.overflow.is_empty() {
-            return true;
-        }
-        let horizon = now + self.params.timing.t_rc;
-        self.table.iter().any(|e| e.deadline <= horizon)
-    }
-
     /// Opportunistic service (Case 2 extension): when `bank` is idle and has
     /// no queued demand, serve its earliest queued refresh *before* the
     /// deadline. This trades a (no-longer-possible) refresh-access pairing
@@ -482,16 +467,6 @@ impl HiraMc {
     /// serve.
     pub fn queued_banks(&self) -> impl Iterator<Item = BankId> + '_ {
         self.table.iter().map(|e| e.bank)
-    }
-
-    /// Earliest queued deadline (scheduling hint).
-    pub fn earliest_deadline(&self) -> Option<f64> {
-        let table = self.table.earliest().map(|e| e.deadline);
-        let overflow = self.overflow.front().map(|e| e.deadline);
-        match (table, overflow) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     fn consume(&mut self, now: f64, entry: &RefreshEntry) {

@@ -85,14 +85,6 @@ impl Spt {
             }
         }
     }
-
-    /// The average compatibility fraction the SPT encodes (diagnostics).
-    pub fn nominal_fraction(&self) -> f64 {
-        match &self.source {
-            Source::Map(map) => map.target(),
-            Source::Probabilistic { fraction, .. } => *fraction,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -125,11 +125,6 @@ impl DramModule {
         self.stats
     }
 
-    /// Resets event counters (e.g. between experiment phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = ModuleStats::default();
-    }
-
     /// Sets the ambient temperature (the heater rig of §4.1).
     pub fn set_temperature(&mut self, temp_c: f64) {
         self.temp_c = temp_c;
@@ -482,13 +477,6 @@ impl DramModule {
     pub fn wait(&mut self, ns: f64) {
         assert!(ns >= 0.0, "cannot wait a negative duration");
         self.now += ns;
-    }
-
-    /// The sampled analog profile of a row (diagnostics / reporting).
-    pub fn analog_profile(&self, bank: BankId, row: RowId) -> crate::analog::RowAnalog {
-        self.spec
-            .analog
-            .sample(self.spec.seed, bank, row, self.spec.geometry.rows_per_bank)
     }
 
     /// Current accumulated hammer count of a row (test/diagnostic hook).

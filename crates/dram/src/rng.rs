@@ -95,12 +95,6 @@ impl Stream {
     }
 }
 
-/// Convenience: a single gaussian sample keyed entirely by coordinates.
-#[inline]
-pub fn gauss_at(words: &[u64], mean: f64, sd: f64) -> f64 {
-    Stream::from_words(words).next_gauss(mean, sd)
-}
-
 /// Convenience: a single uniform sample in `[0,1)` keyed by coordinates.
 #[inline]
 pub fn unit_at(words: &[u64]) -> f64 {

@@ -208,11 +208,6 @@ impl TimingParams {
         }
     }
 
-    /// Latency of refreshing one row with nominal commands: `tRAS + tRP`.
-    pub fn single_row_refresh_ns(&self) -> f64 {
-        self.t_ras + self.t_rp
-    }
-
     /// Latency of refreshing two rows back-to-back with nominal commands:
     /// `tRAS + tRP + tRAS` (§3 footnote 2) = 78.25 ns at DDR4-2400.
     pub fn two_row_refresh_ns(&self) -> f64 {

@@ -259,7 +259,6 @@ pub struct SystemBuilder {
     /// A pending by-name workload selection, resolved at
     /// [`SystemBuilder::build`]; overrides `workload` when set.
     workload_by_name: Option<String>,
-    para: Option<ParaLayer>,
     llc_bytes: usize,
     llc_ways: usize,
     queue_depth: usize,
@@ -277,14 +276,6 @@ pub struct SystemBuilder {
     /// Pending by-spec plugin selections, resolved (and validated) at
     /// [`SystemBuilder::build`] and appended after `plugins`.
     plugins_by_name: Vec<String>,
-}
-
-/// The preventive layer a builder composes onto the policy at build time.
-#[derive(Debug, Clone, Copy)]
-struct ParaLayer {
-    pth: f64,
-    /// `None`: serve victims immediately; `Some(n)`: queue with HiRA-N.
-    slack_acts: Option<u32>,
 }
 
 impl Default for SystemBuilder {
@@ -310,7 +301,6 @@ impl SystemBuilder {
             refresh_by_name: None,
             workload: hira_workload::mix(0),
             workload_by_name: None,
-            para: None,
             llc_bytes: 8 << 20,
             llc_ways: 8,
             queue_depth: 64,
@@ -416,24 +406,6 @@ impl SystemBuilder {
     /// is [`hira_workload::workload`].
     pub fn workload_name(mut self, name: &str) -> Self {
         self.workload_by_name = Some(name.to_owned());
-        self
-    }
-
-    /// Layers immediately-served PARA (plain "PARA") onto the policy.
-    pub fn preventive_immediate(mut self, pth: f64) -> Self {
-        self.para = Some(ParaLayer {
-            pth,
-            slack_acts: None,
-        });
-        self
-    }
-
-    /// Layers HiRA-N-queued PARA onto the policy.
-    pub fn preventive_hira(mut self, pth: f64, slack_acts: u32) -> Self {
-        self.para = Some(ParaLayer {
-            pth,
-            slack_acts: Some(slack_acts),
-        });
         self
     }
 
@@ -609,17 +581,6 @@ impl SystemBuilder {
                 );
             }
         }
-        let refresh = match self.para {
-            None => refresh,
-            Some(ParaLayer {
-                pth,
-                slack_acts: None,
-            }) => refresh.with_para_immediate(pth),
-            Some(ParaLayer {
-                pth,
-                slack_acts: Some(n),
-            }) => refresh.with_para_hira(pth, n),
-        };
         let cfg = SystemConfig {
             cores: self.cores,
             channels: self.channels,
@@ -726,22 +687,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::InvalidCapacity { .. }));
-    }
-
-    #[test]
-    fn preventive_layers_compose_at_build_time() {
-        let cfg = SystemBuilder::new()
-            .policy(noref())
-            .preventive_immediate(0.25)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.refresh.name(), "noref+para(p=0.2500)");
-        let cfg = SystemBuilder::new()
-            .policy(hira(4))
-            .preventive_hira(0.5, 4)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.refresh.name(), "hira4+para@hira4(p=0.5000)");
     }
 
     #[test]
@@ -965,8 +910,7 @@ mod tests {
         // A PARA-over-HiRA layer needs HiRA operations just the same.
         let err = SystemBuilder::new()
             .device(crate::device::samsung_ddr4_2400())
-            .policy(noref())
-            .preventive_hira(0.5, 4)
+            .policy(noref().with_para_hira(0.5, 4))
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::DeviceLacksHira { .. }));

@@ -3,8 +3,9 @@
 //! The refresh arrangement is an open [`PolicyHandle`] (see
 //! [`crate::policy`]) rather than a closed enum: any registered policy —
 //! the paper's three arrangements or a third-party one — slots into the
-//! same configuration. Preventive (PARA) layers are part of the handle,
-//! composed with [`PolicyHandle::with_para_immediate`] /
+//! same configuration. Preventive (PARA) layers are part of the handle and
+//! are composed there, before the handle reaches the configuration, with
+//! [`PolicyHandle::with_para_immediate`] /
 //! [`PolicyHandle::with_para_hira`].
 //!
 //! Demand traffic is equally open: `workload` is a
@@ -159,28 +160,9 @@ impl SystemConfig {
         self.device.profile().clock()
     }
 
-    /// Replaces the refresh policy.
-    pub fn with_policy(mut self, refresh: PolicyHandle) -> Self {
-        self.refresh = refresh;
-        self
-    }
-
     /// Replaces the demand workload.
     pub fn with_workload(mut self, workload: WorkloadHandle) -> Self {
         self.workload = workload;
-        self
-    }
-
-    /// Layers immediately-served PARA onto the current policy (§9's plain
-    /// "PARA" baseline).
-    pub fn with_para(mut self, pth: f64) -> Self {
-        self.refresh = self.refresh.with_para_immediate(pth);
-        self
-    }
-
-    /// Layers HiRA-N-queued PARA onto the current policy.
-    pub fn with_para_hira(mut self, pth: f64, slack_acts: u32) -> Self {
-        self.refresh = self.refresh.with_para_hira(pth, slack_acts);
         self
     }
 
@@ -306,9 +288,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = SystemConfig::table3(8.0, noref())
+        let c = SystemConfig::table3(8.0, noref().with_para_immediate(0.5))
             .with_geometry(4, 2)
-            .with_para(0.5)
             .with_insts(1000, 100);
         assert_eq!(c.channels, 4);
         assert_eq!(c.ranks, 2);

@@ -475,6 +475,35 @@ impl Channel {
         start
     }
 
+    /// Places a HiRA operation in bank group `bg` of `rank`, from `act_at`,
+    /// a slot that already clears tRRD/tFAW: moves it until the second ACT,
+    /// `t1 + t2` later, clears them too, books the first ACT, its PRE `t1`
+    /// later and the second ACT on the command bus, and records both ACTs.
+    /// Returns `(first ACT, PRE, second ACT)`.
+    fn place_hira(
+        &mut self,
+        rank: usize,
+        bg: u16,
+        act_at: MemCycle,
+    ) -> (MemCycle, MemCycle, MemCycle) {
+        let t = self.timing;
+        let lead = t.t1 + t.t2;
+        let mut a1 = act_at;
+        loop {
+            let a2 = self.act_constraint(rank, bg, a1 + lead);
+            if a2 == a1 + lead {
+                break;
+            }
+            a1 = a2 - lead;
+        }
+        let a1 = self.bus.alloc(a1);
+        let pre = self.bus.alloc(a1 + t.t1);
+        let a2 = self.bus.alloc(a1 + lead);
+        self.record_act(rank, bg, a1);
+        self.record_act(rank, bg, a2);
+        (a1, pre, a2)
+    }
+
     /// Issues a standalone single-row refresh (ACT + PRE) on `bank`.
     fn issue_single_refresh(
         &mut self,
@@ -541,22 +570,10 @@ impl Channel {
         let bg = bank / (self.banks_per_rank / self.bank_groups);
         let bi = self.bank_index(rank, bank);
         let start = self.close_open_row(now, bi, rank, bank, probes);
-        // Both activations must clear tRRD/tFAW.
-        let lead = t.t1 + t.t2;
-        let mut a1 = self.act_constraint(rank, bg, start);
-        loop {
-            let a2 = self.act_constraint(rank, bg, a1 + lead);
-            if a2 == a1 + lead {
-                break;
-            }
-            a1 = a2 - lead;
-        }
-        let a1 = self.bus.alloc(a1);
-        let pre1 = self.bus.alloc(a1 + t.t1);
-        let a2 = self.bus.alloc(a1 + lead);
+        let start = self.act_constraint(rank, bg, start);
+        let (a1, pre1, a2) = self.place_hira(rank, bg, start);
         let pre2 = self.bus.alloc(a2 + t.ras);
-        self.record_act(rank, bg, a1);
-        self.record_act(rank, bg, a2);
+        let lead = t.t1 + t.t2;
         let b = &mut self.banks[bi];
         b.next_act = a2 + t.ras + t.rp;
         b.next_pre = a2 + t.ras;
@@ -998,20 +1015,7 @@ impl Channel {
         } else {
             // PRE (if open) + ACT (+ possible HiRA expansion).
             let channel = self.idx;
-            let mut act_earliest = self.banks[bi].next_act.max(now);
-            if self.banks[bi].open_row.is_some() {
-                let pre_at = self.bus.alloc(self.banks[bi].next_pre.max(now));
-                self.banks[bi].open_row = None;
-                act_earliest = act_earliest.max(pre_at + t.rp);
-                probes.on_cmd(|| CmdEvent {
-                    at: pre_at,
-                    channel,
-                    rank,
-                    bank: Some(bank),
-                    row: None,
-                    cmd: DramCmd::Pre,
-                });
-            }
+            let act_earliest = self.close_open_row(now, bi, rank, bank, probes);
             let act_at = self.act_constraint(rank, bg, act_earliest);
 
             // HiRA Case-1 consultation (refresh-access parallelization).
@@ -1037,20 +1041,7 @@ impl Channel {
                     a
                 }
                 DemandDecision::Hira { refresh_row } => {
-                    let lead = t.t1 + t.t2;
-                    let mut a1 = act_at;
-                    loop {
-                        let a2 = self.act_constraint(rank, bg, a1 + lead);
-                        if a2 == a1 + lead {
-                            break;
-                        }
-                        a1 = a2 - lead;
-                    }
-                    let a1 = self.bus.alloc(a1);
-                    let pre = self.bus.alloc(a1 + t.t1);
-                    let a2 = self.bus.alloc(a1 + lead);
-                    self.record_act(rank, bg, a1);
-                    self.record_act(rank, bg, a2);
+                    let (a1, pre, a2) = self.place_hira(rank, bg, act_at);
                     self.stats.demand_acts += 1;
                     self.stats.refresh_acts += 1;
                     self.stats.hira_access_ops += 1;
@@ -1085,18 +1076,11 @@ impl Channel {
             self.banks[bi].next_cas
         };
 
-        // Column access + data bus.
-        let ccd = match self.ranks[rank].last_cas_bg {
-            Some(last_bg) if last_bg == bg => t.ccd_l,
-            Some(_) => t.ccd_s,
-            None => 0,
-        };
+        // Column access + data bus (tCCD is folded into `next_cas` below).
         let mut cas = cas_earliest.max(now).max(self.banks[bi].next_cas);
         if !req.is_write {
             cas = cas.max(self.ranks[rank].next_rd);
         }
-        cas = cas.max(self.banks[bi].next_cas);
-        let _ = ccd; // tCCD folded into next_cas below
         let data_lat = if req.is_write { t.cwl } else { t.cl };
         let burst_start = self.data_bus.alloc(cas + data_lat, t.bl);
         self.stats.data_bus_busy += t.bl;

@@ -29,10 +29,12 @@
 //! * **`hira<N>`** — per-row refresh through [`hira_core::HiraMc`], with
 //!   refresh-access and refresh-refresh parallelization.
 //!
-//! PARA preventive refreshes (§9) can be layered on any arrangement, either
-//! served immediately (the "PARA" baseline) or queued and parallelized by
-//! HiRA-MC — see [`policy::PolicyHandle::with_para_immediate`] /
-//! [`policy::PolicyHandle::with_para_hira`].
+//! PARA preventive refreshes (§9) can be layered on any arrangement through
+//! its policy handle, either served immediately (the "PARA" baseline) or
+//! queued and parallelized by HiRA-MC — see
+//! [`policy::PolicyHandle::with_para_immediate`] /
+//! [`policy::PolicyHandle::with_para_hira`]. One HiRA-MC per rank hosts
+//! both the periodic and the PARA queue ([`policy::HiraPolicy`]).
 //!
 //! The DRAM part itself is the **third open axis** ([`device`]): any type
 //! implementing [`device::DeviceModel`] supplies the command clock (and
@@ -72,7 +74,6 @@ pub mod metrics;
 pub mod plugin;
 pub mod policy;
 pub mod probe;
-pub mod refresh;
 pub mod request;
 pub mod system;
 

@@ -1,8 +1,6 @@
 //! Conventional all-bank `REF` (the paper's Baseline, §2.2).
 
-use super::{
-    PolicyEnv, PolicyHandle, PolicyProfile, PolicyStats, RankView, RefreshAction, RefreshPolicy,
-};
+use super::{PolicyEnv, PolicyHandle, PolicyStats, RankView, RefreshAction, RefreshPolicy};
 
 /// Issues a rank-level `REF` every `tREFI`, blocking all banks for `tRFC`
 /// (scaled with chip capacity by Expression 1). REF phases are staggered
@@ -11,7 +9,6 @@ use super::{
 pub struct AllBankRef {
     next_due_ns: f64,
     t_refi: f64,
-    t_rfc: f64,
     stats: PolicyStats,
 }
 
@@ -23,7 +20,6 @@ impl AllBankRef {
             // Stagger REF phases across ranks.
             next_due_ns: t_refi * env.rank as f64 / env.ranks_per_channel.max(1) as f64,
             t_refi,
-            t_rfc: env.timing.t_rfc,
             stats: PolicyStats::default(),
         }
     }
@@ -45,17 +41,6 @@ impl RefreshPolicy for AllBankRef {
     fn next_wake(&self, _now_ns: f64) -> f64 {
         // Purely time-gated: nothing can happen before the next REF is due.
         self.next_due_ns
-    }
-
-    fn profile(&self) -> PolicyProfile {
-        PolicyProfile {
-            performs_refresh: true,
-            rank_blocked_frac: self.t_rfc / self.t_refi,
-            // Every bank is blocked whenever the rank is.
-            bank_busy_frac: self.t_rfc / self.t_refi,
-            // PREA + REF per tREFI.
-            cmd_per_sec: 2.0 / (self.t_refi * 1e-9),
-        }
     }
 
     fn stats(&self) -> PolicyStats {
@@ -106,13 +91,5 @@ mod tests {
         let cfg = SystemConfig::table3(8.0, baseline()).with_geometry(1, 4);
         let p1 = AllBankRef::new(&PolicyEnv::for_rank(&cfg, 0, 1));
         assert!((p1.next_due_ns - cfg.timing.t_refi / 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn profile_matches_the_trfc_over_trefi_arithmetic() {
-        let p = AllBankRef::new(&env());
-        let t = env().timing;
-        assert!((p.profile().rank_blocked_frac - t.t_rfc / t.t_refi).abs() < 1e-12);
-        assert!(p.profile().performs_refresh);
     }
 }

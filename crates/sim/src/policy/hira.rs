@@ -1,15 +1,17 @@
-//! Per-row refresh through HiRA-MC (§5/§8) as a [`RefreshPolicy`].
+//! Per-row refresh through HiRA-MC (§5/§8) as a [`RefreshPolicy`], and
+//! the HiRA-queued PARA layer (§9) for periodic policies without a
+//! HiRA-MC of their own.
 
 use super::{
-    DemandDecision, PolicyEnv, PolicyHandle, PolicyProfile, PolicyStats, RankView, RefreshAction,
+    wake_under, DemandDecision, PolicyEnv, PolicyHandle, PolicyStats, RankView, RefreshAction,
     RefreshPolicy,
 };
 use hira_core::config::HiraConfig;
 use hira_core::finder::{DeadlineWork, HiraMc, HiraMcParams, McAction, McStats};
 use hira_dram::addr::{BankId, RowId};
 
-/// Builds the per-rank [`HiraMc`] instance a HiRA-backed policy drives.
-pub(super) fn build_mc(env: &PolicyEnv, config: HiraConfig, periodic_via_hira: bool) -> HiraMc {
+/// Builds the per-rank [`HiraMc`] instance a [`HiraPolicy`] drives.
+fn build_mc(env: &PolicyEnv, config: HiraConfig, periodic_via_hira: bool) -> HiraMc {
     HiraMc::new(HiraMcParams {
         banks: env.banks,
         rows_per_bank: env.rows_per_bank,
@@ -24,10 +26,10 @@ pub(super) fn build_mc(env: &PolicyEnv, config: HiraConfig, periodic_via_hira: b
     })
 }
 
-/// The shared HiRA-MC service loop: deadline-driven work first (Case 2,
-/// gated on the due bank's backlog), then opportunistic service on idle
-/// demand-free banks. Used by [`HiraPolicy`] and the queued-PARA wrapper.
-pub(super) fn poll_mc(mc: &mut HiraMc, now_ns: f64, view: &RankView<'_>) -> Option<RefreshAction> {
+/// The HiRA-MC service loop: deadline-driven work first (Case 2, gated on
+/// the due bank's backlog), then opportunistic service on idle
+/// demand-free banks.
+fn poll_mc(mc: &mut HiraMc, now_ns: f64, view: &RankView<'_>) -> Option<RefreshAction> {
     if let Some(bank) = mc.next_due_bank(now_ns) {
         if !view.backlogged(bank) {
             if let Some(work) = mc.deadline_work(now_ns) {
@@ -56,7 +58,7 @@ pub(super) fn poll_mc(mc: &mut HiraMc, now_ns: f64, view: &RankView<'_>) -> Opti
 ///   instant [`HiraMc::next_due`] reports) and its bank is not backlogged;
 /// * opportunistic work once a demand-free closed bank holding queued
 ///   requests reaches its next `ACT`.
-pub(super) fn mc_wake_under(mc: &HiraMc, view: &RankView<'_>) -> f64 {
+fn mc_wake_under(mc: &HiraMc, view: &RankView<'_>) -> f64 {
     let mut wake = mc.generation_wake();
     if let Some((due, bank)) = mc.next_due() {
         wake = wake.min(due.max(view.ns(view.unbacklogged_at(bank))));
@@ -84,22 +86,60 @@ fn work_to_action(work: DeadlineWork) -> RefreshAction {
     }
 }
 
-/// Per-row periodic refresh through HiRA-MC: requests generated at the
-/// per-row rate, queued with `tRefSlack = N·tRC`, and served by deadline as
-/// refresh-access ride-alongs (Case 1), refresh-refresh pairs or singles
-/// (Case 2) — plus opportunistic zero-interference service on idle banks.
+/// The composed-handle name of a HiRA-queued PARA layer over `inner` (see
+/// [`super::preventive::immediate_name`]). Also used for the absorb path,
+/// where the inner policy hosts the layer itself.
+pub(super) fn queued_name(inner: &str, pth: f64, slack_acts: u32) -> String {
+    format!("{inner}+para@hira{slack_acts}(p={pth:.4})")
+}
+
+/// One HiRA-MC per rank, in either of the paper's two roles.
+///
+/// * Built by [`HiraPolicy::new`]: per-row periodic refresh. Requests are
+///   generated at the per-row rate, queued with `tRefSlack = N·tRC`, and
+///   served by deadline as refresh-access ride-alongs (Case 1),
+///   refresh-refresh pairs or singles (Case 2), plus opportunistic
+///   zero-interference service on idle banks. A PARA layer at the same
+///   slack is absorbed into this MC ([`RefreshPolicy::attach_para`]).
+/// * Built by [`HiraPolicy::para_layer`]: HiRA-queued PARA over a periodic
+///   policy without a HiRA-MC of its own. Periodic generation is off, and
+///   the MC queues only PARA victims. The inner policy comes first in
+///   every hook but [`RefreshPolicy::on_demand_act`], where the MC may
+///   claim the activation for a queued victim first.
 #[derive(Debug)]
 pub struct HiraPolicy {
     name: String,
     mc: HiraMc,
+    /// The periodic policy a PARA layer runs over; `None` when the MC
+    /// generates the periodic refreshes itself.
+    inner: Option<Box<dyn RefreshPolicy>>,
 }
 
 impl HiraPolicy {
-    /// Builds the policy for one rank.
+    /// Builds the periodic policy for one rank.
     pub fn new(name: impl Into<String>, env: &PolicyEnv, config: HiraConfig) -> Self {
         HiraPolicy {
             name: name.into(),
             mc: build_mc(env, config, true),
+            inner: None,
+        }
+    }
+
+    /// Layers HiRA-N-queued PARA over `inner` for one rank: a HiRA-MC with
+    /// `tRefSlack = slack_acts·tRC`, periodic generation off and PARA
+    /// sampling every executed activation with probability `pth`.
+    pub fn para_layer(
+        inner: Box<dyn RefreshPolicy>,
+        pth: f64,
+        slack_acts: u32,
+        env: &PolicyEnv,
+    ) -> Self {
+        let mut mc = build_mc(env, HiraConfig::hira_n(slack_acts), false);
+        mc.enable_para(pth);
+        HiraPolicy {
+            name: queued_name(inner.name(), pth, slack_acts),
+            mc,
+            inner: Some(inner),
         }
     }
 
@@ -115,37 +155,62 @@ impl RefreshPolicy for HiraPolicy {
     }
 
     fn tick(&mut self, now_ns: f64) {
+        if let Some(inner) = &mut self.inner {
+            inner.tick(now_ns);
+        }
         self.mc.tick(now_ns);
     }
 
     fn next_action(&mut self, now_ns: f64, view: &RankView<'_>) -> Option<RefreshAction> {
+        // A layer's periodic engine first (its REF cadence is a hard
+        // schedule), then the MC's queue.
+        if let Some(action) = self
+            .inner
+            .as_mut()
+            .and_then(|i| i.next_action(now_ns, view))
+        {
+            return Some(action);
+        }
         poll_mc(&mut self.mc, now_ns, view)
     }
 
     fn next_wake(&self, now_ns: f64) -> f64 {
-        self.mc.next_wake(now_ns)
+        let mc = self.mc.next_wake(now_ns);
+        match &self.inner {
+            Some(inner) => inner.next_wake(now_ns).min(mc),
+            None => mc,
+        }
     }
 
-    fn next_wake_under(&self, _now_ns: f64, view: &RankView<'_>) -> f64 {
-        mc_wake_under(&self.mc, view)
+    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
+        let mc = mc_wake_under(&self.mc, view);
+        match &self.inner {
+            Some(inner) => wake_under(&**inner, now_ns, view).min(mc),
+            None => mc,
+        }
     }
 
     fn on_demand_act(&mut self, now_ns: f64, bank: BankId, row: RowId) -> DemandDecision {
-        match self.mc.on_demand_act(now_ns, bank, row) {
-            McAction::Plain => DemandDecision::Plain,
-            McAction::Hira { refresh_row, .. } => DemandDecision::Hira { refresh_row },
+        match (self.mc.on_demand_act(now_ns, bank, row), &mut self.inner) {
+            (McAction::Hira { refresh_row, .. }, _) => DemandDecision::Hira { refresh_row },
+            (McAction::Plain, Some(inner)) => inner.on_demand_act(now_ns, bank, row),
+            (McAction::Plain, None) => DemandDecision::Plain,
         }
     }
 
     fn on_act_executed(&mut self, now_ns: f64, bank: BankId, row: RowId) {
+        if let Some(inner) = &mut self.inner {
+            inner.on_act_executed(now_ns, bank, row);
+        }
         self.mc.on_row_activated(now_ns, bank, row);
     }
 
     fn attach_para(&mut self, pth: f64, slack_acts: u32) -> bool {
         // HiRA-MC queues preventive victims under its own tRefSlack; absorb
         // only when that matches the slack the layer's p_th was solved for,
-        // otherwise the caller wraps us with a dedicated preventive MC.
-        if slack_acts != self.mc.config().slack_acts {
+        // otherwise the caller wraps us with a dedicated preventive MC. A
+        // PARA layer never absorbs a second one.
+        if self.inner.is_some() || slack_acts != self.mc.config().slack_acts {
             return false;
         }
         self.mc.enable_para(pth);
@@ -157,36 +222,24 @@ impl RefreshPolicy for HiraPolicy {
         Some((t.t1, t.t2))
     }
 
-    fn profile(&self) -> PolicyProfile {
-        let p = self.mc.params();
-        let t = &p.timing;
-        let rows = f64::from(p.rows_per_bank);
-        let single = rows * t.t_rc / t.t_refw;
-        let paired = rows * (self.mc.config().op.two_row_refresh_ns(t) + t.t_rp) / 2.0 / t.t_refw;
-        PolicyProfile {
-            performs_refresh: true,
-            rank_blocked_frac: 0.0,
-            bank_busy_frac: if self.mc.config().refresh_refresh {
-                paired
-            } else {
-                single
-            },
-            cmd_per_sec: rows * f64::from(p.banks) * 2.0 / (t.t_refw * 1e-9),
-        }
-    }
-
     fn mc_stats(&self) -> Vec<McStats> {
-        vec![self.mc.stats()]
+        let mut stats = vec![self.mc.stats()];
+        if let Some(inner) = &self.inner {
+            stats.extend(inner.mc_stats());
+        }
+        stats
     }
 
     fn stats(&self) -> PolicyStats {
         let s = self.mc.stats();
-        PolicyStats {
-            rank_refs: 0,
-            bank_refs: 0,
+        let own = PolicyStats {
             rows_refreshed: s.refresh_access + s.refresh_refresh + s.singles,
-            rows_skipped: 0,
             preventive_queued: s.preventive_generated,
+            ..PolicyStats::default()
+        };
+        match &self.inner {
+            Some(inner) => inner.stats().merge(own),
+            None => own,
         }
     }
 }
@@ -283,6 +336,14 @@ mod tests {
         assert!(!p.attach_para(1.0, 2));
         p.on_act_executed(100.0, BankId(0), RowId(500));
         assert_eq!(p.stats().preventive_queued, 0);
+    }
+
+    #[test]
+    fn a_para_layer_refuses_a_second_layer() {
+        let cfg = SystemConfig::table3(8.0, crate::policy::baseline());
+        let env = PolicyEnv::for_rank(&cfg, 0, 0);
+        let mut p = HiraPolicy::para_layer(crate::policy::baseline().build(&env), 1.0, 4, &env);
+        assert!(!p.attach_para(1.0, 4));
     }
 
     #[test]

@@ -23,19 +23,22 @@
 //! | `raidr` | [`raidr()`] | RAIDR-style retention-binned per-row refresh |
 //! | `hira<N>` | [`hira()`] | per-row refresh through HiRA-MC with `tRefSlack = N·tRC` |
 //!
-//! PARA preventive refreshes (§9) layer onto *any* policy through
-//! [`PolicyHandle::with_para_immediate`] (serve victims at once — the
-//! "PARA" baseline) or [`PolicyHandle::with_para_hira`] (queue with slack
-//! and let HiRA-MC parallelize).
+//! PARA preventive refreshes (§9) layer onto *any* policy through its
+//! handle, and only there: [`PolicyHandle::with_para_immediate`] serves
+//! victims at once (the "PARA" baseline), and
+//! [`PolicyHandle::with_para_hira`] queues them with slack for HiRA-MC to
+//! parallelize. A `hira<N>` policy at the layer's slack hosts the queue in
+//! its own HiRA-MC; any other policy runs under a
+//! [`HiraPolicy::para_layer`], one HiRA-MC per rank either way.
 //!
 //! ## Adding a policy
 //!
-//! Implement the trait, wrap a factory in a handle, register it:
+//! Implement the trait — only `name`, `next_action` and `stats` are
+//! required — wrap a factory in a handle, register it:
 //!
 //! ```rust
 //! use hira_sim::policy::{
-//!     DemandDecision, PolicyHandle, PolicyProfile, PolicyRegistry, PolicyStats,
-//!     RankView, RefreshAction, RefreshPolicy,
+//!     PolicyHandle, PolicyRegistry, PolicyStats, RankView, RefreshAction, RefreshPolicy,
 //! };
 //! use hira_dram::addr::{BankId, RowId};
 //!
@@ -56,9 +59,6 @@
 //!             RefreshAction::Single { bank: BankId(0), row: RowId(0) }
 //!         })
 //!     }
-//!     fn profile(&self) -> PolicyProfile {
-//!         PolicyProfile { performs_refresh: true, ..PolicyProfile::none() }
-//!     }
 //!     fn stats(&self) -> PolicyStats {
 //!         PolicyStats::default()
 //!     }
@@ -69,7 +69,8 @@
 //!     Box::new(Metronome { next_due_ns: 0.0 })
 //! }));
 //! let cfg = hira_sim::SystemConfig::table3(8.0, registry.lookup("metronome").unwrap());
-//! assert!(hira_sim::refresh::refreshes(&cfg));
+//! let result = hira_sim::System::new(cfg.with_insts(1_000, 200)).run();
+//! assert_eq!(result.ipc.len(), 8);
 //! ```
 
 mod allbank;
@@ -84,7 +85,7 @@ pub use allbank::{baseline, AllBankRef};
 pub use hira::{hira, hira_custom, HiraPolicy};
 pub use noref::{noref, NoRefresh};
 pub use perbank::{refpb, PerBankRef, REFPB_TRFC_FRACTION};
-pub use preventive::{ImmediatePara, QueuedPara};
+pub use preventive::ImmediatePara;
 pub use raidr::{raidr, RaidrBinned, RAIDR_REFERENCE_TEMP_C};
 pub use registry::{policy, PolicyRegistry};
 
@@ -150,10 +151,9 @@ impl PolicyEnv {
     }
 }
 
-/// Builds a throwaway instance of `cfg`'s policy (channel 0, rank 0) for
-/// analytic queries — [`crate::refresh::budget`] and
-/// [`crate::refresh::refreshes`] use this so accounting works for *any*
-/// registered policy, not just the built-ins.
+/// Builds a throwaway instance of `cfg`'s policy (channel 0, rank 0) —
+/// [`crate::builder::SystemBuilder::build`] checks the HiRA lead pair of
+/// *any* registered policy against the device through this.
 pub fn probe(cfg: &SystemConfig) -> Box<dyn RefreshPolicy> {
     cfg.refresh.build(&PolicyEnv::for_rank(cfg, 0, 0))
 }
@@ -286,33 +286,6 @@ impl RankView<'_> {
     /// cycle `c`.
     pub fn ns(&self, cycle: MemCycle) -> f64 {
         self.clock.cycles_to_ns(cycle)
-    }
-}
-
-/// Static, analytic cost facts about a policy instance (no simulation) —
-/// the open-API replacement for the `RefreshScheme`-matching arithmetic the
-/// refresh-budget helpers used to hardcode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyProfile {
-    /// Whether the policy performs periodic refresh at all.
-    pub performs_refresh: bool,
-    /// Fraction of time the whole rank is refresh-blocked.
-    pub rank_blocked_frac: f64,
-    /// Fraction of time an individual bank is refresh-busy.
-    pub bank_busy_frac: f64,
-    /// Command-bus slots per second the policy's refreshes consume.
-    pub cmd_per_sec: f64,
-}
-
-impl PolicyProfile {
-    /// The profile of a policy that refreshes nothing.
-    pub fn none() -> Self {
-        PolicyProfile {
-            performs_refresh: false,
-            rank_blocked_frac: 0.0,
-            bank_busy_frac: 0.0,
-            cmd_per_sec: 0.0,
-        }
     }
 }
 
@@ -484,16 +457,6 @@ pub trait RefreshPolicy: fmt::Debug + Send {
         false
     }
 
-    /// Whether the policy performs periodic refresh at all. The default
-    /// answers from [`profile`](Self::profile), so there is one source of
-    /// truth; override only when the profile is expensive to compute.
-    fn performs_refresh(&self) -> bool {
-        self.profile().performs_refresh
-    }
-
-    /// Analytic cost profile of this instance.
-    fn profile(&self) -> PolicyProfile;
-
     /// HiRA-MC statistics, for HiRA-MC-backed policies (composition layers
     /// concatenate).
     fn mc_stats(&self) -> Vec<McStats> {
@@ -573,9 +536,10 @@ impl PolicyHandle {
     /// victims queue with `tRefSlack = slack_acts × tRC` and are served
     /// through HiRA-MC (refresh-access and refresh-refresh parallelized).
     /// A policy that already hosts a HiRA-MC absorbs the layer natively
-    /// ([`RefreshPolicy::attach_para`]); anything else is wrapped.
+    /// ([`RefreshPolicy::attach_para`]); anything else runs under a
+    /// [`HiraPolicy::para_layer`].
     pub fn with_para_hira(self, pth: f64, slack_acts: u32) -> PolicyHandle {
-        let name = preventive::queued_name(&self.name, pth, slack_acts);
+        let name = hira::queued_name(&self.name, pth, slack_acts);
         let summary = format!(
             "{} + HiRA-{slack_acts}-queued PARA (p_th = {pth:.4})",
             self.name
@@ -585,7 +549,7 @@ impl PolicyHandle {
             if inner.attach_para(pth, slack_acts) {
                 inner
             } else {
-                Box::new(QueuedPara::new(inner, pth, slack_acts, env))
+                Box::new(HiraPolicy::para_layer(inner, pth, slack_acts, env))
             }
         })
         .with_summary(summary)
@@ -630,12 +594,13 @@ mod tests {
 
     #[test]
     fn probe_reflects_the_selected_policy() {
-        let cfg = |h| SystemConfig::table3(8.0, h);
-        assert!(!probe(&cfg(noref())).performs_refresh());
-        assert!(probe(&cfg(baseline())).performs_refresh());
-        assert!(probe(&cfg(refpb())).performs_refresh());
-        assert!(probe(&cfg(raidr())).performs_refresh());
-        assert!(probe(&cfg(hira(4))).performs_refresh());
+        let cfg = |h: &PolicyHandle| SystemConfig::table3(8.0, h.clone());
+        assert!(probe(&cfg(&noref())).inert());
+        for h in [baseline(), refpb(), raidr(), hira(4)] {
+            let p = probe(&cfg(&h));
+            assert_eq!(p.name(), h.name());
+            assert!(!p.inert(), "{}", h.name());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The ideal no-refresh arrangement (upper bound of Fig. 9a).
 
-use super::{PolicyHandle, PolicyProfile, PolicyStats, RankView, RefreshAction, RefreshPolicy};
+use super::{PolicyHandle, PolicyStats, RankView, RefreshAction, RefreshPolicy};
 
 /// Performs no periodic refresh at all. The retention model in `hira-dram`
 /// says what that would cost in data integrity; here it is the
@@ -25,10 +25,6 @@ impl RefreshPolicy for NoRefresh {
         true
     }
 
-    fn profile(&self) -> PolicyProfile {
-        PolicyProfile::none()
-    }
-
     fn stats(&self) -> PolicyStats {
         PolicyStats::default()
     }
@@ -48,7 +44,6 @@ mod tests {
     fn noref_is_inert_and_refresh_free() {
         let mut p = NoRefresh;
         assert!(p.inert());
-        assert!(!p.performs_refresh());
         let view = RankView {
             now: 0,
             clock: crate::clock::MemClock::ddr4_2400(),
@@ -58,6 +53,6 @@ mod tests {
             bank_open: &[false; 4],
         };
         assert_eq!(p.next_action(0.0, &view), None);
-        assert_eq!(p.profile(), PolicyProfile::none());
+        assert_eq!(p.stats(), PolicyStats::default());
     }
 }

@@ -1,9 +1,7 @@
 //! Per-bank staggered refresh (`REFpb`), after Chang et al.'s
 //! refresh-access-parallelism work and the LPDDR/DDR5 per-bank REF command.
 
-use super::{
-    PolicyEnv, PolicyHandle, PolicyProfile, PolicyStats, RankView, RefreshAction, RefreshPolicy,
-};
+use super::{PolicyEnv, PolicyHandle, PolicyStats, RankView, RefreshAction, RefreshPolicy};
 use hira_dram::addr::BankId;
 
 /// The default `tRFCpb / tRFC` fraction a device quotes when it has no
@@ -67,19 +65,6 @@ impl RefreshPolicy for PerBankRef {
     fn next_wake(&self, _now_ns: f64) -> f64 {
         // Purely time-gated: the rotation fires on its own schedule.
         self.next_due_ns
-    }
-
-    fn profile(&self) -> PolicyProfile {
-        let refi = self.interval_ns * f64::from(self.banks);
-        PolicyProfile {
-            performs_refresh: true,
-            // The rank as a whole is never blocked.
-            rank_blocked_frac: 0.0,
-            // Each bank takes one tRFCpb per tREFI.
-            bank_busy_frac: self.t_rfc_pb / refi,
-            // One REFpb (plus its precharge slot) per interval.
-            cmd_per_sec: 2.0 / (self.interval_ns * 1e-9),
-        }
     }
 
     fn stats(&self) -> PolicyStats {
@@ -146,18 +131,6 @@ mod tests {
         assert!((e.t_rfc_pb_ns - 140.0).abs() < 1e-9);
         let p = PerBankRef::new(&e);
         assert_eq!(p.banks, 8);
-        assert!((p.profile().bank_busy_frac - 140.0 / e.timing.t_refi).abs() < 1e-12);
-    }
-
-    #[test]
-    fn profile_blocks_banks_not_the_rank() {
-        let p = PerBankRef::new(&env());
-        let prof = p.profile();
-        assert_eq!(prof.rank_blocked_frac, 0.0);
-        assert!(prof.bank_busy_frac > 0.0);
-        // Same total refresh time as baseline, spread over 16 banks at half
-        // tRFC each: per-bank busy is tRFCpb/tREFI.
-        let t = env().timing;
-        assert!((prof.bank_busy_frac - REFPB_TRFC_FRACTION * t.t_rfc / t.t_refi).abs() < 1e-12);
+        assert!((p.t_rfc_pb - 140.0).abs() < 1e-9);
     }
 }

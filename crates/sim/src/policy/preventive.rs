@@ -1,14 +1,12 @@
-//! PARA preventive-refresh layers (§9), composable over any periodic
-//! policy through [`super::PolicyHandle::with_para_immediate`] and
-//! [`super::PolicyHandle::with_para_hira`].
+//! Immediately-served PARA (§9), composable over any periodic policy
+//! through [`super::PolicyHandle::with_para_immediate`]. The HiRA-queued
+//! layer of [`super::PolicyHandle::with_para_hira`] is a
+//! [`super::HiraPolicy`].
 
-use super::hira::{build_mc, mc_wake_under, poll_mc};
 use super::{
-    wake_under, DemandDecision, PolicyEnv, PolicyProfile, PolicyStats, RankView, RefreshAction,
-    RefreshPolicy,
+    wake_under, DemandDecision, PolicyEnv, PolicyStats, RankView, RefreshAction, RefreshPolicy,
 };
-use hira_core::config::HiraConfig;
-use hira_core::finder::{HiraMc, McAction, McStats};
+use hira_core::finder::McStats;
 use hira_core::para::Para;
 use hira_dram::addr::{BankId, RowId};
 use std::collections::VecDeque;
@@ -34,13 +32,6 @@ pub struct ImmediatePara {
 /// disagree.
 pub(super) fn immediate_name(inner: &str, pth: f64) -> String {
     format!("{inner}+para(p={pth:.4})")
-}
-
-/// The composed-handle name of a HiRA-queued PARA layer over `inner` (see
-/// [`immediate_name`]). Also used for the absorb path, where the inner
-/// policy hosts the layer itself.
-pub(super) fn queued_name(inner: &str, pth: f64, slack_acts: u32) -> String {
-    format!("{inner}+para@hira{slack_acts}(p={pth:.4})")
 }
 
 impl ImmediatePara {
@@ -121,16 +112,6 @@ impl RefreshPolicy for ImmediatePara {
         self.inner.hira_lead()
     }
 
-    fn performs_refresh(&self) -> bool {
-        self.inner.performs_refresh()
-    }
-
-    fn profile(&self) -> PolicyProfile {
-        // Preventive load is workload-dependent; the analytic profile is
-        // the periodic layer's.
-        self.inner.profile()
-    }
-
     fn mc_stats(&self) -> Vec<McStats> {
         self.inner.mc_stats()
     }
@@ -144,113 +125,11 @@ impl RefreshPolicy for ImmediatePara {
     }
 }
 
-/// HiRA-queued PARA over a non-HiRA periodic policy: victims queue in a
-/// dedicated HiRA-MC (PR-FIFOs + Refresh Table, `periodic_via_hira` off)
-/// with `tRefSlack = N·tRC`, and are served as refresh-access ride-alongs,
-/// refresh-refresh pairs or deadline singles. HiRA-backed inner policies
-/// never see this wrapper — they absorb the layer natively through
-/// [`RefreshPolicy::attach_para`].
-pub struct QueuedPara {
-    name: String,
-    inner: Box<dyn RefreshPolicy>,
-    mc: HiraMc,
-}
-
-impl QueuedPara {
-    /// Wraps `inner` with a HiRA-N-queued PARA layer.
-    pub fn new(inner: Box<dyn RefreshPolicy>, pth: f64, slack_acts: u32, env: &PolicyEnv) -> Self {
-        let mut mc = build_mc(env, HiraConfig::hira_n(slack_acts), false);
-        mc.enable_para(pth);
-        QueuedPara {
-            name: queued_name(inner.name(), pth, slack_acts),
-            inner,
-            mc,
-        }
-    }
-}
-
-impl std::fmt::Debug for QueuedPara {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueuedPara")
-            .field("name", &self.name)
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-impl RefreshPolicy for QueuedPara {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, now_ns: f64) {
-        self.inner.tick(now_ns);
-        self.mc.tick(now_ns);
-    }
-
-    fn next_action(&mut self, now_ns: f64, view: &RankView<'_>) -> Option<RefreshAction> {
-        // The periodic engine first (its REF cadence is a hard schedule),
-        // then the preventive queue.
-        if let Some(action) = self.inner.next_action(now_ns, view) {
-            return Some(action);
-        }
-        poll_mc(&mut self.mc, now_ns, view)
-    }
-
-    fn on_demand_act(&mut self, now_ns: f64, bank: BankId, row: RowId) -> DemandDecision {
-        match self.mc.on_demand_act(now_ns, bank, row) {
-            McAction::Hira { refresh_row, .. } => DemandDecision::Hira { refresh_row },
-            McAction::Plain => self.inner.on_demand_act(now_ns, bank, row),
-        }
-    }
-
-    fn on_act_executed(&mut self, now_ns: f64, bank: BankId, row: RowId) {
-        self.inner.on_act_executed(now_ns, bank, row);
-        self.mc.on_row_activated(now_ns, bank, row);
-    }
-
-    fn next_wake(&self, now_ns: f64) -> f64 {
-        self.inner.next_wake(now_ns).min(self.mc.next_wake(now_ns))
-    }
-
-    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
-        wake_under(&*self.inner, now_ns, view).min(mc_wake_under(&self.mc, view))
-    }
-
-    fn hira_lead(&self) -> Option<(f64, f64)> {
-        let t = self.mc.config().op.timings;
-        Some((t.t1, t.t2))
-    }
-
-    fn performs_refresh(&self) -> bool {
-        self.inner.performs_refresh()
-    }
-
-    fn profile(&self) -> PolicyProfile {
-        self.inner.profile()
-    }
-
-    fn mc_stats(&self) -> Vec<McStats> {
-        let mut v = vec![self.mc.stats()];
-        v.extend(self.inner.mc_stats());
-        v
-    }
-
-    fn stats(&self) -> PolicyStats {
-        let s = self.mc.stats();
-        self.inner.stats().merge(PolicyStats {
-            rows_refreshed: s.refresh_access + s.refresh_refresh + s.singles,
-            preventive_queued: s.preventive_generated,
-            ..PolicyStats::default()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::policy::{baseline, noref};
+    use crate::policy::{baseline, noref, HiraPolicy};
 
     fn env() -> PolicyEnv {
         PolicyEnv::for_rank(&SystemConfig::table3(8.0, noref()), 0, 0)
@@ -287,7 +166,7 @@ mod tests {
     #[test]
     fn queued_para_holds_victims_for_their_slack() {
         let e = env();
-        let mut p = QueuedPara::new(noref().build(&e), 1.0, 8, &e);
+        let mut p = HiraPolicy::para_layer(noref().build(&e), 1.0, 8, &e);
         p.on_act_executed(100.0, BankId(1), RowId(300));
         assert_eq!(p.stats().preventive_queued, 1);
         // Slack = 8·tRC = 370 ns: nothing due yet at t=110 on busy banks.
@@ -308,12 +187,11 @@ mod tests {
     #[test]
     fn queued_para_keeps_the_inner_periodic_engine_running() {
         let e = env();
-        let mut p = QueuedPara::new(baseline().build(&e), 1.0, 4, &e);
+        let mut p = HiraPolicy::para_layer(baseline().build(&e), 1.0, 4, &e);
         assert_eq!(
             p.next_action(0.0, &idle_view()),
             Some(RefreshAction::RankRef)
         );
-        assert!(p.performs_refresh());
         assert_eq!(p.stats().rank_refs, 1);
     }
 }

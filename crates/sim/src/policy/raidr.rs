@@ -2,9 +2,7 @@
 //! "Retrospective: RAIDR", Mutlu 2023), driven by `hira-dram`'s retention
 //! model.
 
-use super::{
-    PolicyEnv, PolicyHandle, PolicyProfile, PolicyStats, RankView, RefreshAction, RefreshPolicy,
-};
+use super::{PolicyEnv, PolicyHandle, PolicyStats, RankView, RefreshAction, RefreshPolicy};
 use hira_dram::addr::{BankId, RowId};
 use hira_dram::retention::RetentionModel;
 
@@ -44,7 +42,6 @@ pub struct RaidrBinned {
     /// their banks drain.
     pending: std::collections::VecDeque<(BankId, RowId)>,
     t_refw: f64,
-    t_rc: f64,
     stats: PolicyStats,
 }
 
@@ -63,7 +60,6 @@ impl RaidrBinned {
             window: 0,
             pending: std::collections::VecDeque::new(),
             t_refw: env.timing.t_refw,
-            t_rc: env.timing.t_rc,
             stats: PolicyStats::default(),
         }
     }
@@ -85,6 +81,7 @@ impl RaidrBinned {
 
     /// Mean refresh probability per row-slot, estimated over a sample of
     /// rows (the bins are deterministic, so this is reproducible).
+    #[cfg(test)]
     fn mean_refresh_rate(&self) -> f64 {
         let sample = 256u32.min(self.rows_per_bank);
         let due: f64 = (0..sample)
@@ -167,18 +164,6 @@ impl RefreshPolicy for RaidrBinned {
             .iter()
             .map(|&(bank, _)| view.ns(view.unbacklogged_at(bank)))
             .fold(self.next_slot_ns, f64::min)
-    }
-
-    fn profile(&self) -> PolicyProfile {
-        let rate = self.mean_refresh_rate();
-        let rows = f64::from(self.rows_per_bank);
-        PolicyProfile {
-            performs_refresh: true,
-            rank_blocked_frac: 0.0,
-            bank_busy_frac: rows * self.t_rc * rate / self.t_refw,
-            // ACT + PRE per refreshed row across all banks.
-            cmd_per_sec: rows * f64::from(self.banks) * 2.0 * rate / (self.t_refw * 1e-9),
-        }
     }
 
     fn stats(&self) -> PolicyStats {

@@ -141,56 +141,13 @@ impl System {
     /// [`System::run`] plus run telemetry (events processed, peak queue
     /// depth) — the engine's per-point instrumentation path. The telemetry
     /// is observational: the [`SimResult`] is the same either way.
-    pub fn run_telemetered(self) -> (SimResult, RunTelemetry) {
-        match self.cfg.kernel {
-            KernelMode::Dense => self.run_dense(),
-            KernelMode::Event => self.run_event(),
-        }
-    }
-
-    /// The safety cycle cap: even at IPC 0.01 the run terminates. Both
-    /// kernels stop the moment the cycle counter *reaches* this value —
-    /// the event kernel clamps its time skips to it, so a capped run
-    /// reports exactly `cap` in [`SimResult::cycles`] regardless of how
-    /// far the next wake would have jumped.
-    fn safety_cap(&self, target: u64) -> u64 {
-        self.cfg.cycle_cap.unwrap_or(target * 120 + 4_000_000)
-    }
-
-    /// One full dense iteration at `cycle`: CPU side, warmup/ROI
-    /// bookkeeping, then every memory tick the rational accumulator
-    /// yields. Shared verbatim by both kernels — the event kernel merely
-    /// decides *which* cycles run it.
-    fn step(
-        &mut self,
-        cycle: u64,
-        target: u64,
-        warmup: u64,
-        warm_cycle: &mut [Option<u64>],
-        roi_ended: &mut [bool],
-    ) {
-        self.tick_cpu(cycle, target, warmup);
-        for (i, c) in self.cores.iter_mut().enumerate() {
-            if warm_cycle[i].is_none() && c.retired >= warmup {
-                warm_cycle[i] = Some(cycle);
-                c.begin_roi();
-            }
-            if !roi_ended[i] && c.finished_at.is_some() {
-                roi_ended[i] = true;
-                c.end_roi();
-            }
-        }
-        // Memory clock: the device's exact rational (DDR4-2400: 3
-        // ticks per 8 CPU cycles; the 3200 MT/s parts: 1 per 2).
-        self.mem_tick_acc += self.tick_num;
-        while self.mem_tick_acc >= self.tick_den {
-            self.mem_tick_acc -= self.tick_den;
-            self.tick_mem(cycle, target, warmup);
-        }
-    }
-
-    /// The legacy reference kernel: every cycle runs [`System::step`].
-    fn run_dense(mut self) -> (SimResult, RunTelemetry) {
+    ///
+    /// Both kernels run one loop. The dense kernel, the reference,
+    /// processes every cycle. The event kernel jumps after each processed
+    /// cycle straight to the next cycle at which anything observable can
+    /// happen.
+    pub fn run_telemetered(mut self) -> (SimResult, RunTelemetry) {
+        let event = self.cfg.kernel == KernelMode::Event;
         let warmup = self.cfg.warmup_insts;
         let target = warmup + self.cfg.insts_per_core;
         let cap = self.safety_cap(target);
@@ -199,7 +156,26 @@ impl System {
         let mut cycle = 0u64;
         let mut events = 0u64;
         loop {
-            self.step(cycle, target, warmup, &mut warm_cycle, &mut roi_ended);
+            // One processed cycle: the CPU side, warmup/ROI bookkeeping,
+            // then every memory tick the rational accumulator yields.
+            self.tick_cpu(cycle, target, warmup);
+            for (i, c) in self.cores.iter_mut().enumerate() {
+                if warm_cycle[i].is_none() && c.retired >= warmup {
+                    warm_cycle[i] = Some(cycle);
+                    c.begin_roi();
+                }
+                if !roi_ended[i] && c.finished_at.is_some() {
+                    roi_ended[i] = true;
+                    c.end_roi();
+                }
+            }
+            // Memory clock: the device's exact rational (DDR4-2400: 3
+            // ticks per 8 CPU cycles; the 3200 MT/s parts: 1 per 2).
+            self.mem_tick_acc += self.tick_num;
+            while self.mem_tick_acc >= self.tick_den {
+                self.mem_tick_acc -= self.tick_den;
+                self.tick_mem(cycle, target, warmup);
+            }
             events += 1;
             cycle += 1;
             self.maybe_epoch(cycle);
@@ -207,28 +183,8 @@ impl System {
             if all_done || cycle >= cap {
                 break;
             }
-        }
-        self.collect(cycle, target, warmup, &warm_cycle, events)
-    }
-
-    /// The event-driven kernel: after each processed cycle, jump straight
-    /// to the next cycle at which anything observable can happen.
-    fn run_event(mut self) -> (SimResult, RunTelemetry) {
-        let warmup = self.cfg.warmup_insts;
-        let target = warmup + self.cfg.insts_per_core;
-        let cap = self.safety_cap(target);
-        let mut warm_cycle = vec![None::<u64>; self.cores.len()];
-        let mut roi_ended = vec![false; self.cores.len()];
-        let mut cycle = 0u64;
-        let mut events = 0u64;
-        loop {
-            self.step(cycle, target, warmup, &mut warm_cycle, &mut roi_ended);
-            events += 1;
-            cycle += 1;
-            self.maybe_epoch(cycle);
-            let all_done = self.cores.iter().all(|c| c.finished_at.is_some());
-            if all_done || cycle >= cap {
-                break;
+            if !event {
+                continue;
             }
             // Skip the provably uninteresting span, never past the cap
             // (the skipped cycles still count: SimResult::cycles and the
@@ -258,6 +214,15 @@ impl System {
             }
         }
         self.collect(cycle, target, warmup, &warm_cycle, events)
+    }
+
+    /// The safety cycle cap: even at IPC 0.01 the run terminates. Both
+    /// kernels stop the moment the cycle counter *reaches* this value —
+    /// the event kernel clamps its time skips to it, so a capped run
+    /// reports exactly `cap` in [`SimResult::cycles`] regardless of how
+    /// far the next wake would have jumped.
+    fn safety_cap(&self, target: u64) -> u64 {
+        self.cfg.cycle_cap.unwrap_or(target * 120 + 4_000_000)
     }
 
     /// Fires the epoch probe when `cycle` is a sampling boundary. Every

@@ -65,11 +65,6 @@ impl SoftMc {
         &self.module
     }
 
-    /// Mutable access to the module under test.
-    pub fn module_mut(&mut self) -> &mut DramModule {
-        &mut self.module
-    }
-
     /// Sets the heater target; the module sees the settled temperature.
     pub fn set_temperature(&mut self, target_c: f64) {
         self.temperature.set_target(target_c);

@@ -1,7 +1,7 @@
 //! RowHammer-defense case study (§9, one data point of Fig. 12): configures
 //! PARA for a vulnerable chip (NRH = 256) via the security analysis, then
 //! compares plain PARA against PARA + HiRA-4 — both composed onto the
-//! Baseline policy through the builder's preventive layers.
+//! Baseline policy's handle, which the builder takes through `.policy()`.
 //!
 //! Run with: `cargo run --release --example rowhammer_defense`
 
@@ -15,19 +15,21 @@ fn main() {
 
     // The legacy `mixes(1, 8, 11)[0]` workload, through the handle
     // frontend.
-    let base = || {
+    let system = |refresh: PolicyHandle| {
         SystemBuilder::new()
-            .policy(policy::baseline())
+            .policy(refresh)
             .workload(mix_with_seed(0, 11))
             .insts(25_000, 5_000)
+            .build()
+            .unwrap()
     };
     let mut results = Vec::new();
-    for (name, builder) in [
-        ("no defense", base()),
-        ("PARA", base().preventive_immediate(pth0)),
-        ("PARA + HiRA-4", base().preventive_hira(pth4, 4)),
+    for (name, refresh) in [
+        ("no defense", policy::baseline()),
+        ("PARA", policy::baseline().with_para_immediate(pth0)),
+        ("PARA + HiRA-4", policy::baseline().with_para_hira(pth4, 4)),
     ] {
-        let r = System::new(builder.build().unwrap()).run();
+        let r = System::new(system(refresh)).run();
         let ipc_sum: f64 = r.ipc.iter().sum();
         println!("{name:<15} IPC-sum {ipc_sum:>6.3}");
         results.push((name, ipc_sum));

@@ -86,8 +86,8 @@ pub mod prelude {
         self, ControllerPlugin, PluginEnv, PluginHandle, PluginRegistry, PluginStats,
     };
     pub use hira_sim::policy::{
-        self, DemandDecision, PolicyEnv, PolicyHandle, PolicyProfile, PolicyRegistry, PolicyStats,
-        RankView, RefreshAction, RefreshPolicy,
+        self, DemandDecision, PolicyEnv, PolicyHandle, PolicyRegistry, PolicyStats, RankView,
+        RefreshAction, RefreshPolicy,
     };
     pub use hira_sim::probe::{
         self, epoch_collector, latency_collector, CmdEvent, DramCmd, EpochSample, Probe,

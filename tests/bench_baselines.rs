@@ -1,12 +1,14 @@
-//! The committed matrix baselines regenerate. Each comparison matrix,
-//! rerun through its preset at the scale its `BENCH_<name>.json` was made
-//! at (`HIRA_INSTS=4000`, plus `HIRA_MIXES=2` for the policy matrix),
-//! reproduces every `(key, metric, value)` of the committed file in order
-//! — walls and telemetry aside — so a change that moves any simulated
-//! number names the first cell it moved.
+//! The committed baselines regenerate. Each comparison matrix and each
+//! paper figure, rerun through its preset at the scale its
+//! `BENCH_<name>.json` was made at (matrices: `HIRA_INSTS=4000`, plus
+//! `HIRA_MIXES=2` for the policy matrix; figures: `HIRA_MIXES=1
+//! HIRA_INSTS=10000`), reproduces every `(key, metric, value)` of the
+//! committed file in order — walls and telemetry aside — so a change that
+//! moves any simulated number names the first cell it moved.
 
 use hira::engine::json::{self, Value};
-use hira_bench::{Matrix, MatrixArgs, Scale};
+use hira::engine::{Executor, RunSet};
+use hira_bench::{Figure, Geometry, Matrix, MatrixArgs, Scale, SweepRun};
 
 /// One record as `(key axes, metric, value)`.
 type Cell = (Vec<(String, String)>, String, f64);
@@ -35,16 +37,9 @@ fn committed(path: &str) -> Vec<Cell> {
         .collect()
 }
 
-fn regenerates(matrix: Matrix, mixes: usize) {
-    let scale = Scale {
-        mixes,
-        insts: 4_000,
-        warmup: 800,
-        rows: 48,
-    };
-    let fresh: Vec<Cell> = MatrixArgs::defaults(matrix, scale)
-        .run()
-        .run
+/// Asserts that `fresh` reproduces the committed `BENCH_<name>.json`.
+fn matches_committed(name: &str, fresh: RunSet) {
+    let fresh: Vec<Cell> = fresh
         .records
         .into_iter()
         .map(|r| {
@@ -52,11 +47,7 @@ fn regenerates(matrix: Matrix, mixes: usize) {
             (key, r.metric, r.value)
         })
         .collect();
-    let path = format!(
-        "{}/BENCH_{}.json",
-        env!("CARGO_MANIFEST_DIR"),
-        matrix.name()
-    );
+    let path = format!("{}/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
     let want = committed(&path);
     for (i, (w, g)) in want.iter().zip(&fresh).enumerate() {
         assert!(
@@ -65,6 +56,32 @@ fn regenerates(matrix: Matrix, mixes: usize) {
         );
     }
     assert_eq!(want.len(), fresh.len(), "{path}: record count");
+}
+
+fn regenerates(matrix: Matrix, mixes: usize) {
+    let scale = Scale {
+        mixes,
+        insts: 4_000,
+        warmup: 800,
+        rows: 48,
+    };
+    let fresh = MatrixArgs::defaults(matrix, scale).run().run;
+    matches_committed(matrix.name(), fresh);
+}
+
+/// Regenerates `figure` at `HIRA_MIXES=1 HIRA_INSTS=10000`. On `mix0` at
+/// 8 Gb and NRH = 1024, Baseline plus PARA issues three REFs there
+/// (against one or two at 4,000 instructions), so the periodic engine and
+/// the PARA queue interleave.
+fn figure_regenerates(figure: Figure) {
+    let scale = Scale {
+        mixes: 1,
+        insts: 10_000,
+        warmup: 2_000,
+        rows: 48,
+    };
+    let fresh = figure.run(&SweepRun::new(Executor::from_env(), scale)).run;
+    matches_committed(figure.name(), fresh);
 }
 
 #[test]
@@ -85,4 +102,41 @@ fn device_matrix_baseline_regenerates() {
 #[test]
 fn rh_matrix_baseline_regenerates() {
     regenerates(Matrix::Rh, 1);
+}
+
+#[test]
+fn fig09_baseline_regenerates() {
+    figure_regenerates(Figure::Periodic {
+        no_refresh_access: false,
+    });
+}
+
+#[test]
+fn fig12_baseline_regenerates() {
+    figure_regenerates(Figure::Para);
+}
+
+#[test]
+fn fig13_baseline_regenerates() {
+    figure_regenerates(Figure::GeometryPeriodic(Geometry::Channels));
+}
+
+#[test]
+fn fig14_baseline_regenerates() {
+    figure_regenerates(Figure::GeometryPeriodic(Geometry::Ranks));
+}
+
+#[test]
+fn fig15_baseline_regenerates() {
+    figure_regenerates(Figure::GeometryPara(Geometry::Channels));
+}
+
+#[test]
+fn fig16_baseline_regenerates() {
+    figure_regenerates(Figure::GeometryPara(Geometry::Ranks));
+}
+
+#[test]
+fn ablation_baseline_regenerates() {
+    figure_regenerates(Figure::Ablation);
 }
