@@ -33,7 +33,10 @@
 //! * `--check-baseline=<path>` — after the sweep, compare `speedup_total`
 //!   against the one recorded in the `BENCH_perf_kernel.json` at `<path>`
 //!   and fail when it regressed by more than the tolerance — the CI guard
-//!   that the no-probe notification sites stay free,
+//!   on the event kernel's speed relative to the dense one (the per-point
+//!   dense == event assertion runs with or without it). A ratio of the
+//!   two kernels cannot see a cost both pay, such as the no-probe
+//!   notification sites,
 //! * `--baseline-tolerance=<frac>` — allowed fractional regression for
 //!   `--check-baseline` (default 0.35; wall-clock ratios are noisy on
 //!   shared runners),
@@ -163,7 +166,7 @@ fn main() {
             total >= floor,
             "event-kernel speedup regressed: {total:.2}x < {floor:.2}x \
              ({expected:.2}x in {path} minus {tolerance} tolerance) — \
-             did the no-probe path grow overhead?"
+             did the event kernel lose ground against the dense one?"
         );
     }
 

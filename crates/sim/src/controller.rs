@@ -28,7 +28,7 @@ use crate::plugin::{ControllerPlugin, PluginEnv, PluginStats};
 use crate::policy::{
     DemandDecision, PolicyEnv, PolicyStats, RankView, RefreshAction, RefreshPolicy,
 };
-use crate::probe::{CmdEvent, DramCmd, ProbeHost, RefreshEvent, RefreshKind, ReqEvent};
+use crate::probe::{DramCmd, ProbeHost};
 use crate::request::MemRequest;
 use hira_core::finder::McStats;
 use hira_core::hira_op::HiraOperation;
@@ -462,15 +462,7 @@ impl Channel {
             let pre_at = self.bus.alloc(now.max(self.banks[bi].next_pre));
             self.banks[bi].open_row = None;
             start = start.max(pre_at + self.timing.rp);
-            let channel = self.idx;
-            probes.on_cmd(|| CmdEvent {
-                at: pre_at,
-                channel,
-                rank,
-                bank: Some(bank),
-                row: None,
-                cmd: DramCmd::Pre,
-            });
+            probes.on_cmd(pre_at, self.idx, rank, Some(bank), None, DramCmd::Pre);
         }
         start
     }
@@ -527,31 +519,8 @@ impl Channel {
         b.open_row = None;
         self.stats.refresh_acts += 1;
         self.stats.refresh_busy += t.ras + t.rp;
-        let channel = self.idx;
-        probes.on_cmd(|| CmdEvent {
-            at: act_at,
-            channel,
-            rank,
-            bank: Some(bank),
-            row: Some(row),
-            cmd: DramCmd::Act,
-        });
-        probes.on_cmd(|| CmdEvent {
-            at: pre_at,
-            channel,
-            rank,
-            bank: Some(bank),
-            row: None,
-            cmd: DramCmd::Pre,
-        });
-        probes.on_refresh(|| RefreshEvent {
-            at: act_at,
-            channel,
-            rank,
-            bank: Some(bank),
-            kind: RefreshKind::Single,
-            duration: t.ras + t.rp,
-        });
+        probes.on_cmd(act_at, self.idx, rank, Some(bank), Some(row), DramCmd::Act);
+        probes.on_cmd(pre_at, self.idx, rank, Some(bank), None, DramCmd::Pre);
         self.notify_act(rank, act_at, bank, row);
     }
 
@@ -580,34 +549,10 @@ impl Channel {
         b.open_row = None;
         self.stats.refresh_acts += 2;
         self.stats.refresh_busy += lead + t.ras + t.rp;
-        let channel = self.idx;
-        for (at, row) in [
-            (a1, Some(first)),
-            (pre1, None),
-            (a2, Some(second)),
-            (pre2, None),
-        ] {
-            probes.on_cmd(|| CmdEvent {
-                at,
-                channel,
-                rank,
-                bank: Some(bank),
-                row,
-                cmd: if row.is_some() {
-                    DramCmd::Act
-                } else {
-                    DramCmd::Pre
-                },
-            });
-        }
-        probes.on_refresh(|| RefreshEvent {
-            at: a1,
-            channel,
-            rank,
-            bank: Some(bank),
-            kind: RefreshKind::Pair,
-            duration: lead + t.ras + t.rp,
-        });
+        probes.on_cmd(a1, self.idx, rank, Some(bank), Some(first), DramCmd::Act);
+        probes.on_cmd(pre1, self.idx, rank, Some(bank), None, DramCmd::Pre);
+        probes.on_cmd(a2, self.idx, rank, Some(bank), Some(second), DramCmd::Act);
+        probes.on_cmd(pre2, self.idx, rank, Some(bank), None, DramCmd::Pre);
         self.notify_act(rank, a1, bank, first);
         self.notify_act(rank, a2, bank, second);
     }
@@ -632,31 +577,8 @@ impl Channel {
         }
         self.stats.ref_commands += 1;
         self.stats.refresh_busy += t.rfc * self.banks_per_rank as u64;
-        let channel = self.idx;
-        probes.on_cmd(|| CmdEvent {
-            at: prea_at,
-            channel,
-            rank,
-            bank: None,
-            row: None,
-            cmd: DramCmd::PreA,
-        });
-        probes.on_cmd(|| CmdEvent {
-            at: ref_at,
-            channel,
-            rank,
-            bank: None,
-            row: None,
-            cmd: DramCmd::Ref,
-        });
-        probes.on_refresh(|| RefreshEvent {
-            at: ref_at,
-            channel,
-            rank,
-            bank: None,
-            kind: RefreshKind::RankRef,
-            duration: t.rfc,
-        });
+        probes.on_cmd(prea_at, self.idx, rank, None, None, DramCmd::PreA);
+        probes.on_cmd(ref_at, self.idx, rank, None, None, DramCmd::Ref);
     }
 
     /// Per-bank REFpb: close `bank`, issue the refresh once the bank has
@@ -678,23 +600,7 @@ impl Channel {
         b.next_act = b.next_act.max(ref_at + blocked);
         self.stats.refpb_commands += 1;
         self.stats.refresh_busy += blocked;
-        let channel = self.idx;
-        probes.on_cmd(|| CmdEvent {
-            at: ref_at,
-            channel,
-            rank,
-            bank: Some(bank),
-            row: None,
-            cmd: DramCmd::RefPb,
-        });
-        probes.on_refresh(|| RefreshEvent {
-            at: ref_at,
-            channel,
-            rank,
-            bank: Some(bank),
-            kind: RefreshKind::BankRef,
-            duration: blocked,
-        });
+        probes.on_cmd(ref_at, self.idx, rank, Some(bank), None, DramCmd::RefPb);
     }
 
     /// Executes one policy-requested refresh action.
@@ -993,9 +899,10 @@ impl Channel {
         let rank = req.addr.rank;
         let bank = req.addr.bank;
         let bg = req.addr.bank_group;
+        let row = req.addr.row.0;
         let bi = self.bank_index(rank, bank);
 
-        let hit = self.banks[bi].open_row == Some(req.addr.row.0);
+        let hit = self.banks[bi].open_row == Some(row);
         // Feasibility first: no side effects on a refused commit.
         if !hit {
             let b = &self.banks[bi];
@@ -1014,7 +921,6 @@ impl Channel {
             self.banks[bi].next_cas
         } else {
             // PRE (if open) + ACT (+ possible HiRA expansion).
-            let channel = self.idx;
             let act_earliest = self.close_open_row(now, bi, rank, bank, probes);
             let act_at = self.act_constraint(rank, bg, act_earliest);
 
@@ -1029,15 +935,8 @@ impl Channel {
                     let a = self.bus.alloc(act_at);
                     self.record_act(rank, bg, a);
                     self.stats.demand_acts += 1;
-                    probes.on_cmd(|| CmdEvent {
-                        at: a,
-                        channel,
-                        rank,
-                        bank: Some(bank),
-                        row: Some(req.addr.row.0),
-                        cmd: DramCmd::Act,
-                    });
-                    self.notify_act(rank, a, bank, req.addr.row.0);
+                    probes.on_cmd(a, self.idx, rank, Some(bank), Some(row), DramCmd::Act);
+                    self.notify_act(rank, a, bank, row);
                     a
                 }
                 DemandDecision::Hira { refresh_row } => {
@@ -1045,31 +944,17 @@ impl Channel {
                     self.stats.demand_acts += 1;
                     self.stats.refresh_acts += 1;
                     self.stats.hira_access_ops += 1;
-                    for (at, row) in [
-                        (a1, Some(refresh_row.0)),
-                        (pre, None),
-                        (a2, Some(req.addr.row.0)),
-                    ] {
-                        probes.on_cmd(|| CmdEvent {
-                            at,
-                            channel,
-                            rank,
-                            bank: Some(bank),
-                            row,
-                            cmd: if row.is_some() {
-                                DramCmd::Act
-                            } else {
-                                DramCmd::Pre
-                            },
-                        });
-                    }
+                    let hidden = Some(refresh_row.0);
+                    probes.on_cmd(a1, self.idx, rank, Some(bank), hidden, DramCmd::Act);
+                    probes.on_cmd(pre, self.idx, rank, Some(bank), None, DramCmd::Pre);
+                    probes.on_cmd(a2, self.idx, rank, Some(bank), Some(row), DramCmd::Act);
                     self.notify_act(rank, a1, bank, refresh_row.0);
-                    self.notify_act(rank, a2, bank, req.addr.row.0);
+                    self.notify_act(rank, a2, bank, row);
                     a2
                 }
             };
             let b = &mut self.banks[bi];
-            b.open_row = Some(req.addr.row.0);
+            b.open_row = Some(row);
             b.next_act = demand_act + t.rc;
             b.next_pre = demand_act + t.ras;
             b.next_cas = demand_act + t.rcd;
@@ -1081,7 +966,11 @@ impl Channel {
         if !req.is_write {
             cas = cas.max(self.ranks[rank].next_rd);
         }
-        let data_lat = if req.is_write { t.cwl } else { t.cl };
+        let (data_lat, cas_cmd) = if req.is_write {
+            (t.cwl, DramCmd::Wr)
+        } else {
+            (t.cl, DramCmd::Rd)
+        };
         let burst_start = self.data_bus.alloc(cas + data_lat, t.bl);
         self.stats.data_bus_busy += t.bl;
         cas = burst_start - data_lat;
@@ -1097,19 +986,7 @@ impl Channel {
         if hit {
             self.stats.row_hits += 1;
         }
-        let channel = self.idx;
-        probes.on_cmd(|| CmdEvent {
-            at: cas,
-            channel,
-            rank,
-            bank: Some(bank),
-            row: Some(req.addr.row.0),
-            cmd: if req.is_write {
-                DramCmd::Wr
-            } else {
-                DramCmd::Rd
-            },
-        });
+        probes.on_cmd(cas, self.idx, rank, Some(bank), Some(row), cas_cmd);
         if req.is_write {
             b.next_pre = b.next_pre.max(cas + t.cwl + t.bl + t.wr);
             self.ranks[rank].next_rd = self.ranks[rank].next_rd.max(cas + t.cwl + t.bl + t.wtr);
@@ -1117,12 +994,6 @@ impl Channel {
             let latency = cas + t.cwl + t.bl - req.arrived;
             self.stats.write_latency_sum += latency;
             self.stats.write_lat_hist.record(latency);
-            probes.on_req_complete(|| ReqEvent {
-                at: cas + t.cwl + t.bl,
-                channel,
-                is_write: true,
-                latency,
-            });
         } else {
             b.next_pre = b.next_pre.max(cas + t.rtp);
             let done_at = cas + t.cl + t.bl;
@@ -1131,12 +1002,6 @@ impl Channel {
             let latency = done_at - req.arrived;
             self.stats.read_latency_sum += latency;
             self.stats.read_lat_hist.record(latency);
-            probes.on_req_complete(|| ReqEvent {
-                at: done_at,
-                channel,
-                is_write: false,
-                latency,
-            });
         }
         true
     }

@@ -48,13 +48,13 @@
 //! System configurations are assembled through the validated
 //! [`builder::SystemBuilder`].
 //!
-//! Every run can carry a **zero-cost observer** ([`probe`]): a
-//! [`probe::Probe`] installed via [`builder::SystemBuilder::probe`] sees
-//! every DRAM command, request completion, refresh action and periodic
-//! epoch sample — without perturbing the simulation (results are
-//! bit-identical with or without a probe, and the no-probe path costs one
-//! branch per notification site). Built-ins cover ramulator-style command
-//! traces, epoch time-series JSONL, latency histograms and per-row
+//! Every run can carry an **observer** ([`probe`]): a [`probe::Probe`]
+//! installed via [`builder::SystemBuilder::probe`] sees every DRAM
+//! command, a periodic epoch sample and the final [`SimResult`] —
+//! without perturbing the simulation (results are bit-identical with or
+//! without a probe, and the no-probe path costs one branch per
+//! notification site). Built-ins cover ramulator-style command traces,
+//! epoch time-series JSONL, the run's latency histograms and per-row
 //! ACT-exposure counting.
 //!
 //! Time bases: CPU cycles at the host clock (Table 3: 3.2 GHz); the

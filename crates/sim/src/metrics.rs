@@ -226,24 +226,6 @@ impl SimResult {
             .fold(PluginStats::default(), |acc, s| acc.merge(*s))
     }
 
-    /// Highest instantaneous victim exposure any row reached, across all
-    /// plugin instances (0 without plugins — nothing was tracking).
-    pub fn max_victim_exposure(&self) -> u64 {
-        self.plugin_totals().max_exposure
-    }
-
-    /// Mean per-row peak victim exposure across all tracked rows (0.0
-    /// without plugins).
-    pub fn mean_victim_exposure(&self) -> f64 {
-        self.plugin_totals().mean_exposure()
-    }
-
-    /// Victim rows whose peak exposure reached the defense threshold,
-    /// summed across plugin instances.
-    pub fn rows_over_threshold(&self) -> u64 {
-        self.plugin_totals().rows_over_threshold
-    }
-
     /// Preventive refreshes injected by plugins, summed.
     pub fn plugin_injected(&self) -> u64 {
         self.plugin_totals().injected
@@ -339,8 +321,7 @@ mod tests {
     #[test]
     fn plugin_totals_merge_across_instances() {
         let mut r = result(vec![1.0]);
-        assert_eq!(r.max_victim_exposure(), 0);
-        assert_eq!(r.mean_victim_exposure(), 0.0);
+        assert_eq!(r.plugin_totals(), PluginStats::default(), "no plugins");
         r.plugin_stats = vec![
             PluginStats {
                 injected: 3,
@@ -358,10 +339,12 @@ mod tests {
                 ..PluginStats::default()
             },
         ];
+        let totals = r.plugin_totals();
         assert_eq!(r.plugin_injected(), 4);
-        assert_eq!(r.max_victim_exposure(), 40);
-        assert!((r.mean_victim_exposure() - 25.0).abs() < 1e-12);
-        assert_eq!(r.rows_over_threshold(), 1);
+        assert_eq!(totals.injected, 4);
+        assert_eq!(totals.max_exposure, 40, "the peak takes the max");
+        assert!((totals.mean_exposure() - 25.0).abs() < 1e-12);
+        assert_eq!(totals.rows_over_threshold, 1);
     }
 
     #[test]

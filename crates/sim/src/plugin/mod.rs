@@ -34,9 +34,10 @@
 //! All three defenses share an [`ExposureTracker`]: per (bank, row)
 //! *victim exposure* — activations of a physically adjacent row since the
 //! row itself was last activated or refreshed. Its summary rolls up into
-//! [`PluginStats`] and surfaces as [`crate::metrics::SimResult`] metrics
-//! (max/mean exposure, rows over threshold), so attacker pressure has a
-//! measurable outcome beyond IPC.
+//! [`PluginStats`] and surfaces through
+//! [`crate::metrics::SimResult::plugin_totals`] (max/mean exposure, rows
+//! over threshold), so attacker pressure has a measurable outcome beyond
+//! IPC.
 //!
 //! ## Adding a plugin
 //!
@@ -168,7 +169,7 @@ pub struct PluginStats {
     pub injected: u64,
     /// Cumulative neighbor-exposure increments: one per (activation,
     /// adjacent row) pair, never reset — the quantity the `act-exposure`
-    /// probe's neighbor counters cross-check.
+    /// probe's [`crate::probe::neighbor_acts`] cross-checks.
     pub neighbor_increments: u64,
     /// Highest instantaneous victim exposure any row ever reached.
     pub max_exposure: u64,
@@ -221,8 +222,8 @@ struct Exposure {
 ///
 /// Counting is deliberately *unclamped* at the top of the bank — an
 /// activation of row `r` increments `r+1` even when `r` is the last row —
-/// so the guards match the `act-exposure` probe's neighbor counters
-/// exactly (the probe has no geometry). Injection decisions, not
+/// so the guards match the `act-exposure` probe's
+/// [`crate::probe::neighbor_acts`] exactly (the probe has no geometry). Injection decisions, not
 /// counting, clamp to the physical row range.
 #[derive(Debug, Default)]
 pub struct ExposureTracker {

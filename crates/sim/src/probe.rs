@@ -1,18 +1,18 @@
-//! # hira-probe — zero-cost simulator instrumentation
+//! # hira-probe — simulator instrumentation
 //!
 //! An object-safe observer interface threaded through the controller and
 //! both simulation kernels: a [`Probe`] sees every issued DRAM command
-//! ([`Probe::on_cmd`]), every demand completion with its enqueue→fill
-//! latency ([`Probe::on_req_complete`]), every refresh action with its
-//! policy kind and duration ([`Probe::on_refresh`]), and — when it asks
-//! for a cadence via [`Probe::epoch_cycles`] — a periodic
-//! [`EpochSample`] time-series ([`Probe::on_epoch`]).
+//! ([`Probe::on_cmd`]), a periodic [`EpochSample`] time-series
+//! ([`Probe::on_epoch`]) when it asks for a cadence via
+//! [`Probe::epoch_cycles`], and the run's final [`SimResult`]
+//! ([`Probe::on_run_end`]). The simulator is the only recorder: what it
+//! already counts on every run (latency histograms, refresh and plugin
+//! counters) a probe reads from the result instead of counting again.
 //!
 //! **Probes are read-only observers.** Attaching any probe leaves the
 //! [`SimResult`] bit-identical to the probe-free run (enforced by
 //! `tests/kernel_equivalence.rs` across policy × kernel), and the
-//! no-probe path is a single branch on a `None` — `perf_kernel` checks it
-//! stays free.
+//! no-probe path is a single branch on a `None` per notification site.
 //!
 //! Probes are selected like policies/workloads/devices: a cloneable,
 //! name-identified [`ProbeHandle`] stored in
@@ -79,8 +79,9 @@
 //! The latency probe writes two lines (`"kind":"read"` / `"write"`), each
 //! with `count`, `p50`/`p90`/`p99`/`p999` (log2-bucket upper bounds, in
 //! memory cycles) and the raw `buckets` array. The ACT-exposure probe
-//! writes one line per row, hottest first:
-//! `{"channel":0,"rank":0,"bank":3,"row":4711,"acts":17}`.
+//! writes one line per row, hottest first, with the row's
+//! [`neighbor_acts`]:
+//! `{"channel":0,"rank":0,"bank":3,"row":4711,"acts":17,"neighbor_acts":5}`.
 
 use crate::clock::MemCycle;
 use crate::metrics::{LatencyHistogram, SimResult};
@@ -160,52 +161,6 @@ pub struct CmdEvent {
     pub cmd: DramCmd,
 }
 
-/// One completed demand request (read fill or write burst end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReqEvent {
-    /// Completion cycle (memory clock): data return for reads, end of the
-    /// write burst for writes.
-    pub at: MemCycle,
-    /// Channel index.
-    pub channel: usize,
-    /// Write (true) or read (false).
-    pub is_write: bool,
-    /// Enqueue→completion latency in memory cycles.
-    pub latency: MemCycle,
-}
-
-/// The shape of a refresh action, mirroring
-/// [`crate::policy::RefreshAction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshKind {
-    /// Rank-level `REF` (blocks the rank for `tRFC`).
-    RankRef,
-    /// Per-bank `REFpb`.
-    BankRef,
-    /// Standalone single-row refresh (`ACT` + `PRE`).
-    Single,
-    /// HiRA refresh-refresh pair.
-    Pair,
-}
-
-/// One executed refresh action with its effective duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefreshEvent {
-    /// Cycle the action's first command is scheduled at (memory clock).
-    pub at: MemCycle,
-    /// Channel index.
-    pub channel: usize,
-    /// Rank index.
-    pub rank: usize,
-    /// Bank index; `None` for rank-level `REF`.
-    pub bank: Option<u16>,
-    /// Action shape.
-    pub kind: RefreshKind,
-    /// Cycles the affected bank(s) are kept from a new row operation,
-    /// measured from `at`.
-    pub duration: MemCycle,
-}
-
 /// One periodic sample of the running system, taken every
 /// [`Probe::epoch_cycles`] CPU cycles at exact dense-cycle boundaries —
 /// identical sample-for-sample between the dense and event kernels
@@ -254,12 +209,6 @@ pub trait Probe: Send {
     /// Called for every DRAM command the controller schedules.
     fn on_cmd(&mut self, _ev: &CmdEvent) {}
 
-    /// Called for every completed demand request.
-    fn on_req_complete(&mut self, _ev: &ReqEvent) {}
-
-    /// Called for every executed refresh action.
-    fn on_refresh(&mut self, _ev: &RefreshEvent) {}
-
     /// Called at every epoch boundary, when a cadence was requested.
     fn on_epoch(&mut self, _sample: &EpochSample) {}
 
@@ -273,7 +222,9 @@ pub trait Probe: Send {
     }
 
     /// Called once when the run finishes, with the final result — the
-    /// flush point for file-writing probes.
+    /// flush point for file-writing probes, and where a probe reads what
+    /// the simulator recorded (latency histograms, channel, policy and
+    /// plugin counters).
     fn on_run_end(&mut self, _result: &SimResult) {}
 }
 
@@ -384,18 +335,6 @@ impl Probe for MultiProbe {
         }
     }
 
-    fn on_req_complete(&mut self, ev: &ReqEvent) {
-        for m in &mut self.members {
-            m.on_req_complete(ev);
-        }
-    }
-
-    fn on_refresh(&mut self, ev: &RefreshEvent) {
-        for m in &mut self.members {
-            m.on_refresh(ev);
-        }
-    }
-
     fn on_epoch(&mut self, sample: &EpochSample) {
         for m in &mut self.members {
             m.on_epoch(sample);
@@ -413,10 +352,12 @@ impl Probe for MultiProbe {
     }
 }
 
-/// The simulator-side holder of an optional probe. All hooks are
-/// `#[inline]` closures-in: when no probe is attached the entire
-/// notification — including event construction — costs one branch on a
-/// `None`, which is the zero-overhead contract `perf_kernel` verifies.
+/// The simulator-side holder of an optional probe. [`ProbeHost::on_cmd`]
+/// is `#[inline]` and takes the command's fields: when no probe is
+/// attached the notification costs one branch on a `None`, and the
+/// [`CmdEvent`] is built only behind that branch. No benchmark gates this
+/// cost: `perf_kernel` compares the dense and event kernels, which both
+/// pay it.
 pub struct ProbeHost {
     inner: Option<Box<dyn Probe>>,
     epoch_every: Option<u64>,
@@ -460,30 +401,27 @@ impl ProbeHost {
         self.epoch_every
     }
 
-    /// Notifies the probe of a command; `ev` is only evaluated when a
-    /// probe is attached.
+    /// Notifies the probe of a command (the fields of a [`CmdEvent`]); the
+    /// event is only built when a probe is attached.
     #[inline]
-    pub fn on_cmd(&mut self, ev: impl FnOnce() -> CmdEvent) {
+    pub fn on_cmd(
+        &mut self,
+        at: MemCycle,
+        channel: usize,
+        rank: usize,
+        bank: Option<u16>,
+        row: Option<u32>,
+        cmd: DramCmd,
+    ) {
         if let Some(p) = &mut self.inner {
-            p.on_cmd(&ev());
-        }
-    }
-
-    /// Notifies the probe of a completed request; `ev` is only evaluated
-    /// when a probe is attached.
-    #[inline]
-    pub fn on_req_complete(&mut self, ev: impl FnOnce() -> ReqEvent) {
-        if let Some(p) = &mut self.inner {
-            p.on_req_complete(&ev());
-        }
-    }
-
-    /// Notifies the probe of an executed refresh action; `ev` is only
-    /// evaluated when a probe is attached.
-    #[inline]
-    pub fn on_refresh(&mut self, ev: impl FnOnce() -> RefreshEvent) {
-        if let Some(p) = &mut self.inner {
-            p.on_refresh(&ev());
+            p.on_cmd(&CmdEvent {
+                at,
+                channel,
+                rank,
+                bank,
+                row,
+                cmd,
+            });
         }
     }
 
@@ -575,19 +513,17 @@ impl CmdTraceProbe {
 
 impl Probe for CmdTraceProbe {
     fn on_cmd(&mut self, ev: &CmdEvent) {
-        let w = self.writer(ev.channel);
         // Only `ACT` carries its row in the trace format; CAS events carry
         // the row in-memory for other probes, but a trace line must have
         // exactly the fields its mnemonic declares (see `parse_cmdtrace`).
-        let row = ev.row.filter(|_| ev.cmd == DramCmd::Act);
-        let res = match (ev.bank, row) {
-            (None, _) => writeln!(w, "{},{},{}", ev.at, ev.cmd.mnemonic(), ev.rank),
-            (Some(b), None) => writeln!(w, "{},{},{},{}", ev.at, ev.cmd.mnemonic(), ev.rank, b),
-            (Some(b), Some(r)) => {
-                writeln!(w, "{},{},{},{},{}", ev.at, ev.cmd.mnemonic(), ev.rank, b, r)
-            }
+        let rec = CmdTraceRecord {
+            at: ev.at,
+            cmd: ev.cmd,
+            rank: ev.rank,
+            bank: ev.bank,
+            row: ev.row.filter(|_| ev.cmd == DramCmd::Act),
         };
-        res.expect("cmdtrace probe: write failed");
+        writeln!(self.writer(ev.channel), "{rec}").expect("cmdtrace probe: write failed");
     }
 
     fn on_run_end(&mut self, _result: &SimResult) {
@@ -610,6 +546,20 @@ pub struct CmdTraceRecord {
     pub bank: Option<u16>,
     /// Row, for `ACT`.
     pub row: Option<u32>,
+}
+
+/// The trace line (without its newline): `clk,CMD,rank[,bank[,row]]`.
+impl fmt::Display for CmdTraceRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{},{},{}", self.at, self.cmd.mnemonic(), self.rank)?;
+        if let Some(bank) = self.bank {
+            write!(f, ",{bank}")?;
+            if let Some(row) = self.row {
+                write!(f, ",{row}")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Parses (and validates) one channel's command-trace text: every line
@@ -804,8 +754,8 @@ pub fn epoch_collector(every: u64) -> (ProbeHandle, Arc<Mutex<Vec<EpochSample>>>
 }
 
 // ---------------------------------------------------------------------------
-// Built-in probe 3: latency distribution (cross-check of the always-on
-// SimResult histograms, plus a JSONL summary writer).
+// Built-in probe 3: latency distribution (a JSONL export of the always-on
+// SimResult histograms).
 // ---------------------------------------------------------------------------
 
 fn latency_jsonl_lines(read: &LatencyHistogram, write: &LatencyHistogram) -> String {
@@ -834,14 +784,12 @@ fn latency_jsonl_lines(read: &LatencyHistogram, write: &LatencyHistogram) -> Str
     out
 }
 
-/// Collects read/write latency histograms from [`Probe::on_req_complete`]
-/// and writes a two-line JSONL summary (p50/p90/p99/p999 + raw buckets)
-/// at run end. By construction it must agree with the controller's
-/// always-on [`SimResult`] histograms — `tests/probe_outputs.rs` holds
-/// the two accountable to each other.
+/// Writes the run's read/write latency histograms
+/// ([`SimResult::read_latency_histogram`] and
+/// [`SimResult::write_latency_histogram`], which the controller records
+/// on every run) as a two-line JSONL summary (p50/p90/p99/p999 + raw
+/// buckets) at run end.
 pub struct LatencyProbe {
-    read: LatencyHistogram,
-    write: LatencyHistogram,
     path: PathBuf,
 }
 
@@ -851,68 +799,21 @@ impl LatencyProbe {
         let path = path.into();
         let name = format!("latency:{}", path.display());
         ProbeHandle::new(name, move || {
-            Box::new(LatencyProbe {
-                read: LatencyHistogram::default(),
-                write: LatencyHistogram::default(),
-                path: path.clone(),
-            }) as Box<dyn Probe>
+            Box::new(LatencyProbe { path: path.clone() }) as Box<dyn Probe>
         })
         .with_summary("read/write latency histograms + quantiles (JSONL)")
     }
 }
 
 impl Probe for LatencyProbe {
-    fn on_req_complete(&mut self, ev: &ReqEvent) {
-        if ev.is_write {
-            self.write.record(ev.latency);
-        } else {
-            self.read.record(ev.latency);
-        }
-    }
-
-    fn on_run_end(&mut self, _result: &SimResult) {
-        std::fs::write(&self.path, latency_jsonl_lines(&self.read, &self.write))
+    fn on_run_end(&mut self, result: &SimResult) {
+        let lines = latency_jsonl_lines(
+            &result.read_latency_histogram(),
+            &result.write_latency_histogram(),
+        );
+        std::fs::write(&self.path, lines)
             .unwrap_or_else(|e| panic!("latency probe: cannot write {}: {e}", self.path.display()));
     }
-}
-
-/// In-memory latency collector: returns the handle plus the shared
-/// `(read, write)` histograms, filled at run end.
-pub fn latency_collector() -> (
-    ProbeHandle,
-    Arc<Mutex<(LatencyHistogram, LatencyHistogram)>>,
-) {
-    let sink = Arc::new(Mutex::new((
-        LatencyHistogram::default(),
-        LatencyHistogram::default(),
-    )));
-    let captured = sink.clone();
-    struct Collector {
-        read: LatencyHistogram,
-        write: LatencyHistogram,
-        sink: Arc<Mutex<(LatencyHistogram, LatencyHistogram)>>,
-    }
-    impl Probe for Collector {
-        fn on_req_complete(&mut self, ev: &ReqEvent) {
-            if ev.is_write {
-                self.write.record(ev.latency);
-            } else {
-                self.read.record(ev.latency);
-            }
-        }
-        fn on_run_end(&mut self, _result: &SimResult) {
-            *self.sink.lock().expect("latency sink") = (self.read, self.write);
-        }
-    }
-    let handle = ProbeHandle::new("latency-mem", move || {
-        Box::new(Collector {
-            read: LatencyHistogram::default(),
-            write: LatencyHistogram::default(),
-            sink: captured.clone(),
-        }) as Box<dyn Probe>
-    })
-    .with_summary("in-memory latency collector");
-    (handle, sink)
 }
 
 // ---------------------------------------------------------------------------
@@ -936,14 +837,12 @@ pub struct RowAddr {
 pub const ACT_EXPOSURE_TOP: usize = 64;
 
 /// Counts activations per row — demand, refresh and preventive alike —
-/// the exposure stream RowHammer defense studies consume, plus the
-/// *neighbor* (victim-row) exposure each activation induces on the rows
-/// either side. The file-writing form emits the [`ACT_EXPOSURE_TOP`]
-/// hottest rows as JSONL at run end (hottest first, ties broken by
-/// address for determinism), each with its neighbor count alongside.
+/// the exposure stream RowHammer defense studies consume. The
+/// file-writing form emits the [`ACT_EXPOSURE_TOP`] hottest rows as JSONL
+/// at run end (hottest first, ties broken by address for determinism),
+/// each with its [`neighbor_acts`] alongside.
 pub struct ActExposureProbe {
     counts: HashMap<RowAddr, u64>,
-    neighbors: HashMap<RowAddr, u64>,
     path: PathBuf,
 }
 
@@ -955,7 +854,6 @@ impl ActExposureProbe {
         ProbeHandle::new(name, move || {
             Box::new(ActExposureProbe {
                 counts: HashMap::new(),
-                neighbors: HashMap::new(),
                 path: path.clone(),
             }) as Box<dyn Probe>
         })
@@ -978,40 +876,27 @@ impl ActExposureProbe {
             })
             .or_insert(0) += 1;
     }
+}
 
-    /// Neighbor (victim-row) counting: every activation on row `r` bumps
-    /// `r - 1` (when it exists) and `r + 1`. Deliberately geometry-free —
-    /// `r + 1` is counted even past the top of a bank — so the totals are
-    /// exactly comparable with [`crate::plugin::ExposureTracker`]'s
-    /// `neighbor_increments` (the probe-vs-plugin consistency check).
-    fn count_neighbors(neighbors: &mut HashMap<RowAddr, u64>, ev: &CmdEvent) {
-        if ev.cmd != DramCmd::Act {
-            return;
-        }
-        let (Some(bank), Some(row)) = (ev.bank, ev.row) else {
-            return;
-        };
-        let mut bump = |row: u32| {
-            *neighbors
-                .entry(RowAddr {
-                    channel: ev.channel,
-                    rank: ev.rank,
-                    bank,
-                    row,
-                })
-                .or_insert(0) += 1;
-        };
-        if row > 0 {
-            bump(row - 1);
-        }
-        bump(row + 1);
-    }
+/// The neighbor (victim-row) exposure of `addr` under the per-row ACT
+/// counts `acts`: the activations of row `r + 1`, plus those of `r - 1`
+/// when `r ≥ 1`. Deliberately geometry-free — an activation of a bank's
+/// last row still counts toward the row past it — so summed over every
+/// row adjacent to an activated one it equals
+/// [`crate::plugin::ExposureTracker`]'s `neighbor_increments` over the
+/// same run (the probe-vs-plugin consistency check).
+pub fn neighbor_acts(acts: &HashMap<RowAddr, u64>, addr: RowAddr) -> u64 {
+    let of = |row: Option<u32>| {
+        row.and_then(|row| acts.get(&RowAddr { row, ..addr }))
+            .copied()
+            .unwrap_or(0)
+    };
+    of(addr.row.checked_add(1)) + of(addr.row.checked_sub(1))
 }
 
 impl Probe for ActExposureProbe {
     fn on_cmd(&mut self, ev: &CmdEvent) {
         Self::count(&mut self.counts, ev);
-        Self::count_neighbors(&mut self.neighbors, ev);
     }
 
     fn on_run_end(&mut self, _result: &SimResult) {
@@ -1019,7 +904,7 @@ impl Probe for ActExposureProbe {
         rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         let mut out = String::new();
         for (addr, acts) in rows.into_iter().take(ACT_EXPOSURE_TOP) {
-            let neighbor_acts = self.neighbors.get(addr).copied().unwrap_or(0);
+            let neighbor_acts = neighbor_acts(&self.counts, *addr);
             out.push_str(&format!(
                 "{{\"channel\":{},\"rank\":{},\"bank\":{},\"row\":{},\"acts\":{acts},\
                  \"neighbor_acts\":{neighbor_acts}}}\n",
@@ -1055,43 +940,6 @@ pub fn act_exposure_collector() -> (ProbeHandle, Arc<Mutex<HashMap<RowAddr, u64>
     })
     .with_summary("in-memory ACT-exposure collector");
     (handle, sink)
-}
-
-/// In-memory ACT-exposure collector that also tracks neighbor (victim-row)
-/// exposure: returns the handle plus the direct-count and neighbor-count
-/// maps (both live). The neighbor map uses the same geometry-free guards
-/// as [`crate::plugin::ExposureTracker`], so its total equals a plugin's
-/// `neighbor_increments` over the same run.
-#[allow(clippy::type_complexity)]
-pub fn act_exposure_neighbor_collector() -> (
-    ProbeHandle,
-    Arc<Mutex<HashMap<RowAddr, u64>>>,
-    Arc<Mutex<HashMap<RowAddr, u64>>>,
-) {
-    let direct: Arc<Mutex<HashMap<RowAddr, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-    let neighbors: Arc<Mutex<HashMap<RowAddr, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-    let (direct_cap, neighbors_cap) = (direct.clone(), neighbors.clone());
-    struct Collector {
-        direct: Arc<Mutex<HashMap<RowAddr, u64>>>,
-        neighbors: Arc<Mutex<HashMap<RowAddr, u64>>>,
-    }
-    impl Probe for Collector {
-        fn on_cmd(&mut self, ev: &CmdEvent) {
-            ActExposureProbe::count(&mut self.direct.lock().expect("direct sink"), ev);
-            ActExposureProbe::count_neighbors(
-                &mut self.neighbors.lock().expect("neighbor sink"),
-                ev,
-            );
-        }
-    }
-    let handle = ProbeHandle::new("act-exposure-neighbors-mem", move || {
-        Box::new(Collector {
-            direct: direct_cap.clone(),
-            neighbors: neighbors_cap.clone(),
-        }) as Box<dyn Probe>
-    })
-    .with_summary("in-memory ACT-exposure collector with neighbor counts");
-    (handle, direct, neighbors)
 }
 
 // ---------------------------------------------------------------------------
@@ -1376,7 +1224,7 @@ mod tests {
 
     #[test]
     fn act_exposure_neighbor_counts_use_geometry_free_guards() {
-        let (handle, direct, neighbors) = act_exposure_neighbor_collector();
+        let (handle, sink) = act_exposure_collector();
         let mut p = handle.build();
         let at = |row| CmdEvent {
             at: 0,
@@ -1389,50 +1237,20 @@ mod tests {
         p.on_cmd(&at(0)); // row 0: only the upper neighbor exists
         p.on_cmd(&at(5));
         p.on_cmd(&at(5));
-        assert_eq!(direct.lock().unwrap().len(), 2);
-        let n = neighbors.lock().unwrap();
+        let acts = sink.lock().unwrap();
+        assert_eq!(acts.len(), 2);
         let row = |r| RowAddr {
             channel: 0,
             rank: 0,
             bank: 1,
             row: r,
         };
-        assert_eq!(n.get(&row(1)), Some(&1));
-        assert_eq!(n.get(&row(4)), Some(&2));
-        assert_eq!(n.get(&row(6)), Some(&2));
-        assert_eq!(n.values().sum::<u64>(), 5, "row 0 has no lower neighbor");
-    }
-
-    #[test]
-    fn act_exposure_probe_agrees_with_the_oracle_plugin() {
-        // Satellite consistency check: over an identical run, the
-        // act-exposure probe's direct and neighbor totals must equal the
-        // oracle plugin's internal counters exactly — the probe observes
-        // the command stream, the plugin is notified per executed ACT,
-        // and both use the same geometry-free neighbor guards. The oracle
-        // threshold is set beyond reach so the plugin never injects (an
-        // injection would add ACTs the *other* accounting also sees, but
-        // zero keeps the expectation exact and obvious).
-        let (handle, direct, neighbors) = act_exposure_neighbor_collector();
-        let cfg = crate::builder::SystemBuilder::new()
-            .insts(4_000, 500)
-            .plugin(crate::plugin::oracle(1 << 40))
-            .probe(handle)
-            .build()
-            .unwrap();
-        let result = crate::system::System::new(cfg).run();
-        assert_eq!(result.plugin_stats.len(), 1, "one channel, one rank");
-        let s = result.plugin_stats[0];
-        assert_eq!(s.injected, 0, "threshold is unreachable");
-        assert!(s.acts_observed > 0);
-        assert_eq!(
-            s.acts_observed,
-            direct.lock().unwrap().values().sum::<u64>()
-        );
-        assert_eq!(
-            s.neighbor_increments,
-            neighbors.lock().unwrap().values().sum::<u64>()
-        );
+        let n = |r| neighbor_acts(&acts, row(r));
+        assert_eq!(n(1), 1);
+        assert_eq!(n(4), 2);
+        assert_eq!(n(6), 2);
+        assert_eq!(n(1) + n(4) + n(6), 5, "row 0 has no lower neighbor");
+        assert_eq!(n(0) + n(5) + n(u32::MAX), 0, "no activated neighbor");
     }
 
     #[test]
@@ -1440,9 +1258,19 @@ mod tests {
         let mut host = ProbeHost::disabled();
         assert!(!host.active());
         assert_eq!(host.epoch_every(), None);
-        // The event closure must not run without a probe.
-        host.on_cmd(|| unreachable!("no probe attached"));
-        host.on_req_complete(|| unreachable!());
-        host.on_refresh(|| unreachable!());
+        host.on_cmd(12, 1, 0, Some(3), Some(4711), DramCmd::Act);
+        host.on_run_end(&SimResult::default());
+        // Attached, the same call reaches the probe as one `CmdEvent`.
+        let (handle, sink) = act_exposure_collector();
+        let mut host = ProbeHost::attach(handle.build());
+        assert!(host.active());
+        host.on_cmd(12, 1, 0, Some(3), Some(4711), DramCmd::Act);
+        let row = RowAddr {
+            channel: 1,
+            rank: 0,
+            bank: 3,
+            row: 4711,
+        };
+        assert_eq!(*sink.lock().unwrap(), HashMap::from([(row, 1)]));
     }
 }

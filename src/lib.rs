@@ -47,10 +47,9 @@ pub use hira_workload as workload;
 /// trace replay), the open device axis ([`prelude::device`],
 /// [`prelude::DeviceRegistry`], the standard presets), the controller
 /// plugins ([`prelude::plugin`], [`prelude::PluginRegistry`], the shipped
-/// RowHammer defenses), the zero-cost
-/// observability layer ([`prelude::probe`], [`prelude::ProbeRegistry`],
-/// the collectors), the simulator, and the experiment-orchestration
-/// engine.
+/// RowHammer defenses), the observability layer ([`prelude::probe`],
+/// [`prelude::ProbeRegistry`], [`prelude::epoch_collector`]), the
+/// simulator, and the experiment-orchestration engine.
 ///
 /// ```rust
 /// use hira::prelude::*;
@@ -90,8 +89,7 @@ pub mod prelude {
         RefreshAction, RefreshPolicy,
     };
     pub use hira_sim::probe::{
-        self, epoch_collector, latency_collector, CmdEvent, DramCmd, EpochSample, Probe,
-        ProbeHandle, ProbeRegistry, RefreshEvent, ReqEvent,
+        self, epoch_collector, CmdEvent, DramCmd, EpochSample, Probe, ProbeHandle, ProbeRegistry,
     };
     pub use hira_sim::system::RunTelemetry;
     pub use hira_sim::{KernelMode, SimResult, System, SystemConfig};

@@ -236,7 +236,10 @@ fn probe_attachment_leaves_results_bit_identical() {
             };
             let bare = build(None);
             let tag = format!("{}-{}", policy.name(), kernel);
-            let (latency, _) = latency_collector();
+            let latency = probe::probe(&format!(
+                "latency:{}",
+                dir.join(format!("{tag}.lat.jsonl")).display()
+            ));
             let (epochs, _) = epoch_collector(2_048);
             let (acts, _) = probe::act_exposure_collector();
             let trace = probe::probe(&format!("cmdtrace:{}", dir.join(&tag).display()));
