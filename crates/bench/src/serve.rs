@@ -21,8 +21,9 @@
 //!   `--plugin=` forms (`none`, `oracle:<tRH>`, `para:<p>`,
 //!   `graphene:<tRH>:<k>`; see [`hira_sim::plugin`]); an unknown form
 //!   rejects the spec with a structured `error` event. `insts` overrides
-//!   `HIRA_INSTS` for this sweep. `name` selects the sweep/shard name
-//!   (default `"serve"`).
+//!   `HIRA_INSTS` for this sweep; one that is no `u64`, or whose run
+//!   target or safety cycle cap overflows one, is rejected the same way.
+//!   `name` selects the sweep/shard name (default `"serve"`).
 //! * `{"op":"stats"}` — report the session's accumulated totals.
 //! * `{"op":"metrics"}` — dump the session's metrics registry in
 //!   Prometheus text format (the shared `hira_*` name catalogue plus the
@@ -836,6 +837,56 @@ mod tests {
         let (alive, bye) = collect(&mut server, "{\"op\":\"shutdown\"}");
         assert!(!alive);
         assert_eq!(field(&bye[0], "event"), "\"bye\"");
+    }
+
+    #[test]
+    fn a_huge_slack_hira_sweep_runs_to_done() {
+        // `hira<N>` takes any u32; at u32::MAX the Refresh Table's capacity
+        // is billions of entries, which must not be allocated up front.
+        let mut server = Server::new(
+            Executor::with_threads(1),
+            tiny_scale(),
+            &CacheSpec::disabled(),
+        );
+        let (alive, ev) = collect(
+            &mut server,
+            "{\"op\":\"sweep\",\"id\":\"x\",\"policies\":[\"hira4294967295\"],\
+             \"workloads\":[\"stream\"]}",
+        );
+        assert!(alive);
+        assert_eq!(field(ev.last().unwrap(), "event"), "\"done\"");
+        let (_, stats) = collect(&mut server, "{\"op\":\"stats\"}");
+        assert_eq!(field(&stats[0], "sweeps"), "1");
+        assert_eq!(field(&stats[0], "points"), "1");
+    }
+
+    #[test]
+    fn overflowing_budgets_answer_errors_and_keep_serving() {
+        let mut server = Server::new(
+            Executor::with_threads(1),
+            tiny_scale(),
+            &CacheSpec::disabled(),
+        );
+        // 2^64 - 1 (parses as 2^64), 2^64 - 2048 and 2e17: the first is no
+        // u64, the others overflow the run's target or safety cap.
+        for insts in [
+            "18446744073709551615",
+            "18446744073709549568",
+            "200000000000000000",
+        ] {
+            let line = format!(
+                "{{\"op\":\"sweep\",\"id\":\"big\",\"policies\":[\"baseline\"],\
+                 \"workloads\":[\"stream\"],\"insts\":{insts}}}"
+            );
+            let (alive, ev) = collect(&mut server, &line);
+            assert!(alive, "insts {insts}");
+            assert_eq!(ev.len(), 1, "insts {insts}: {ev:?}");
+            assert_eq!(field(&ev[0], "event"), "\"error\"", "insts {insts}");
+        }
+        let (alive, stats) = collect(&mut server, "{\"op\":\"stats\"}");
+        assert!(alive);
+        assert_eq!(field(&stats[0], "event"), "\"stats\"");
+        assert_eq!(field(&stats[0], "sweeps"), "0");
     }
 
     #[test]

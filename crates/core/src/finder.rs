@@ -407,28 +407,15 @@ impl HiraMc {
             .map(|e| e.bank)
     }
 
-    /// The next instant (ns) at which this controller may need attention:
-    /// before it, [`HiraMc::tick`] is a no-op, [`HiraMc::deadline_work`] /
-    /// [`HiraMc::opportunistic_work`] have nothing to serve, and
-    /// [`HiraMc::on_demand_act`] returns [`McAction::Plain`] without
-    /// mutating state — so a time-skipping host may safely not call them.
-    ///
-    /// With requests queued (or overflowed) the answer is `now`: service
-    /// opportunities depend on bank state the controller cannot see, so a
-    /// host that cannot refine the wake against that state (through
-    /// [`HiraMc::next_due`] and [`HiraMc::queued_banks`]) must keep
-    /// polling every tick. With the queues empty the wake is
-    /// [`HiraMc::generation_wake`].
-    pub fn next_wake(&self, now: f64) -> f64 {
-        if !self.table.is_empty() || !self.overflow.is_empty() {
-            return now;
-        }
-        self.generation_wake()
-    }
-
     /// The next instant [`HiraMc::tick`] changes state at: the earliest of
     /// the next periodic generation and the window-rollover accounting
-    /// point. Queued requests do not move it.
+    /// point. Queued requests do not move it: when they can be served
+    /// depends on bank state the controller cannot see, so a time-skipping
+    /// host combines this with [`HiraMc::next_due`] and
+    /// [`HiraMc::queued_banks`] under its own bank state. With nothing
+    /// queued, [`HiraMc::deadline_work`] and [`HiraMc::opportunistic_work`]
+    /// have nothing to serve and [`HiraMc::on_demand_act`] returns
+    /// [`McAction::Plain`] before this instant.
     pub fn generation_wake(&self) -> f64 {
         let gen = self
             .periodic
@@ -730,19 +717,22 @@ mod tests {
     }
 
     #[test]
-    fn next_wake_is_the_generation_instant_when_idle_and_now_when_loaded() {
+    fn generation_wake_is_the_next_generation_instant() {
         let mut mc = HiraMc::new(params(4));
         // Fresh controller: nothing queued, first generation at t = 0.
-        assert_eq!(mc.next_wake(0.0), 0.0);
-        // Generate: queued requests demand per-tick polls.
+        assert_eq!(mc.generation_wake(), 0.0);
+        assert_eq!(mc.next_due(), None);
+        // Generate: queued requests name their earliest deadline.
         mc.tick(200.0);
-        assert_eq!(mc.next_wake(200.0), 200.0);
+        assert!(mc.next_due().is_some());
+        assert!(mc.queued_banks().next().is_some());
         // Drain every queued request (opportunistic service ignores
-        // deadlines): the wake jumps to the next generation instant.
+        // deadlines): only the next generation instant is left.
         for b in 0..16 {
             while mc.opportunistic_work(200.0, BankId(b)).is_some() {}
         }
-        let wake = mc.next_wake(200.0);
+        assert_eq!(mc.next_due(), None);
+        let wake = mc.generation_wake();
         assert!(wake > 200.0, "drained controller must sleep ({wake})");
         // The declared wake really is the next generation instant: a tick
         // just before it generates nothing, a tick at it does.

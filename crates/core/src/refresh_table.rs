@@ -42,10 +42,12 @@ impl RefreshTable {
     /// The paper's sizing for a 16-bank rank at `tRefSlack = 4·tRC`.
     pub const PAPER_CAPACITY: usize = 68;
 
-    /// An empty table with the given capacity.
+    /// An empty table with the given capacity. Storage grows with the
+    /// entries actually queued, so a huge `tRefSlack` (and capacity) costs
+    /// nothing up front; the capacity only bounds [`RefreshTable::is_full`].
     pub fn new(capacity: usize) -> Self {
         RefreshTable {
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
             capacity,
         }
     }

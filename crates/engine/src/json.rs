@@ -103,10 +103,11 @@ impl Value {
         }
     }
 
-    /// The numeric payload as an exact non-negative integer.
+    /// The numeric payload as an exact non-negative integer. `u64::MAX as
+    /// f64` rounds up to 2^64, which no `u64` holds, so the bound is strict.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -448,6 +449,11 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_str(), Some("y"));
         let arr = v.get("b").unwrap().as_arr().unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
+        // 2^64 - 2048 is the largest f64 below 2^64; 18446744073709551615
+        // parses as 2^64 itself and must not saturate into u64::MAX.
+        let big = parse("18446744073709549568").unwrap();
+        assert_eq!(big.as_u64(), Some(u64::MAX - 2047));
+        assert_eq!(parse("18446744073709551615").unwrap().as_u64(), None);
         assert!(arr[2].get("x").unwrap().is_null());
         assert_eq!(parse("[]").unwrap(), Value::Arr(vec![]));
         assert_eq!(parse("{}").unwrap(), Value::Obj(vec![]));

@@ -84,6 +84,15 @@ pub enum BuildError {
         /// Total measured instructions per core.
         insts: u64,
     },
+    /// The run's retirement target (warmup plus measured instructions) or
+    /// its default safety cycle cap (`120 ×` the target `+ 4 M`)
+    /// overflows `u64`.
+    BudgetOverflow {
+        /// Warmup instructions per core.
+        warmup: u64,
+        /// Total measured instructions per core.
+        insts: u64,
+    },
     /// The SPT compatibility fraction must be a probability.
     SptFractionOutOfRange {
         /// The offending fraction.
@@ -181,6 +190,10 @@ impl fmt::Display for BuildError {
             BuildError::WarmupExceedsBudget { warmup, insts } => write!(
                 f,
                 "warmup {warmup} insts must be below the measured budget {insts}"
+            ),
+            BuildError::BudgetOverflow { warmup, insts } => write!(
+                f,
+                "warmup {warmup} + {insts} insts per core overflows the run's u64 cycle budget"
             ),
             BuildError::SptFractionOutOfRange { spt_fraction } => {
                 write!(f, "SPT fraction {spt_fraction} is not in [0, 1]")
@@ -604,6 +617,12 @@ impl SystemBuilder {
             probe,
             plugins,
         };
+        if cfg.run_bounds().is_none() {
+            return Err(BuildError::BudgetOverflow {
+                warmup: cfg.warmup_insts,
+                insts: cfg.insts_per_core,
+            });
+        }
         // HiRA capability cross-checks need a live policy instance (the
         // lead pair is the policy's choice, the decoder behaviour the
         // device's): probe one and validate the pairing.

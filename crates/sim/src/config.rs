@@ -46,9 +46,9 @@ pub enum KernelMode {
     /// the cores' and channels' next interesting instants (blocked cores
     /// sleep until their fill, compute stretches batch arithmetically
     /// while loads are in flight, channels sleep until a queued request
-    /// can be picked, policies sleep until their declared
-    /// [`crate::policy::RefreshPolicy::next_wake`], refined against bank
-    /// state by [`crate::policy::RefreshPolicy::next_wake_under`]).
+    /// can be picked, policies sleep until the
+    /// [`crate::policy::RefreshPolicy::next_wake`] they declare under the
+    /// rank's current bank state).
     #[default]
     Event,
 }
@@ -191,6 +191,20 @@ impl SystemConfig {
     pub fn with_cycle_cap(mut self, cap: u64) -> Self {
         self.cycle_cap = Some(cap);
         self
+    }
+
+    /// The run's retirement target per core (warmup plus measured
+    /// instructions) and its safety cycle cap ([`SystemConfig::cycle_cap`],
+    /// or by default `120 × target + 4 M`, so even at IPC 0.01 the run
+    /// terminates); `None` when either overflows `u64`, which
+    /// [`SystemBuilder::build`] refuses.
+    pub(crate) fn run_bounds(&self) -> Option<(u64, u64)> {
+        let target = self.warmup_insts.checked_add(self.insts_per_core)?;
+        let cap = match self.cycle_cap {
+            Some(cap) => cap,
+            None => target.checked_mul(120)?.checked_add(4_000_000)?,
+        };
+        Some((target, cap))
     }
 
     /// Attaches a probe (`--probe=` axes; see [`crate::probe`]).

@@ -13,12 +13,14 @@
 //!
 //! The controller/policy protocol: each rank owns one boxed
 //! [`RefreshPolicy`]. Every memory tick the controller calls the policy's
-//! `tick`, then polls `next_action` (against a fresh [`RankView`] of bank
-//! readiness and demand pressure) and executes each returned
-//! [`RefreshAction`] on the command/data-bus model. Demand activations
-//! consult `on_demand_act` for refresh-access expansion, and *every*
-//! executed activation — demand, refresh, preventive — is reported back
-//! through `on_act_executed`.
+//! `tick`, then polls `next_action` against a [`RankView`] that borrows the
+//! rank's own [`Bank`] records and per-bank demand counts, and executes
+//! each returned [`RefreshAction`] on the command/data-bus model. Demand
+//! activations consult `on_demand_act` for refresh-access expansion, and
+//! *every* executed activation — demand, refresh, preventive — is reported
+//! back through `on_act_executed`. Under the event kernel, a rank whose
+//! policy's `next_wake` (under the same borrowed view) and plugins' wakes
+//! all lie ahead is not ticked or polled at all.
 
 use crate::clock::{MemClock, MemCycle};
 use crate::config::{KernelMode, SystemConfig};
@@ -143,12 +145,19 @@ impl CmdBus {
     }
 }
 
+/// One bank's scheduling state, as the controller keeps it and a
+/// [`RankView`] lends it to the rank's policy. The timestamps are lazy:
+/// they name the earliest cycle of each command and need no ticking.
 #[derive(Debug, Clone, Copy, Default)]
-struct Bank {
-    open_row: Option<u32>,
-    next_act: MemCycle,
-    next_pre: MemCycle,
-    next_cas: MemCycle,
+pub struct Bank {
+    /// The open row, if any.
+    pub open_row: Option<u32>,
+    /// Earliest cycle the bank can start an `ACT`.
+    pub next_act: MemCycle,
+    /// Earliest cycle the bank can be precharged.
+    pub next_pre: MemCycle,
+    /// Earliest cycle of the bank's next column command.
+    pub next_cas: MemCycle,
 }
 
 #[derive(Debug)]
@@ -210,31 +219,6 @@ pub struct ChannelStats {
     pub refresh_busy: u64,
 }
 
-/// One rank's bank state as the [`RankView`] handed to its policy sees it:
-/// scratch reused across polls to keep them allocation-free, refilled by
-/// [`Channel::fill_bank_view`] before each.
-#[derive(Debug)]
-struct ViewScratch {
-    next_act: Vec<MemCycle>,
-    demand: Vec<bool>,
-    open: Vec<bool>,
-    clock: MemClock,
-    t_rc: MemCycle,
-}
-
-impl ViewScratch {
-    fn view(&self, now: MemCycle) -> RankView<'_> {
-        RankView {
-            now,
-            clock: self.clock,
-            t_rc: self.t_rc,
-            bank_next_act: &self.next_act,
-            bank_has_demand: &self.demand,
-            bank_open: &self.open,
-        }
-    }
-}
-
 /// One memory channel and its controller.
 #[derive(Debug)]
 pub struct Channel {
@@ -260,12 +244,6 @@ pub struct Channel {
     /// Demand requests queued (read and write) per bank of every rank,
     /// kept as requests enqueue and commit.
     queued: Vec<u32>,
-    /// Scratch behind the [`RankView`] handed to policies.
-    view: ViewScratch,
-    /// Event-kernel scratch: per-rank "refresh machinery is due" flags,
-    /// computed once per [`Channel::refresh_step`] (the gate and the rank
-    /// loop share them).
-    rank_due: Vec<bool>,
 }
 
 impl Channel {
@@ -324,14 +302,6 @@ impl Channel {
             write_mode: false,
             stats: ChannelStats::default(),
             queued: vec![0; cfg.ranks * cfg.banks as usize],
-            view: ViewScratch {
-                next_act: vec![0; cfg.banks as usize],
-                demand: vec![false; cfg.banks as usize],
-                open: vec![false; cfg.banks as usize],
-                clock,
-                t_rc: timing.rc,
-            },
-            rank_due: vec![false; cfg.ranks],
         }
     }
 
@@ -627,39 +597,28 @@ impl Channel {
         }
     }
 
-    /// Refills the per-rank bank-state slices behind the [`RankView`]
-    /// (these *do* change as the tick's earlier actions execute).
-    fn fill_bank_view(&mut self, rank: usize) {
-        let base = rank * self.banks_per_rank as usize;
-        for b in 0..self.banks_per_rank as usize {
-            let bank = &self.banks[base + b];
-            self.view.next_act[b] = bank.next_act;
-            self.view.open[b] = bank.open_row.is_some();
-            self.view.demand[b] = self.queued[base + b] > 0;
+    /// `rank`'s policy view at `now`: its slice of the bank records and
+    /// demand counts, borrowed.
+    fn view(&self, rank: usize, now: MemCycle) -> RankView<'_> {
+        let span = self.bank_index(rank, 0)..self.bank_index(rank + 1, 0);
+        RankView {
+            now,
+            clock: self.clock,
+            t_rc: self.timing.rc,
+            banks: &self.banks[span.clone()],
+            queued: &self.queued[span],
         }
     }
 
     /// The wake of `rank`'s refresh machinery: the earliest cycle at which
     /// its policy or a plugin may act, with the rank's bank state held as
-    /// it is now. The time-only `next_wake`s are asked first; only a policy
-    /// wake that has arrived is refined through
-    /// [`RefreshPolicy::next_wake_under`] against a freshly filled view,
-    /// so time-gated policies never build one.
-    fn rank_wake(&mut self, rank: usize, now: MemCycle, now_ns: f64) -> MemCycle {
-        let mut wake = MemCycle::MAX;
-        if !self.ranks[rank].policy.inert() {
-            wake = self
-                .clock
-                .wake_cycle(self.ranks[rank].policy.next_wake(now_ns));
-            if wake <= now {
-                self.fill_bank_view(rank);
-                let view = self.view.view(now);
-                wake = self
-                    .clock
-                    .wake_cycle(self.ranks[rank].policy.next_wake_under(now_ns, &view));
-            }
-        }
-        for p in &self.ranks[rank].plugins {
+    /// it is now.
+    fn rank_wake(&self, rank: usize, now: MemCycle, now_ns: f64) -> MemCycle {
+        let r = &self.ranks[rank];
+        let mut wake = self
+            .clock
+            .wake_cycle(r.policy.next_wake(now_ns, &self.view(rank, now)));
+        for p in &r.plugins {
             wake = wake.min(self.clock.wake_cycle(p.next_wake(now_ns)));
         }
         wake
@@ -716,11 +675,10 @@ impl Channel {
     /// asks again after every cycle it processes): the write-drain toggle
     /// holds and FR-FCFS can pick no queued request, no completion falls
     /// due, and no rank's refresh machinery may act (under the
-    /// [`RefreshPolicy::next_wake`] and
-    /// [`RefreshPolicy::next_wake_under`] contracts). Returns
-    /// [`MemCycle::MAX`] for a fully idle channel. Bank/bus timestamps need
-    /// no ticking — they are lazy.
-    pub fn next_event(&mut self, now: MemCycle) -> MemCycle {
+    /// [`RefreshPolicy::next_wake`] contract). Returns [`MemCycle::MAX`]
+    /// for a fully idle channel. Bank/bus timestamps need no ticking — they
+    /// are lazy.
+    pub fn next_event(&self, now: MemCycle) -> MemCycle {
         let mut next = self.demand_wake(now);
         if let Some(&Reverse((t, _))) = self.completions.peek() {
             next = next.min(t.max(now + 1));
@@ -761,50 +719,35 @@ impl Channel {
 
     fn refresh_step(&mut self, now: MemCycle, probes: &mut ProbeHost) {
         let now_ns = self.clock.cycles_to_ns(now);
-        if self
-            .ranks
-            .iter()
-            .all(|r| r.policy.inert() && r.plugins.is_empty())
-        {
-            return;
-        }
-        // Event kernel: skip the tick/poll machinery for every rank whose
-        // policy and plugins all declared a future wake under the rank's
-        // current bank state (the `next_wake`/`next_wake_under` contracts
-        // make those calls no-ops). The dense kernel runs the legacy path.
-        // Each rank's due flag is computed once and shared by this gate
-        // and the poll loop below.
-        if self.kernel == KernelMode::Event {
-            let mut any_due = false;
-            for rank in 0..self.ranks.len() {
-                let due = self.rank_wake(rank, now, now_ns) <= now;
-                self.rank_due[rank] = due;
-                any_due |= due;
-            }
-            if !any_due {
-                return;
-            }
-        }
+        // Safety bound: a policy or plugin may issue a burst (deadline
+        // pile-up, drained preventive queue) but never an unbounded stream
+        // in one tick.
+        let budget = 3 * self.banks_per_rank as usize + 16;
         for rank in 0..self.ranks.len() {
-            if self.kernel == KernelMode::Event && !self.rank_due[rank] {
+            // Event kernel: skip the tick/poll machinery of a rank whose
+            // policy and plugins all declared a future wake under its
+            // current bank state (the `next_wake` contracts make those
+            // calls no-ops). One rank's actions never touch another rank's
+            // banks or policy, so each rank is gated as the loop reaches
+            // it. The dense kernel polls every rank.
+            if self.kernel == KernelMode::Event && self.rank_wake(rank, now, now_ns) > now {
                 continue;
             }
             self.ranks[rank].policy.tick(now_ns);
-            // Safety bound: a policy or plugin may issue a burst (deadline
-            // pile-up, drained preventive queue) but never an unbounded
-            // stream in one tick.
-            let budget = 3 * self.banks_per_rank as usize + 16;
-            if !self.ranks[rank].policy.inert() {
-                for _ in 0..budget {
-                    self.fill_bank_view(rank);
-                    let action = {
-                        let view = self.view.view(now);
-                        self.ranks[rank].policy.next_action(now_ns, &view)
-                    };
-                    match action {
-                        Some(a) => self.execute_action(now, rank, a, probes),
-                        None => break,
-                    }
+            let span = self.bank_index(rank, 0)..self.bank_index(rank + 1, 0);
+            for _ in 0..budget {
+                // The view is `Channel::view`, built from the fields so
+                // the policy can be borrowed mutably beside it.
+                let view = RankView {
+                    now,
+                    clock: self.clock,
+                    t_rc: self.timing.rc,
+                    banks: &self.banks[span.clone()],
+                    queued: &self.queued[span.clone()],
+                };
+                match self.ranks[rank].policy.next_action(now_ns, &view) {
+                    Some(a) => self.execute_action(now, rank, a, probes),
+                    None => break,
                 }
             }
             // Plugin injections, after the policy's own work: victims the

@@ -38,7 +38,7 @@ impl RefreshPolicy for AllBankRef {
         })
     }
 
-    fn next_wake(&self, _now_ns: f64) -> f64 {
+    fn next_wake(&self, _now_ns: f64, _view: &RankView<'_>) -> f64 {
         // Purely time-gated: nothing can happen before the next REF is due.
         self.next_due_ns
     }
@@ -58,6 +58,7 @@ pub fn baseline() -> PolicyHandle {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::policy::tests::IDLE;
     use crate::policy::PolicyEnv;
 
     fn env() -> PolicyEnv {
@@ -65,14 +66,7 @@ mod tests {
     }
 
     fn view() -> RankView<'static> {
-        RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &[0; 16],
-            bank_has_demand: &[false; 16],
-            bank_open: &[false; 16],
-        }
+        crate::policy::tests::view(0, &[IDLE; 16], &[0; 16])
     }
 
     #[test]

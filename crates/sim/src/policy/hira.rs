@@ -3,8 +3,7 @@
 //! HiRA-MC of their own.
 
 use super::{
-    wake_under, DemandDecision, PolicyEnv, PolicyHandle, PolicyStats, RankView, RefreshAction,
-    RefreshPolicy,
+    DemandDecision, PolicyEnv, PolicyHandle, PolicyStats, RankView, RefreshAction, RefreshPolicy,
 };
 use hira_core::config::HiraConfig;
 use hira_core::finder::{DeadlineWork, HiraMc, HiraMcParams, McAction, McStats};
@@ -39,8 +38,8 @@ fn poll_mc(mc: &mut HiraMc, now_ns: f64, view: &RankView<'_>) -> Option<RefreshA
         // Due bank backlogged: leave the entry queued (its deadline forces
         // it later) and fall through to opportunistic service elsewhere.
     }
-    for b in 0..view.banks() {
-        let bank = BankId(b);
+    for b in 0..view.banks.len() {
+        let bank = BankId(b as u16);
         if view.idle(bank) && mc.has_queued(bank) {
             if let Some(work) = mc.opportunistic_work(now_ns, bank) {
                 return Some(work_to_action(work));
@@ -51,14 +50,14 @@ fn poll_mc(mc: &mut HiraMc, now_ns: f64, view: &RankView<'_>) -> Option<RefreshA
 }
 
 /// The HiRA-MC wake under `view`'s bank state: the first instant at which
-/// [`poll_mc`] could return work or [`HiraMc::tick`] could change state.
-/// [`poll_mc`] serves
+/// [`poll_mc`] could return work or [`HiraMc::tick`] could change state
+/// (with nothing queued, [`HiraMc::generation_wake`]). [`poll_mc`] serves
 ///
 /// * deadline work once the earliest deadline is within `tRC` (the exact
 ///   instant [`HiraMc::next_due`] reports) and its bank is not backlogged;
 /// * opportunistic work once a demand-free closed bank holding queued
 ///   requests reaches its next `ACT`.
-fn mc_wake_under(mc: &HiraMc, view: &RankView<'_>) -> f64 {
+fn mc_wake(mc: &HiraMc, view: &RankView<'_>) -> f64 {
     let mut wake = mc.generation_wake();
     if let Some((due, bank)) = mc.next_due() {
         wake = wake.min(due.max(view.ns(view.unbacklogged_at(bank))));
@@ -174,18 +173,10 @@ impl RefreshPolicy for HiraPolicy {
         poll_mc(&mut self.mc, now_ns, view)
     }
 
-    fn next_wake(&self, now_ns: f64) -> f64 {
-        let mc = self.mc.next_wake(now_ns);
+    fn next_wake(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
+        let mc = mc_wake(&self.mc, view);
         match &self.inner {
-            Some(inner) => inner.next_wake(now_ns).min(mc),
-            None => mc,
-        }
-    }
-
-    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
-        let mc = mc_wake_under(&self.mc, view);
-        match &self.inner {
-            Some(inner) => wake_under(&**inner, now_ns, view).min(mc),
+            Some(inner) => inner.next_wake(now_ns, view).min(mc),
             None => mc,
         }
     }
@@ -265,6 +256,7 @@ pub fn hira_custom(name: impl Into<String>, config: HiraConfig) -> PolicyHandle 
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::policy::tests::{view, BLOCKED, IDLE};
 
     fn policy(n: u32) -> HiraPolicy {
         let cfg = SystemConfig::table3(8.0, hira(n));
@@ -276,14 +268,7 @@ mod tests {
     }
 
     fn idle_view() -> RankView<'static> {
-        RankView {
-            now: 1_000_000,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &[0; 16],
-            bank_has_demand: &[false; 16],
-            bank_open: &[false; 16],
-        }
+        view(1_000_000, &[IDLE; 16], &[0; 16])
     }
 
     #[test]
@@ -306,15 +291,7 @@ mod tests {
         let mut p = policy(0); // everything immediately due
         p.tick(2_000.0);
         // All banks backlogged and non-idle: nothing can be served.
-        let blocked = [u64::MAX; 16];
-        let busy = RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &blocked,
-            bank_has_demand: &[true; 16],
-            bank_open: &[false; 16],
-        };
+        let busy = view(0, &[BLOCKED; 16], &[1; 16]);
         assert_eq!(p.next_action(2_000.0, &busy), None);
         // Queue intact: an idle view drains it.
         assert!(p.next_action(2_000.0, &idle_view()).is_some());

@@ -91,6 +91,7 @@ pub use registry::{policy, PolicyRegistry};
 
 use crate::clock::{MemClock, MemCycle};
 use crate::config::SystemConfig;
+use crate::controller::Bank;
 use hira_core::finder::McStats;
 use hira_dram::addr::{BankId, RowId};
 use hira_dram::timing::TimingParams;
@@ -158,19 +159,6 @@ pub fn probe(cfg: &SystemConfig) -> Box<dyn RefreshPolicy> {
     cfg.refresh.build(&PolicyEnv::for_rank(cfg, 0, 0))
 }
 
-/// `policy`'s wake as the controller sees it under `view`: the time-only
-/// [`RefreshPolicy::next_wake`], refined through
-/// [`RefreshPolicy::next_wake_under`] once it has arrived. Composition
-/// layers fold their inner policy's wake in through this.
-pub fn wake_under(policy: &dyn RefreshPolicy, now_ns: f64, view: &RankView<'_>) -> f64 {
-    let wake = policy.next_wake(now_ns);
-    if wake <= now_ns {
-        policy.next_wake_under(now_ns, view)
-    } else {
-        wake
-    }
-}
-
 /// A scheduling request the policy asks the controller to execute. The
 /// controller owns all command-level timing (`tRRD`, `tFAW`, bus slots);
 /// the action names rows and banks, plus the one duration — `tRFCpb` —
@@ -224,9 +212,11 @@ pub enum DemandDecision {
     },
 }
 
-/// Read-only per-rank scheduling state the controller exposes while polling
-/// [`RefreshPolicy::next_action`] and refining a wake through
-/// [`RefreshPolicy::next_wake_under`].
+/// Read-only per-rank scheduling state the controller hands to
+/// [`RefreshPolicy::next_action`] and [`RefreshPolicy::next_wake`]: the
+/// rank's slice of the controller's own [`Bank`] records and per-bank
+/// demand counts, borrowed rather than copied, so a view is as current as
+/// the controller itself.
 #[derive(Debug, Clone, Copy)]
 pub struct RankView<'a> {
     /// Current command-clock cycle.
@@ -236,20 +226,13 @@ pub struct RankView<'a> {
     pub clock: MemClock,
     /// `tRC` in command-clock cycles (the backlog unit).
     pub t_rc: MemCycle,
-    /// Earliest cycle each bank can start an `ACT`.
-    pub bank_next_act: &'a [MemCycle],
-    /// Whether demand requests are queued per bank.
-    pub bank_has_demand: &'a [bool],
-    /// Whether each bank holds an open row.
-    pub bank_open: &'a [bool],
+    /// The rank's banks, in bank order.
+    pub banks: &'a [Bank],
+    /// Demand requests (reads and writes) queued per bank.
+    pub queued: &'a [u32],
 }
 
 impl RankView<'_> {
-    /// Banks in the rank.
-    pub fn banks(&self) -> u16 {
-        self.bank_next_act.len() as u16
-    }
-
     /// True when `bank`'s schedule is already several row-cycles deep —
     /// deadline-driven policies should hold that bank's work for a later
     /// tick rather than pile further onto it.
@@ -261,7 +244,8 @@ impl RankView<'_> {
     /// [`backlogged`](Self::backlogged) is false for `bank`, with this
     /// bank state held fixed.
     pub fn unbacklogged_at(&self, bank: BankId) -> MemCycle {
-        self.bank_next_act[bank.index()]
+        self.banks[bank.index()]
+            .next_act
             .saturating_sub(4 * self.t_rc)
             .max(self.now)
     }
@@ -276,9 +260,8 @@ impl RankView<'_> {
     /// holds for `bank`, with this bank state held fixed; `None` while the
     /// bank has demand queued or a row open.
     pub fn idle_at(&self, bank: BankId) -> Option<MemCycle> {
-        let b = bank.index();
-        (!self.bank_has_demand[b] && !self.bank_open[b])
-            .then(|| self.bank_next_act[b].max(self.now))
+        let b = &self.banks[bank.index()];
+        (self.queued[bank.index()] == 0 && b.open_row.is_none()).then(|| b.next_act.max(self.now))
     }
 
     /// Command-clock cycle `cycle` in ns, as the controller converts `now`
@@ -337,8 +320,8 @@ impl PolicyStats {
 ///    returned action **is executed**: the policy must commit its
 ///    bookkeeping (deadlines met, pointers advanced, stats counted) when it
 ///    returns the action, and must eventually return `None` so the tick
-///    terminates. The [`RankView`] is refreshed after every executed action,
-///    so `bank_next_act` already reflects earlier actions of the same tick.
+///    terminates. The [`RankView`] borrows the controller's live bank
+///    records, so each poll already sees earlier actions of the same tick.
 ///
 /// During demand scheduling the controller additionally calls:
 ///
@@ -354,20 +337,11 @@ impl PolicyStats {
 ///   controller never filters it.
 ///
 /// Under the event-driven kernel ([`crate::config::KernelMode::Event`])
-/// steps 1–2 are elided on ticks the policy has declared uninteresting;
-/// the dense kernel ([`crate::config::KernelMode::Dense`]) always performs
-/// them, and the two must be observationally identical. Two hooks make the
-/// declaration, and their contracts are exactly that guarantee:
-///
-/// * [`next_wake`](Self::next_wake) — a time-only wake, valid under *any*
-///   [`RankView`]. The controller asks it first, and while it lies ahead
-///   it never builds a view for the policy.
-/// * [`next_wake_under`](Self::next_wake_under) — once the time-only wake
-///   has arrived, a refinement valid *under this* [`RankView`]: work held
-///   for bank state (a backlogged or busy bank) can name the cycle that
-///   bank state releases it. The controller asks again after every tick
-///   it processes, so a refinement never outlives the bank state it was
-///   computed from.
+/// steps 1–2 are elided on ticks the policy has declared uninteresting
+/// through [`next_wake`](Self::next_wake); the dense kernel
+/// ([`crate::config::KernelMode::Dense`]) always performs them, and the
+/// two must be observationally identical. The hook's contract is exactly
+/// that guarantee.
 pub trait RefreshPolicy: fmt::Debug + Send {
     /// Display name (diagnostics and stats attribution).
     fn name(&self) -> &str;
@@ -376,48 +350,33 @@ pub trait RefreshPolicy: fmt::Debug + Send {
     /// tick, before any [`next_action`](Self::next_action) poll.
     fn tick(&mut self, _now_ns: f64) {}
 
-    /// The next instant (ns) at which this policy may need attention — the
-    /// contract that lets the event-driven simulation kernel skip time.
+    /// The next instant (ns) at which this policy may need attention under
+    /// `view` — the contract that lets the event-driven simulation kernel
+    /// skip time.
     ///
     /// By returning a wake `w > now_ns` the policy **guarantees** that at
-    /// every controller tick `t` with `now_ns <= t` *and* `t < w` (on the
-    /// dense tick grid), [`tick`](Self::tick) would not change its state
-    /// and [`next_action`](Self::next_action) would return `None` under
-    /// *any* [`RankView`] — so the controller may simply not call them.
-    /// The controller still delivers [`on_demand_act`](Self::on_demand_act)
-    /// and [`on_act_executed`](Self::on_act_executed) whenever demand work
-    /// executes, and re-queries the wake afterwards, so a policy whose
-    /// next action depends on those callbacks (e.g. a PARA layer) must
-    /// fold them in by returning `now_ns` while it holds serveable work.
-    /// Work that only bank state can release (a queue held for a busy
-    /// bank) is likewise `now_ns` here and refined by
-    /// [`next_wake_under`](Self::next_wake_under).
+    /// every controller tick `t` with `now_ns <= t < w` (on the dense tick
+    /// grid), [`tick`](Self::tick) would not change its state and
+    /// [`next_action`](Self::next_action) would return `None` *under this*
+    /// view: the same bank records and demand counts, with `now` advanced
+    /// to `t` — so the controller may simply not call them. The controller
+    /// asks again after every tick it processes, so an answer never
+    /// outlives the bank state it was computed from: work held for a
+    /// backlogged or busy bank can name the cycle that bank state releases
+    /// it, through [`RankView::unbacklogged_at`], [`RankView::idle_at`]
+    /// and [`RankView::ns`]. The controller still delivers
+    /// [`on_demand_act`](Self::on_demand_act) and
+    /// [`on_act_executed`](Self::on_act_executed) whenever demand work
+    /// executes, so a policy whose next action depends on those callbacks
+    /// (e.g. a PARA layer) must return `now_ns` while it holds serveable
+    /// work. A policy that never acts answers `f64::INFINITY`.
     ///
     /// Waking *early* is always safe (the skipped calls are no-ops by the
     /// same argument the dense kernel relies on); waking *late* breaks
     /// bit-identity with the dense kernel. The default returns `now_ns` —
     /// "poll me every tick" — which preserves exact legacy behavior for
     /// out-of-tree policies that predate this hook.
-    fn next_wake(&self, now_ns: f64) -> f64 {
-        now_ns
-    }
-
-    /// Refines an arrived [`next_wake`](Self::next_wake) against the rank's
-    /// current bank state. The controller calls it only once `next_wake`
-    /// has arrived (`next_wake(now_ns) <= now_ns`).
-    ///
-    /// By returning `w > now_ns` the policy **guarantees** that at every
-    /// controller tick `t` with `now_ns <= t < w`, [`tick`](Self::tick)
-    /// would not change its state and [`next_action`](Self::next_action)
-    /// would return `None` *under this* [`RankView`] — the same
-    /// `bank_next_act`, `bank_has_demand` and `bank_open`, with `now`
-    /// advanced to `t`. [`RankView::unbacklogged_at`],
-    /// [`RankView::idle_at`] and [`RankView::ns`] turn the view's bank
-    /// state into such instants. As with `next_wake`, waking early is
-    /// always safe and waking late breaks bit-identity with the dense
-    /// kernel. The default returns `now_ns` — "poll me every tick while
-    /// `next_wake` says so".
-    fn next_wake_under(&self, now_ns: f64, _view: &RankView<'_>) -> f64 {
+    fn next_wake(&self, now_ns: f64, _view: &RankView<'_>) -> f64 {
         now_ns
     }
 
@@ -449,12 +408,6 @@ pub trait RefreshPolicy: fmt::Debug + Send {
     /// never emits [`RefreshAction::Pair`] or [`DemandDecision::Hira`].
     fn hira_lead(&self) -> Option<(f64, f64)> {
         None
-    }
-
-    /// True when the policy never emits actions nor consumes callbacks —
-    /// lets the controller skip the polling machinery entirely.
-    fn inert(&self) -> bool {
-        false
     }
 
     /// HiRA-MC statistics, for HiRA-MC-backed policies (composition layers
@@ -592,14 +545,41 @@ mod tests {
         );
     }
 
+    /// A closed bank with nothing pending.
+    pub(super) const IDLE: Bank = Bank {
+        open_row: None,
+        next_act: 0,
+        next_pre: 0,
+        next_cas: 0,
+    };
+
+    /// A bank whose next `ACT` never comes: backlogged for good.
+    pub(super) const BLOCKED: Bank = Bank {
+        next_act: MemCycle::MAX,
+        ..IDLE
+    };
+
+    /// A DDR4-2400 view at cycle `now` over `banks` and their `queued`
+    /// demand counts.
+    pub(super) fn view<'a>(now: MemCycle, banks: &'a [Bank], queued: &'a [u32]) -> RankView<'a> {
+        RankView {
+            now,
+            clock: MemClock::ddr4_2400(),
+            t_rc: 56,
+            banks,
+            queued,
+        }
+    }
+
     #[test]
     fn probe_reflects_the_selected_policy() {
         let cfg = |h: &PolicyHandle| SystemConfig::table3(8.0, h.clone());
-        assert!(probe(&cfg(&noref())).inert());
+        let idle = view(0, &[IDLE; 16], &[0; 16]);
+        assert_eq!(probe(&cfg(&noref())).next_wake(0.0, &idle), f64::INFINITY);
         for h in [baseline(), refpb(), raidr(), hira(4)] {
             let p = probe(&cfg(&h));
             assert_eq!(p.name(), h.name());
-            assert!(!p.inert(), "{}", h.name());
+            assert!(p.next_wake(0.0, &idle).is_finite(), "{}", h.name());
         }
     }
 
@@ -612,30 +592,28 @@ mod tests {
     }
 
     /// Polls two instances of `handle` under one fixed bank state: a dense
-    /// twin every cycle, an event twin only once [`wake_under`] (taken
-    /// after the previous cycle, as the event controller takes it) has
-    /// arrived. Both see the same executed activations. They must issue
-    /// identical actions at identical cycles; returns the event twin's
-    /// poll count.
-    fn refined_polls_match_dense_polls(handle: PolicyHandle, cycles: u64) -> u64 {
+    /// twin every cycle, an event twin only once its
+    /// [`RefreshPolicy::next_wake`] (taken after the previous cycle, as the
+    /// event controller takes it) has arrived. Both see the same executed
+    /// activations. They must issue identical actions at identical cycles;
+    /// returns the event twin's poll count and the dense twin's action
+    /// count.
+    fn refined_polls_match_dense_polls(handle: PolicyHandle, cycles: u64) -> (u64, usize) {
         let clock = MemClock::ddr4_2400();
-        let next_act: Vec<MemCycle> = (0..16).map(|b| (b % 4) * 700).collect();
-        let demand: Vec<bool> = (0..16).map(|b| b % 3 == 0).collect();
-        let open: Vec<bool> = (0..16).map(|b| b % 5 == 0).collect();
-        let view = |now| RankView {
-            now,
-            clock,
-            t_rc: 56,
-            bank_next_act: &next_act,
-            bank_has_demand: &demand,
-            bank_open: &open,
-        };
+        let banks: Vec<Bank> = (0..16)
+            .map(|b| Bank {
+                open_row: (b % 5 == 0).then_some(0),
+                next_act: (b % 4) * 700,
+                ..IDLE
+            })
+            .collect();
+        let queued: Vec<u32> = (0..16).map(|b| u32::from(b % 3 == 0)).collect();
         let env = PolicyEnv::for_rank(&SystemConfig::table3(8.0, handle.clone()), 0, 0);
         let (mut dense, mut event) = (handle.build(&env), handle.build(&env));
         let (mut dense_log, mut event_log) = (Vec::new(), Vec::new());
         let (mut wake, mut polls) = (0, 0);
         for c in 0..cycles {
-            let (ns, v) = (clock.cycles_to_ns(c), view(c));
+            let (ns, v) = (clock.cycles_to_ns(c), view(c, &banks, &queued));
             dense.tick(ns);
             while let Some(a) = dense.next_action(ns, &v) {
                 dense_log.push((c, a));
@@ -652,32 +630,42 @@ mod tests {
                 dense.on_act_executed(ns, bank, row);
                 event.on_act_executed(ns, bank, row);
             }
-            wake = clock.wake_cycle(wake_under(&*event, ns, &v));
+            wake = clock.wake_cycle(event.next_wake(ns, &v));
         }
-        assert!(!dense_log.is_empty(), "{}: nothing issued", handle.name());
         assert_eq!(dense_log, event_log, "{}: polls diverged", handle.name());
         assert_eq!(dense.stats(), event.stats());
         assert_eq!(dense.mc_stats(), event.mc_stats());
-        polls
+        (polls, dense_log.len())
     }
 
     #[test]
     fn refined_wakes_never_hide_an_action() {
         let cycles = 12_000;
         for handle in [hira(0), hira(4), hira(8), raidr()] {
-            let polls = refined_polls_match_dense_polls(handle.clone(), cycles);
+            let (polls, acts) = refined_polls_match_dense_polls(handle.clone(), cycles);
+            assert!(acts > 0, "{}: nothing issued", handle.name());
             assert!(
                 polls * 2 < cycles,
                 "{}: polled {polls} of {cycles} cycles",
                 handle.name()
             );
         }
+        // Time-gated policies sleep between their own commands: noref
+        // issues nothing and is polled once (at cycle 0), baseline and
+        // refpb are polled exactly once per REF/REFpb they issue.
+        assert_eq!(refined_polls_match_dense_polls(noref(), cycles), (1, 0));
+        for handle in [baseline(), refpb()] {
+            let (polls, acts) = refined_polls_match_dense_polls(handle.clone(), cycles);
+            assert!(acts > 0, "{}: nothing issued", handle.name());
+            assert_eq!(polls, acts as u64, "{}", handle.name());
+        }
         for handle in [
             baseline().with_para_hira(0.5, 4),
             hira(4).with_para_hira(0.5, 4),
             refpb().with_para_immediate(0.5),
         ] {
-            refined_polls_match_dense_polls(handle, cycles);
+            let (_, acts) = refined_polls_match_dense_polls(handle.clone(), cycles);
+            assert!(acts > 0, "{}: nothing issued", handle.name());
         }
     }
 

@@ -17,12 +17,8 @@ impl RefreshPolicy for NoRefresh {
         None
     }
 
-    fn next_wake(&self, _now_ns: f64) -> f64 {
+    fn next_wake(&self, _now_ns: f64, _view: &RankView<'_>) -> f64 {
         f64::INFINITY
-    }
-
-    fn inert(&self) -> bool {
-        true
     }
 
     fn stats(&self) -> PolicyStats {
@@ -39,19 +35,13 @@ pub fn noref() -> PolicyHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::tests::{view, IDLE};
 
     #[test]
     fn noref_is_inert_and_refresh_free() {
         let mut p = NoRefresh;
-        assert!(p.inert());
-        let view = RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &[0; 4],
-            bank_has_demand: &[false; 4],
-            bank_open: &[false; 4],
-        };
+        let view = view(0, &[IDLE; 4], &[0; 4]);
+        assert_eq!(p.next_wake(0.0, &view), f64::INFINITY);
         assert_eq!(p.next_action(0.0, &view), None);
         assert_eq!(p.stats(), PolicyStats::default());
     }

@@ -62,7 +62,7 @@ impl RefreshPolicy for PerBankRef {
         })
     }
 
-    fn next_wake(&self, _now_ns: f64) -> f64 {
+    fn next_wake(&self, _now_ns: f64, _view: &RankView<'_>) -> f64 {
         // Purely time-gated: the rotation fires on its own schedule.
         self.next_due_ns
     }
@@ -82,20 +82,14 @@ pub fn refpb() -> PolicyHandle {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::policy::tests::IDLE;
 
     fn env() -> PolicyEnv {
         PolicyEnv::for_rank(&SystemConfig::table3(8.0, refpb()), 0, 0)
     }
 
     fn view() -> RankView<'static> {
-        RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &[0; 16],
-            bank_has_demand: &[false; 16],
-            bank_open: &[false; 16],
-        }
+        crate::policy::tests::view(0, &[IDLE; 16], &[0; 16])
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! layer of [`super::PolicyHandle::with_para_hira`] is a
 //! [`super::HiraPolicy`].
 
-use super::{
-    wake_under, DemandDecision, PolicyEnv, PolicyStats, RankView, RefreshAction, RefreshPolicy,
-};
+use super::{DemandDecision, PolicyEnv, PolicyStats, RankView, RefreshAction, RefreshPolicy};
 use hira_core::finder::McStats;
 use hira_core::para::Para;
 use hira_dram::addr::{BankId, RowId};
@@ -90,19 +88,11 @@ impl RefreshPolicy for ImmediatePara {
         }
     }
 
-    fn next_wake(&self, now_ns: f64) -> f64 {
+    fn next_wake(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
         // Pending victims are served on the very next poll; otherwise the
         // layer is transparent and the inner policy's schedule governs.
         if self.queue.is_empty() {
-            self.inner.next_wake(now_ns)
-        } else {
-            now_ns
-        }
-    }
-
-    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
-        if self.queue.is_empty() {
-            wake_under(&*self.inner, now_ns, view)
+            self.inner.next_wake(now_ns, view)
         } else {
             now_ns
         }
@@ -129,6 +119,7 @@ impl RefreshPolicy for ImmediatePara {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::policy::tests::{view, BLOCKED, IDLE};
     use crate::policy::{baseline, noref, HiraPolicy};
 
     fn env() -> PolicyEnv {
@@ -136,14 +127,7 @@ mod tests {
     }
 
     fn idle_view() -> RankView<'static> {
-        RankView {
-            now: 1_000_000,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &[0; 16],
-            bank_has_demand: &[false; 16],
-            bank_open: &[false; 16],
-        }
+        view(1_000_000, &[IDLE; 16], &[0; 16])
     }
 
     #[test]
@@ -170,14 +154,7 @@ mod tests {
         p.on_act_executed(100.0, BankId(1), RowId(300));
         assert_eq!(p.stats().preventive_queued, 1);
         // Slack = 8·tRC = 370 ns: nothing due yet at t=110 on busy banks.
-        let busy = RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &[u64::MAX; 16],
-            bank_has_demand: &[true; 16],
-            bank_open: &[false; 16],
-        };
+        let busy = view(0, &[BLOCKED; 16], &[1; 16]);
         assert_eq!(p.next_action(110.0, &busy), None);
         // By the deadline it must go out even on a loaded rank view.
         assert!(p.next_action(480.0, &idle_view()).is_some());

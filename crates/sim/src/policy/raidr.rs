@@ -143,20 +143,10 @@ impl RefreshPolicy for RaidrBinned {
         None
     }
 
-    fn next_wake(&self, now_ns: f64) -> f64 {
-        // Parked refreshes unblock on bank state (refined against it in
-        // `next_wake_under`). Otherwise nothing can happen before the
-        // emission schedule's next row-slot.
-        if self.pending.is_empty() {
-            self.next_slot_ns
-        } else {
-            now_ns
-        }
-    }
-
-    fn next_wake_under(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
+    fn next_wake(&self, now_ns: f64, view: &RankView<'_>) -> f64 {
         // A full parking lot forces its oldest entry out at once; otherwise
-        // the next row-slot or the first parked bank to drain.
+        // the emission schedule's next row-slot or the first parked bank
+        // to drain.
         if self.pending.len() >= MAX_PENDING {
             return now_ns;
         }
@@ -181,20 +171,14 @@ pub fn raidr() -> PolicyHandle {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::policy::tests::{BLOCKED, IDLE};
 
     fn env() -> PolicyEnv {
         PolicyEnv::for_rank(&SystemConfig::table3(8.0, raidr()), 0, 0)
     }
 
     fn view() -> RankView<'static> {
-        RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &[0; 16],
-            bank_has_demand: &[false; 16],
-            bank_open: &[false; 16],
-        }
+        crate::policy::tests::view(0, &[IDLE; 16], &[0; 16])
     }
 
     #[test]
@@ -246,15 +230,7 @@ mod tests {
     fn backlogged_bank_defers_but_never_drops() {
         let e = env();
         let mut p = RaidrBinned::new(&e);
-        let blocked = [u64::MAX; 16];
-        let v = RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &blocked,
-            bank_has_demand: &[false; 16],
-            bank_open: &[false; 16],
-        };
+        let v = crate::policy::tests::view(0, &[BLOCKED; 16], &[0; 16]);
         assert_eq!(p.next_action(1e6, &v), None);
         let held = *p.pending.front().expect("due refresh parked, not lost");
         // Once the banks drain, the oldest held refresh goes out first.
@@ -273,16 +249,9 @@ mod tests {
         let e = env();
         let mut p = RaidrBinned::new(&e);
         // Bank 0 permanently backlogged; the rest idle.
-        let mut next_act = [0u64; 16];
-        next_act[0] = u64::MAX;
-        let v = RankView {
-            now: 0,
-            clock: crate::clock::MemClock::ddr4_2400(),
-            t_rc: 56,
-            bank_next_act: &next_act,
-            bank_has_demand: &[false; 16],
-            bank_open: &[false; 16],
-        };
+        let mut banks = [IDLE; 16];
+        banks[0] = BLOCKED;
+        let v = crate::policy::tests::view(0, &banks, &[0; 16]);
         // Two full bank rotations of due slots: bank-0 rows park, all other
         // banks' rows still flow.
         let mut served_banks = std::collections::HashSet::new();

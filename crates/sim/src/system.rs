@@ -11,9 +11,8 @@
 //!   batched arithmetically at issue width, also while loads are in
 //!   flight), when a channel could pick a queued request, flip its
 //!   write-drain mode or deliver a completion, or when a rank's refresh
-//!   machinery may act
-//!   ([`crate::policy::RefreshPolicy::next_wake`], refined against bank
-//!   state by [`crate::policy::RefreshPolicy::next_wake_under`]). The
+//!   machinery may act ([`crate::policy::RefreshPolicy::next_wake`],
+//!   answered under a view borrowing the rank's live bank state). The
 //!   memory-tick rational accumulator is advanced in closed form across
 //!   skips, so the observable cycle numbers — and therefore every
 //!   statistic in [`SimResult`] — are **bit-identical** between the two
@@ -149,8 +148,10 @@ impl System {
     pub fn run_telemetered(mut self) -> (SimResult, RunTelemetry) {
         let event = self.cfg.kernel == KernelMode::Event;
         let warmup = self.cfg.warmup_insts;
-        let target = warmup + self.cfg.insts_per_core;
-        let cap = self.safety_cap(target);
+        let (target, cap) = self
+            .cfg
+            .run_bounds()
+            .expect("the instruction budget overflows u64");
         let mut warm_cycle = vec![None::<u64>; self.cores.len()];
         let mut roi_ended = vec![false; self.cores.len()];
         let mut cycle = 0u64;
@@ -214,15 +215,6 @@ impl System {
             }
         }
         self.collect(cycle, target, warmup, &warm_cycle, events)
-    }
-
-    /// The safety cycle cap: even at IPC 0.01 the run terminates. Both
-    /// kernels stop the moment the cycle counter *reaches* this value —
-    /// the event kernel clamps its time skips to it, so a capped run
-    /// reports exactly `cap` in [`SimResult::cycles`] regardless of how
-    /// far the next wake would have jumped.
-    fn safety_cap(&self, target: u64) -> u64 {
-        self.cfg.cycle_cap.unwrap_or(target * 120 + 4_000_000)
     }
 
     /// Fires the epoch probe when `cycle` is a sampling boundary. Every
@@ -295,7 +287,7 @@ impl System {
     /// containing the channels' next memory-side event. Pending LLC→
     /// channel transfers pin the answer to `cur` (their retry runs inside
     /// every `tick_cpu`).
-    fn next_interesting_cycle(&mut self, cur: u64) -> u64 {
+    fn next_interesting_cycle(&self, cur: u64) -> u64 {
         if !self.llc.fetch_queue.is_empty() || !self.llc.writeback_queue.is_empty() {
             return cur;
         }
@@ -309,7 +301,7 @@ impl System {
             }
         }
         let mut tick = u64::MAX;
-        for ch in &mut self.channels {
+        for ch in &self.channels {
             tick = tick.min(ch.next_event(self.mem_cycle));
         }
         if tick != u64::MAX {

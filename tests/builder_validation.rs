@@ -125,6 +125,42 @@ fn warmup_must_stay_below_the_instruction_budget() {
 }
 
 #[test]
+fn budgets_that_overflow_the_cycle_count_are_rejected() {
+    // The default safety cap is 120 × (warmup + insts) + 4 M cycles; the
+    // largest run target whose cap still fits in a u64:
+    let max_target = (u64::MAX - 4_000_000) / 120;
+    let mut rng = cases(8);
+    for case in 0..64 {
+        let target = max_target - 32 + rng.next_below(64);
+        let warmup = rng.next_below(target / 2);
+        let insts = target - warmup;
+        let result = SystemBuilder::new().insts(insts, warmup).build();
+        if target <= max_target {
+            assert!(result.is_ok(), "case {case}: {warmup} + {insts} rejected");
+        } else {
+            assert_eq!(
+                result.unwrap_err(),
+                BuildError::BudgetOverflow { warmup, insts },
+                "case {case}"
+            );
+        }
+    }
+    // A target past u64::MAX, and budgets a serve request can name (its
+    // warmup is a fifth of `insts`): refused, never overflowed in a run.
+    for insts in [u64::MAX, u64::MAX - 2047, 200_000_000_000_000_000] {
+        let warmup = insts / 5;
+        assert_eq!(
+            SystemBuilder::new()
+                .insts(insts, warmup)
+                .build()
+                .unwrap_err(),
+            BuildError::BudgetOverflow { warmup, insts },
+            "insts {insts}"
+        );
+    }
+}
+
+#[test]
 fn builder_reproduces_the_legacy_table3_struct_literals() {
     // The builder's output must equal the hand-assembled configuration the
     // harness used to carry, for every Table 3 capacity × policy preset.
