@@ -48,9 +48,10 @@
 //!   point of an accepted sweep; `points_per_sec`/`eta_ms` count only
 //!   computed points and are `null` until a rate is known.
 //! * `{"event":"error","id":"a","line":7,"message":"..."}` — the request
-//!   was rejected (unparsable line, unknown name, empty grid); `line` is
-//!   the 1-based request line number within the session and the server
-//!   keeps serving.
+//!   was rejected (unparsable line, unknown name, empty grid); `id` is the
+//!   line's string `id` whenever the line is a JSON object carrying one
+//!   (`""` otherwise), `line` is the 1-based request line number within
+//!   the session, and the server keeps serving.
 //! * `{"event":"stats","sweeps":2,"points":8,"hits":6,"misses":2,
 //!   "appended":2,"uptime_ms":153.0,"sweeps_accepted":2,
 //!   "points_streamed":8}` — answer to `{"op":"stats"}`.
@@ -440,7 +441,13 @@ impl Server {
         };
         match parse_op(line) {
             Err(msg) => {
-                emit(&self.error_event("", &msg));
+                // A rejected line still names its request when it is a
+                // JSON object with a string `id`.
+                let id = json::parse(line)
+                    .ok()
+                    .and_then(|v| v.get("id").and_then(Value::as_str).map(str::to_owned))
+                    .unwrap_or_default();
+                emit(&self.error_event(&id, &msg));
                 true
             }
             Ok(Op::Shutdown) => {
@@ -882,6 +889,7 @@ mod tests {
             assert!(alive, "insts {insts}");
             assert_eq!(ev.len(), 1, "insts {insts}: {ev:?}");
             assert_eq!(field(&ev[0], "event"), "\"error\"", "insts {insts}");
+            assert_eq!(field(&ev[0], "id"), "\"big\"", "insts {insts}");
         }
         let (alive, stats) = collect(&mut server, "{\"op\":\"stats\"}");
         assert!(alive);

@@ -60,21 +60,31 @@ impl RefPtrTable {
     /// satisfies `compatible`, returning `(subarray, row)` without advancing.
     ///
     /// Iterating subarrays in least-progress-first order implements §5.1.3's
-    /// balanced advancement.
+    /// balanced advancement. Ties go to the lower subarray: the walk visits
+    /// one progress level at a time, in subarray order, which is the order
+    /// a stable sort by progress gives, without sorting. Balanced
+    /// advancement keeps the levels few.
     pub fn select<F>(&self, bank: BankId, mut compatible: F) -> Option<(SubarrayId, RowId)>
     where
         F: FnMut(RowId) -> bool,
     {
-        let b = &self.banks[bank.index()];
-        let mut order: Vec<u32> = (0..self.subarrays).collect();
-        order.sort_by_key(|&sa| b.done[sa as usize]);
-        for sa in order {
-            let row = self.peek(bank, SubarrayId(sa as u16));
-            if compatible(row) {
-                return Some((SubarrayId(sa as u16), row));
+        let done = &self.banks[bank.index()].done;
+        let mut level = done.iter().copied().min()?;
+        loop {
+            let mut next_level = None::<u32>;
+            for (sa, &d) in done.iter().enumerate() {
+                if d == level {
+                    let sa = SubarrayId(sa as u16);
+                    let row = self.peek(bank, sa);
+                    if compatible(row) {
+                        return Some((sa, row));
+                    }
+                } else if d > level && next_level.is_none_or(|n| d < n) {
+                    next_level = Some(d);
+                }
             }
+            level = next_level?;
         }
-        None
     }
 
     /// The globally least-advanced subarray's candidate row (deadline path:
@@ -164,6 +174,38 @@ mod tests {
         let got = t.select(bank, |row| row.0 / 512 == 5).unwrap();
         assert_eq!(got.0, SubarrayId(5));
         assert!(t.select(bank, |_| false).is_none());
+    }
+
+    #[test]
+    fn select_visits_subarrays_in_stable_progress_order() {
+        // Against the stable sort by progress it replaces: seeded progress
+        // vectors with spreads of 0-3 rows, under random compatibility
+        // predicates (each row compatible with probability 0, 1/8, 1/2 or
+        // 1), give the same `(subarray, row)`.
+        let mut rng = hira_dram::rng::Stream::from_words(&[0x5E1EC7]);
+        for trial in 0..2_000 {
+            let mut t = RefPtrTable::new(1, 128 * 16, 16); // 128 subarrays
+            let bank = BankId(0);
+            let spread = trial % 4;
+            let base = rng.next_below(4);
+            for sa in 0..t.subarrays() {
+                for _ in 0..base + rng.next_below(spread + 1) {
+                    t.advance(bank, SubarrayId(sa as u16));
+                }
+            }
+            let odds = [0, 1, 4, 8][rng.next_below(4) as usize];
+            let salt = rng.next_u64();
+            let compatible =
+                |row: RowId| hira_dram::rng::hash_words(&[salt, u64::from(row.0)]) % 8 < odds;
+            let done = &t.banks[0].done;
+            let mut order: Vec<u32> = (0..t.subarrays()).collect();
+            order.sort_by_key(|&sa| done[sa as usize]);
+            let expected = order
+                .into_iter()
+                .map(|sa| (SubarrayId(sa as u16), t.peek(bank, SubarrayId(sa as u16))))
+                .find(|&(_, row)| compatible(row));
+            assert_eq!(t.select(bank, compatible), expected, "trial {trial}");
+        }
     }
 
     #[test]

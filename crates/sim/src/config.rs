@@ -48,7 +48,10 @@ pub enum KernelMode {
     /// while loads are in flight, channels sleep until a queued request
     /// can be picked, policies sleep until the
     /// [`crate::policy::RefreshPolicy::next_wake`] they declare under the
-    /// rank's current bank state).
+    /// rank's current bank state). A processed cycle touches only what
+    /// woke: a core whose wake lies ahead catches up lazily, in one
+    /// [`crate::core_model::Core::skip`], when it is next touched, and
+    /// each rank's refresh wake is cached between its state changes.
     #[default]
     Event,
 }

@@ -20,7 +20,15 @@
 //! *every* executed activation — demand, refresh, preventive — is reported
 //! back through `on_act_executed`. Under the event kernel, a rank whose
 //! policy's `next_wake` (under the same borrowed view) and plugins' wakes
-//! all lie ahead is not ticked or polled at all.
+//! all lie ahead is not ticked or polled at all. That rank wake is cached
+//! between the rank's state changes (its `enqueue` and every tick clear
+//! it), so [`Channel::next_event`] computes it once after a processed
+//! tick and the next tick's refresh gate reads the same answer.
+//!
+//! Both buses are sliding bitsets of busy command-clock cycles: every
+//! reservation starts at or after the current cycle, so each tick drops
+//! the words behind it, and the first free command slot or data-bus gap
+//! is a few word operations.
 
 use crate::clock::{MemClock, MemCycle};
 use crate::config::{KernelMode, SystemConfig};
@@ -36,7 +44,7 @@ use hira_core::finder::McStats;
 use hira_core::hira_op::HiraOperation;
 use hira_dram::addr::{BankId, RowId};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// How far into the future a service may be committed (cycles). Loose
 /// enough that a refresh-busy bank still accepts demand work behind the
@@ -47,100 +55,85 @@ const COMMIT_HORIZON: MemCycle = 360;
 const WQ_HIGH: usize = 48;
 const WQ_LOW: usize = 16;
 
-/// Data bus: fixed-length burst reservations with gap filling, so a
-/// far-future burst (refresh-delayed bank) does not serialize earlier-ready
-/// bursts behind it.
+/// A bus's reserved command-clock cycles, one bit per cycle, in a window
+/// that slides forward with `now`. Both buses are one of these: the
+/// command bus books one-cycle slots (HiRA's mid-sequence commands are
+/// scheduled ahead of time), the data bus fixed-length bursts with gap
+/// filling, so a far-future burst (refresh-delayed bank) does not
+/// serialize earlier-ready bursts behind it. Every allocation starts at or
+/// after the current cycle, so [`BusSlots::prune`] forgets everything
+/// before it.
 #[derive(Debug, Default)]
-struct DataBus {
-    /// Burst start → end (non-overlapping; all bursts have equal length).
-    bursts: std::collections::BTreeMap<MemCycle, MemCycle>,
-    /// Retention horizon behind `now` (see [`DataBus::with_horizon`]).
-    horizon: MemCycle,
+struct BusSlots {
+    /// Cycle of bit 0 of `words[0]`, a multiple of 64.
+    base: MemCycle,
+    /// Bit `i` of `words[k]` set: cycle `base + 64 k + i` is reserved.
+    words: VecDeque<u64>,
+    /// The last prune point: no allocation starts before it.
+    floor: MemCycle,
 }
 
-impl DataBus {
-    /// A bus whose prune keeps reservations for `horizon` cycles past
-    /// their end. Every allocation starts at or after the current cycle,
-    /// so a burst that ended before `now` can never conflict again — the
-    /// horizon only needs to cover the bus's own reservation unit (one
-    /// burst length, as derived from the device's [`CommandTable`]).
-    fn with_horizon(horizon: MemCycle) -> Self {
-        DataBus {
-            bursts: std::collections::BTreeMap::new(),
-            horizon,
+impl BusSlots {
+    /// The reservation bits of the 64 cycles from `at` (bit `i`: cycle
+    /// `at + i`).
+    fn window(&self, at: MemCycle) -> u64 {
+        let off = at - self.base;
+        let (k, shift) = ((off / 64) as usize, off % 64);
+        let word = |k| self.words.get(k).copied().unwrap_or(0);
+        let low = word(k) >> shift;
+        if shift == 0 {
+            low
+        } else {
+            low | word(k + 1) << (64 - shift)
         }
     }
 
-    /// Reserves the first `len`-cycle gap starting at or after `earliest`.
+    /// Reserves the first `len` consecutive free cycles (`1..=64`) that
+    /// start at or after `earliest`, and returns their start.
     fn alloc(&mut self, earliest: MemCycle, len: MemCycle) -> MemCycle {
-        let mut s = earliest;
+        debug_assert!(
+            earliest >= self.floor,
+            "allocation at {earliest} before the prune point {}",
+            self.floor
+        );
+        debug_assert!((1..=64).contains(&len), "run of {len} cycles");
+        let run = u64::MAX >> (64 - len);
+        let mut start = earliest;
         loop {
-            let conflict = self
-                .bursts
-                .range(..s + len)
-                .next_back()
-                .filter(|&(_, &end)| end > s)
-                .map(|(_, &end)| end);
-            match conflict {
-                Some(end) => s = end,
-                None => {
-                    self.bursts.insert(s, s + len);
-                    return s;
-                }
-            }
-        }
-    }
-
-    fn prune(&mut self, now: MemCycle) {
-        while let Some((&start, &end)) = self.bursts.first_key_value() {
-            if end + self.horizon < now {
-                self.bursts.remove(&start);
-            } else {
+            let bits = self.window(start);
+            let busy = bits & run;
+            if busy == 0 {
                 break;
             }
+            // Every start up to the run's last reserved cycle overlaps it,
+            // and so does every start on the reserved cycles right after.
+            let past = 64 - busy.leading_zeros();
+            start += u64::from(past + bits.checked_shr(past).unwrap_or(0).trailing_ones());
         }
-    }
-}
-
-/// One-command-per-cycle command bus with future reservations (HiRA's
-/// mid-sequence commands are scheduled ahead of time).
-#[derive(Debug, Default)]
-struct CmdBus {
-    reserved: BTreeSet<MemCycle>,
-    /// Retention horizon behind `now` (see [`CmdBus::with_horizon`]).
-    horizon: MemCycle,
-}
-
-impl CmdBus {
-    /// A bus whose prune keeps slots for `horizon` cycles past their
-    /// reservation. As with [`DataBus`], allocations never start before
-    /// `now`, so the horizon only needs to cover the device's command
-    /// spacing — the widest mid-sequence gap a HiRA operation schedules
-    /// ahead (`t1 + t2` from the [`CommandTable`]).
-    fn with_horizon(horizon: MemCycle) -> Self {
-        CmdBus {
-            reserved: BTreeSet::new(),
-            horizon,
+        let off = start - self.base;
+        let (k, shift) = ((off / 64) as usize, off % 64);
+        let words = (off + len).div_ceil(64) as usize;
+        if self.words.len() < words {
+            self.words.resize(words, 0);
         }
+        self.words[k] |= run << shift;
+        if shift + len > 64 {
+            self.words[k + 1] |= run >> (64 - shift);
+        }
+        start
     }
 
-    /// Reserves the first free slot at or after `earliest`.
-    fn alloc(&mut self, earliest: MemCycle) -> MemCycle {
-        let mut c = earliest;
-        while self.reserved.contains(&c) {
-            c += 1;
-        }
-        self.reserved.insert(c);
-        c
-    }
-
+    /// Forgets every reservation before `now`: no later allocation starts
+    /// before it, so none can conflict with them.
     fn prune(&mut self, now: MemCycle) {
-        while let Some(&c) = self.reserved.first() {
-            if c + self.horizon < now {
-                self.reserved.remove(&c);
-            } else {
+        self.floor = now;
+        let keep = now - now % 64;
+        while self.base < keep {
+            if self.words.pop_front().is_none() {
+                self.base = keep;
                 break;
             }
+            self.base += 64;
         }
     }
 }
@@ -178,6 +171,10 @@ struct Rank {
     /// [`SystemConfig::plugins`] order. Each observes every executed
     /// activation and may inject preventive refreshes.
     plugins: Vec<Box<dyn ControllerPlugin>>,
+    /// The rank's refresh wake ([`Channel::rank_wake`]) as `(cycle it was
+    /// asked at, wake)`, kept until the rank's state can change: its next
+    /// enqueue or the channel's next tick clears it.
+    wake: Option<(MemCycle, MemCycle)>,
 }
 
 /// Aggregate controller statistics.
@@ -236,8 +233,10 @@ pub struct Channel {
     peak_queue: usize,
     banks: Vec<Bank>,
     ranks: Vec<Rank>,
-    bus: CmdBus,
-    data_bus: DataBus,
+    /// The command bus: one command per cycle.
+    bus: BusSlots,
+    /// The data bus: one burst of `tBL` cycles at a time.
+    data_bus: BusSlots,
     completions: BinaryHeap<Reverse<(MemCycle, u64)>>,
     write_mode: bool,
     stats: ChannelStats,
@@ -266,6 +265,7 @@ impl Channel {
                         .enumerate()
                         .map(|(i, h)| h.build(&PluginEnv::for_rank(cfg, channel_idx, r, i)))
                         .collect(),
+                    wake: None,
                 }
             })
             .collect();
@@ -296,8 +296,8 @@ impl Channel {
             peak_queue: 0,
             banks: vec![Bank::default(); cfg.ranks * cfg.banks as usize],
             ranks,
-            bus: CmdBus::with_horizon(timing.t1 + timing.t2),
-            data_bus: DataBus::with_horizon(timing.bl),
+            bus: BusSlots::default(),
+            data_bus: BusSlots::default(),
             completions: BinaryHeap::new(),
             write_mode: false,
             stats: ChannelStats::default(),
@@ -356,6 +356,7 @@ impl Channel {
     pub fn enqueue(&mut self, req: MemRequest) {
         let bi = self.bank_index(req.addr.rank, req.addr.bank);
         self.queued[bi] += 1;
+        self.ranks[req.addr.rank].wake = None;
         if req.is_write {
             debug_assert!(self.can_accept_write());
             self.write_q.push(req);
@@ -429,7 +430,7 @@ impl Channel {
     ) -> MemCycle {
         let mut start = now.max(self.banks[bi].next_act);
         if self.banks[bi].open_row.is_some() {
-            let pre_at = self.bus.alloc(now.max(self.banks[bi].next_pre));
+            let pre_at = self.bus.alloc(now.max(self.banks[bi].next_pre), 1);
             self.banks[bi].open_row = None;
             start = start.max(pre_at + self.timing.rp);
             probes.on_cmd(pre_at, self.idx, rank, Some(bank), None, DramCmd::Pre);
@@ -458,9 +459,9 @@ impl Channel {
             }
             a1 = a2 - lead;
         }
-        let a1 = self.bus.alloc(a1);
-        let pre = self.bus.alloc(a1 + t.t1);
-        let a2 = self.bus.alloc(a1 + lead);
+        let a1 = self.bus.alloc(a1, 1);
+        let pre = self.bus.alloc(a1 + t.t1, 1);
+        let a2 = self.bus.alloc(a1 + lead, 1);
         self.record_act(rank, bg, a1);
         self.record_act(rank, bg, a2);
         (a1, pre, a2)
@@ -480,8 +481,8 @@ impl Channel {
         let bi = self.bank_index(rank, bank);
         let start = self.close_open_row(now, bi, rank, bank, probes);
         let start = self.act_constraint(rank, bg, start);
-        let act_at = self.bus.alloc(start);
-        let pre_at = self.bus.alloc(act_at + t.ras);
+        let act_at = self.bus.alloc(start, 1);
+        let pre_at = self.bus.alloc(act_at + t.ras, 1);
         self.record_act(rank, bg, act_at);
         let b = &mut self.banks[bi];
         b.next_act = act_at + t.ras + t.rp;
@@ -511,7 +512,7 @@ impl Channel {
         let start = self.close_open_row(now, bi, rank, bank, probes);
         let start = self.act_constraint(rank, bg, start);
         let (a1, pre1, a2) = self.place_hira(rank, bg, start);
-        let pre2 = self.bus.alloc(a2 + t.ras);
+        let pre2 = self.bus.alloc(a2 + t.ras, 1);
         let lead = t.t1 + t.t2;
         let b = &mut self.banks[bi];
         b.next_act = a2 + t.ras + t.rp;
@@ -538,8 +539,8 @@ impl Channel {
                 ready = ready.max(self.banks[bi].next_pre);
             }
         }
-        let prea_at = self.bus.alloc(ready);
-        let ref_at = self.bus.alloc(prea_at + t.rp);
+        let prea_at = self.bus.alloc(ready, 1);
+        let ref_at = self.bus.alloc(prea_at + t.rp, 1);
         for b in 0..self.banks_per_rank {
             let bi = self.bank_index(rank, b);
             self.banks[bi].open_row = None;
@@ -564,7 +565,7 @@ impl Channel {
     ) {
         let bi = self.bank_index(rank, bank);
         let ready = self.close_open_row(now, bi, rank, bank, probes);
-        let ref_at = self.bus.alloc(ready);
+        let ref_at = self.bus.alloc(ready, 1);
         let blocked = self.clock.ns_to_cycles(t_rfc_pb_ns);
         let b = &mut self.banks[bi];
         b.next_act = b.next_act.max(ref_at + blocked);
@@ -613,7 +614,23 @@ impl Channel {
     /// The wake of `rank`'s refresh machinery: the earliest cycle at which
     /// its policy or a plugin may act, with the rank's bank state held as
     /// it is now.
-    fn rank_wake(&self, rank: usize, now: MemCycle, now_ns: f64) -> MemCycle {
+    ///
+    /// The answer is cached until the rank's state can change (its next
+    /// [`Channel::enqueue`] or the next tick), so the refresh gate and
+    /// [`Channel::next_event`] ask the policy once per processed tick
+    /// between them. A cached wake `w` asked at `at` serves any later
+    /// `now`: the policy's contract makes every tick in `[at, w)` a no-op,
+    /// and every wake in this crate is a minimum of fixed instants and
+    /// `max(now, c)` terms (`now_ns` itself, [`RankView::unbacklogged_at`],
+    /// [`RankView::idle_at`]), so whether `w > now` and `w.max(now + 1)`
+    /// come out as a fresh answer's would.
+    fn rank_wake(&mut self, rank: usize, now: MemCycle) -> MemCycle {
+        if let Some((at, wake)) = self.ranks[rank].wake {
+            if at <= now {
+                return wake;
+            }
+        }
+        let now_ns = self.clock.cycles_to_ns(now);
         let r = &self.ranks[rank];
         let mut wake = self
             .clock
@@ -621,6 +638,7 @@ impl Channel {
         for p in &r.plugins {
             wake = wake.min(self.clock.wake_cycle(p.next_wake(now_ns)));
         }
+        self.ranks[rank].wake = Some((now, wake));
         wake
     }
 
@@ -677,15 +695,16 @@ impl Channel {
     /// due, and no rank's refresh machinery may act (under the
     /// [`RefreshPolicy::next_wake`] contract). Returns [`MemCycle::MAX`]
     /// for a fully idle channel. Bank/bus timestamps need no ticking — they
-    /// are lazy.
-    pub fn next_event(&self, now: MemCycle) -> MemCycle {
+    /// are lazy. It takes `&mut self` only to fill the ranks' refresh-wake
+    /// caches, which the next tick's refresh gate reads; the answer is the
+    /// same for any caller.
+    pub fn next_event(&mut self, now: MemCycle) -> MemCycle {
         let mut next = self.demand_wake(now);
         if let Some(&Reverse((t, _))) = self.completions.peek() {
             next = next.min(t.max(now + 1));
         }
-        let now_ns = self.clock.cycles_to_ns(now);
         for rank in 0..self.ranks.len() {
-            next = next.min(self.rank_wake(rank, now, now_ns).max(now + 1));
+            next = next.min(self.rank_wake(rank, now).max(now + 1));
         }
         next
     }
@@ -705,6 +724,11 @@ impl Channel {
         self.refresh_step(now, probes);
         // One demand commitment per cycle keeps scheduling near-cycle-accurate.
         self.demand_step(now, probes);
+
+        // Refresh and demand work may have moved any rank's state.
+        for r in &mut self.ranks {
+            r.wake = None;
+        }
 
         let mut done = Vec::new();
         while let Some(&Reverse((t, id))) = self.completions.peek() {
@@ -727,10 +751,12 @@ impl Channel {
             // Event kernel: skip the tick/poll machinery of a rank whose
             // policy and plugins all declared a future wake under its
             // current bank state (the `next_wake` contracts make those
-            // calls no-ops). One rank's actions never touch another rank's
-            // banks or policy, so each rank is gated as the loop reaches
-            // it. The dense kernel polls every rank.
-            if self.kernel == KernelMode::Event && self.rank_wake(rank, now, now_ns) > now {
+            // calls no-ops); the wake is usually the one `next_event`
+            // cached after the previous processed tick. One rank's actions
+            // never touch another rank's banks or policy, so each rank is
+            // gated as the loop reaches it. The dense kernel polls every
+            // rank.
+            if self.kernel == KernelMode::Event && self.rank_wake(rank, now) > now {
                 continue;
             }
             self.ranks[rank].policy.tick(now_ns);
@@ -875,7 +901,7 @@ impl Channel {
             );
             let demand_act = match decision {
                 DemandDecision::Plain => {
-                    let a = self.bus.alloc(act_at);
+                    let a = self.bus.alloc(act_at, 1);
                     self.record_act(rank, bg, a);
                     self.stats.demand_acts += 1;
                     probes.on_cmd(a, self.idx, rank, Some(bank), Some(row), DramCmd::Act);
@@ -917,7 +943,7 @@ impl Channel {
         let burst_start = self.data_bus.alloc(cas + data_lat, t.bl);
         self.stats.data_bus_busy += t.bl;
         cas = burst_start - data_lat;
-        let cas = self.bus.alloc(cas);
+        let cas = self.bus.alloc(cas, 1);
         let b = &mut self.banks[bi];
         b.next_cas = cas
             + if self.ranks[rank].last_cas_bg == Some(bg) {
@@ -986,27 +1012,102 @@ mod tests {
         done
     }
 
+    /// The reservation searches the bit window replaces, over plain
+    /// ordered sets that are never pruned: the command bus's first free
+    /// slot and the data bus's first free burst-length gap.
+    #[derive(Default)]
+    struct ReferenceBuses {
+        slots: std::collections::BTreeSet<MemCycle>,
+        bursts: std::collections::BTreeMap<MemCycle, MemCycle>,
+    }
+
+    impl ReferenceBuses {
+        fn slot(&mut self, earliest: MemCycle) -> MemCycle {
+            let mut c = earliest;
+            while self.slots.contains(&c) {
+                c += 1;
+            }
+            self.slots.insert(c);
+            c
+        }
+
+        fn burst(&mut self, earliest: MemCycle, len: MemCycle) -> MemCycle {
+            let mut s = earliest;
+            while let Some(end) = self
+                .bursts
+                .range(..s + len)
+                .next_back()
+                .map(|(_, &end)| end)
+                .filter(|&end| end > s)
+            {
+                s = end;
+            }
+            self.bursts.insert(s, s + len);
+            s
+        }
+    }
+
+    #[test]
+    fn bus_slots_match_the_ordered_set_search() {
+        // Seeded random traffic at an advancing `now`: bookings up to five
+        // 64-cycle words ahead, pruned every step, answer exactly what the
+        // unpruned searches answer.
+        let ch = Channel::new(&config(policy::hira(4)), 0);
+        let len = ch.timing.bl;
+        let mut rng = hira_dram::rng::Stream::from_words(&[0xB05, len]);
+        let (mut cmd, mut data) = (BusSlots::default(), BusSlots::default());
+        let mut reference = ReferenceBuses::default();
+        let mut now = 0;
+        for step in 0..20_000 {
+            now += rng.next_below(8);
+            cmd.prune(now);
+            data.prune(now);
+            let ahead = if rng.next_below(8) == 0 { 320 } else { 24 };
+            let earliest = now + rng.next_below(ahead);
+            if rng.next_below(2) == 0 {
+                let got = cmd.alloc(earliest, 1);
+                assert_eq!(got, reference.slot(earliest), "slot at step {step}");
+            } else {
+                let got = data.alloc(earliest, len);
+                assert_eq!(got, reference.burst(earliest, len), "burst at step {step}");
+            }
+        }
+        // The windows slid along instead of keeping the whole history:
+        // they start in the word holding `now` and end in the word holding
+        // the last reservation.
+        let last_slot = *reference.slots.last().unwrap();
+        let last_burst = reference.bursts.values().max().unwrap() - 1;
+        for (bus, last) in [(&cmd, last_slot), (&data, last_burst)] {
+            assert_eq!(bus.base, now - now % 64);
+            assert_eq!(bus.words.len() as u64, (last - bus.base) / 64 + 1);
+        }
+    }
+
     #[test]
     fn data_bus_prune_horizon_derives_from_the_burst_length() {
         let cfg = config(policy::noref());
         let ch = Channel::new(&cfg, 0);
-        // The horizon is the device's burst length, not a magic constant.
-        assert_eq!(ch.data_bus.horizon, ch.timing.bl);
-        let mut bus = DataBus::with_horizon(ch.timing.bl);
+        // A burst books one bit per cycle of the device's burst length, so
+        // a prune needs no horizon behind `now`: a burst begun before `now`
+        // keeps the cycles it still holds.
         let len = ch.timing.bl;
-        let first = bus.alloc(0, len);
-        assert_eq!(first, 0);
+        let mut bus = BusSlots::default();
+        assert_eq!(bus.alloc(0, len), 0);
         bus.alloc(1000, len);
-        // Within the horizon the old burst survives; past it, it is
-        // dropped — and allocation behaviour is unaffected either way,
-        // because new bursts never start before `now`.
-        bus.prune(len + ch.timing.bl);
-        assert!(bus.bursts.contains_key(&0), "pruned inside the horizon");
-        bus.prune(len + ch.timing.bl + 1);
-        assert!(!bus.bursts.contains_key(&0), "kept past the horizon");
-        assert!(bus.bursts.contains_key(&1000), "future burst dropped");
-        let now = len + ch.timing.bl + 1;
+        let now = len - 1;
+        bus.prune(now);
+        assert_eq!(bus.alloc(now, len), len, "pruned a burst still on the bus");
+        // Past the word holding `now`, old bursts are dropped; the future
+        // burst survives, and allocation from `now` is unaffected.
+        let now = 128 + len;
+        bus.prune(now);
+        assert_eq!(bus.base, 128, "kept words wholly before `now`");
         assert_eq!(bus.alloc(now, len), now, "prune changed allocation");
+        assert_eq!(
+            bus.alloc(1001 - len, len),
+            1000 + len,
+            "future burst dropped"
+        );
     }
 
     #[test]
@@ -1014,20 +1115,32 @@ mod tests {
         let cfg = config(policy::hira(4));
         let ch = Channel::new(&cfg, 0);
         // The widest ahead-of-time command spacing is a HiRA operation's
-        // mid-sequence window: t1 + t2 on the device's command grid.
-        assert_eq!(ch.bus.horizon, ch.timing.t1 + ch.timing.t2);
-        let horizon = ch.bus.horizon;
-        let mut bus = CmdBus::with_horizon(horizon);
-        assert_eq!(bus.alloc(0), 0);
-        bus.alloc(500);
-        bus.prune(horizon);
-        assert!(bus.reserved.contains(&0), "pruned inside the horizon");
-        bus.prune(horizon + 1);
-        assert!(!bus.reserved.contains(&0), "kept past the horizon");
-        assert!(bus.reserved.contains(&500), "future reservation dropped");
-        // A slot freed by pruning is never re-issued to the past: new
-        // commands allocate at or after `now`.
-        assert_eq!(bus.alloc(horizon + 1), horizon + 1);
+        // mid-sequence window: t1 + t2 on the device's command grid. A
+        // prune anywhere inside that window keeps the booked slot.
+        let spacing = ch.timing.t1 + ch.timing.t2;
+        let mut bus = BusSlots::default();
+        assert_eq!(bus.alloc(0, 1), 0);
+        assert_eq!(bus.alloc(spacing, 1), spacing);
+        bus.alloc(500, 1);
+        bus.prune(spacing);
+        assert_eq!(bus.alloc(spacing, 1), spacing + 1, "pruned a booked slot");
+        // Slots wholly before the word holding `now` are forgotten; the
+        // future one survives. A slot freed by pruning is never re-issued
+        // to the past: new commands allocate at or after `now`.
+        let now = 128 + spacing;
+        bus.prune(now);
+        assert_eq!(bus.base, now - now % 64, "kept words wholly before `now`");
+        assert_eq!(bus.alloc(now, 1), now, "prune changed allocation");
+        assert_eq!(bus.alloc(500, 1), 501, "future reservation dropped");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the prune point")]
+    fn bus_slots_refuse_an_allocation_before_the_prune_point() {
+        let mut bus = BusSlots::default();
+        bus.prune(100);
+        bus.alloc(99, 1);
     }
 
     #[test]
@@ -1133,6 +1246,54 @@ mod tests {
             "read latency {latency} vs tRFC {}",
             ch.timing.rfc
         );
+    }
+
+    #[test]
+    fn cached_rank_wakes_answer_as_fresh_ones() {
+        // Two ranks under random demand, asked the way the event kernel
+        // asks: after a tick, again after requests arrive, and at later
+        // cycles the kernel jumps to. Every cached rank wake must gate a
+        // tick and clamp `next_event` exactly as a fresh answer would.
+        // HiRA-queued PARA keeps victims waiting on busy banks, so a
+        // request can take away the idle bank a wake was waiting for.
+        for refresh in [
+            policy::hira(4),
+            policy::baseline().with_para_hira(0.5, 4),
+            policy::raidr(),
+            policy::refpb(),
+        ] {
+            let cfg = config(refresh).with_geometry(1, 2);
+            let mut ch = Channel::new(&cfg, 0);
+            let mut rng = hira_dram::rng::Stream::from_words(&[0xCAC4E, cfg.ranks as u64]);
+            let mut id = 0;
+            for now in 0..12_000 {
+                ch.next_event(now);
+                while rng.next_below(6) == 0 && ch.can_accept_read() {
+                    ch.enqueue(read_at(&cfg, id, rng.next_below(1 << 24) * 64, now));
+                    id += 1;
+                }
+                let later = now + rng.next_below(8);
+                let cached: Vec<_> = (0..cfg.ranks).map(|r| ch.rank_wake(r, later)).collect();
+                let event = ch.next_event(later);
+                // A caller outside the kernel may also ask behind a cache.
+                let behind = ch.next_event(now);
+                for r in &mut ch.ranks {
+                    r.wake = None;
+                }
+                for (rank, &wake) in cached.iter().enumerate() {
+                    let fresh = ch.rank_wake(rank, later);
+                    ch.ranks[rank].wake = None;
+                    assert_eq!(wake > later, fresh > later, "gate, rank {rank} at {later}");
+                    assert_eq!(wake.max(later + 1), fresh.max(later + 1), "rank {rank}");
+                }
+                assert_eq!(event, ch.next_event(later), "next_event at {later}");
+                for r in &mut ch.ranks {
+                    r.wake = None;
+                }
+                assert_eq!(behind, ch.next_event(now), "next_event at {now}");
+                ch.tick(now);
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,11 @@ pub struct Core {
     /// [`Core::skip`]; external completions reset it to 0 ("re-examine
     /// me"). The dense kernel never reads it.
     pub(crate) wake_cache: u64,
+    /// The first cycle this core has not advanced over yet: its state is
+    /// the state at the start of `synced` ([`Core::catch_up`]).
+    synced: u64,
+    /// [`Core::tick`] and [`Core::skip`] calls so far (run telemetry).
+    pub(crate) updates: u64,
 }
 
 impl Core {
@@ -75,6 +80,8 @@ impl Core {
             finished_at: None,
             hit_returns: VecDeque::new(),
             wake_cache: 0,
+            synced: 0,
+            updates: 0,
         }
     }
 
@@ -124,6 +131,12 @@ impl Core {
     where
         F: FnMut(&mut Self, CoreRequest) -> bool,
     {
+        debug_assert_eq!(
+            cycle, self.synced,
+            "tick without advancing over the cycles before"
+        );
+        self.synced = cycle + 1;
+        self.updates += 1;
         // Deliver due hit returns.
         while let Some(&(t, entry)) = self.hit_returns.front() {
             if t > cycle {
@@ -204,6 +217,23 @@ impl Core {
         }
     }
 
+    /// Brings this core up to the start of `cycle` with one
+    /// [`Core::skip`] over the cycles since it last advanced — the event
+    /// kernel's lazy catch-up: a core whose wake lies ahead is left alone
+    /// until its wake arrives, a fill reaches it, an epoch sample reads
+    /// it or the run ends. Every caught-up cycle must lie before the wake
+    /// [`Core::next_wake`] reported. A no-op when already there.
+    pub(crate) fn catch_up(&mut self, cycle: u64) {
+        debug_assert!(
+            cycle >= self.synced,
+            "catch-up to {cycle} behind {}",
+            self.synced
+        );
+        if cycle > self.synced {
+            self.skip(cycle - self.synced);
+        }
+    }
+
     /// Number of in-flight window entries.
     pub fn window_occupancy(&self) -> usize {
         (self.next_id - self.head) as usize
@@ -270,7 +300,10 @@ impl Core {
     /// run loop). Returns `u64::MAX` when only an external event (a fill
     /// delivered through [`Core::complete`]) can make this core progress;
     /// waking it earlier is always safe (the tick is then a no-op, exactly
-    /// as in the dense kernel).
+    /// as in the dense kernel). The wake is an absolute cycle, so it stays
+    /// valid while the event kernel leaves the core behind: whenever the
+    /// kernel catches the core up with one [`Core::skip`], the cycles
+    /// skipped all lie before it.
     pub fn next_wake(&self, now: u64, target: u64, warmup: u64) -> u64 {
         let Some(stretch) = self.stretch() else {
             // Calling into the workload, retiring a completed load,
@@ -300,7 +333,15 @@ impl Core {
     /// cycle, so in-flight loads keep their ids and move closer to the
     /// head; the fill then dispatches [`WIDTH`] compute slots per cycle
     /// until the window is full. Any other core is asleep and unchanged.
+    ///
+    /// Skips compose: inside one stretch, skipping `a` then `b` cycles
+    /// leaves the state one skip of `a + b` leaves (the rotation's
+    /// remaining length shrinks by exactly the ticks taken, and the fill
+    /// phase's length depends only on what the rotation left). That is
+    /// what lets the event kernel advance a core lazily.
     pub fn skip(&mut self, span: u64) {
+        self.synced += span;
+        self.updates += 1;
         let Some(stretch) = self.stretch().filter(|_| span > 0) else {
             return;
         };
@@ -474,6 +515,12 @@ mod tests {
     /// the head — an LLC hit when `second_hits`, else a miss that stays in
     /// flight. Returns the core and the first cycle after that dispatch.
     fn deep_load(second_hits: bool) -> (Core, u64) {
+        deep_load_at(None, second_hits)
+    }
+
+    /// [`deep_load`]'s script, stopped after `stop` ticks instead of after
+    /// the second load's dispatch when `stop` is given.
+    fn deep_load_at(stop: Option<u64>, second_hits: bool) -> (Core, u64) {
         let script = vec![
             Op::Load(0),
             Op::Compute(400),
@@ -482,6 +529,9 @@ mod tests {
         ];
         let mut c = Core::new(0, Box::new(Script(script, 0)));
         for cycle in 0..1_000 {
+            if stop == Some(cycle) {
+                return (c, cycle);
+            }
             let mut second = false;
             c.tick(cycle, u64::MAX, |c, req| {
                 if let CoreRequest::Load { line: 1, entry } = req {
@@ -527,6 +577,42 @@ mod tests {
         assert_eq!(event.loads.front(), Some(&(load, false)));
         assert!(load - event.head < WIDTH as u64);
         assert_eq!(event.window_occupancy(), WINDOW);
+    }
+
+    #[test]
+    fn a_skip_split_into_pieces_matches_one_skip() {
+        // The event kernel catches a core up lazily: the cycles it sat out
+        // arrive as one skip or as several, wherever the kernel happened
+        // to touch it. Inside one stretch every split leaves the same
+        // window: rotating up to the waiting second load, rotating up to a
+        // pending hit return, and (before the first load fills at cycle
+        // 40) filling the window behind the head's load until it is full
+        // and then sleeping.
+        let fixtures: [fn() -> (Core, u64); 3] = [
+            || deep_load(false),
+            || deep_load(true),
+            || deep_load_at(Some(8), false),
+        ];
+        for (case, fixture) in fixtures.iter().enumerate() {
+            let (mut whole, now) = fixture();
+            let span = (whole.next_wake(now, u64::MAX, 0) - now).min(40);
+            assert!(span >= 8, "case {case}: stretch of only {span} ticks");
+            whole.skip(span);
+            let mut rng = hira_dram::rng::Stream::from_words(&[0x5_1D, case as u64]);
+            for split in 0..64 {
+                let (mut pieces, _) = fixture();
+                let mut left = span;
+                while left > 0 {
+                    let piece = 1 + rng.next_below(left.min(8));
+                    pieces.skip(piece);
+                    left -= piece;
+                }
+                assert_eq!(shape(&pieces), shape(&whole), "case {case}, split {split}");
+            }
+            let (mut caught_up, _) = fixture();
+            caught_up.catch_up(now + span);
+            assert_eq!(shape(&caught_up), shape(&whole), "case {case}");
+        }
     }
 
     #[test]

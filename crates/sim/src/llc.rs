@@ -2,6 +2,36 @@
 //! merging and dirty writebacks.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map over the simulator's own integer keys (line addresses, request
+/// ids), hashed with one folded multiply instead of SipHash. The maps
+/// that use it are never iterated, so the hasher cannot move a result,
+/// and they stay small (the MSHRs, the reads in flight), which bounds
+/// what colliding keys from a crafted trace could cost.
+pub(crate) type IntMap<V> = HashMap<u64, V, BuildHasherDefault<IntHasher>>;
+
+/// The [`IntMap`] hasher: the high and low halves of a 128-bit product,
+/// folded, so every key bit reaches the bucket-index bits.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
 
 /// Identifies a waiting instruction: `(core, window entry id)`.
 pub type Waiter = (usize, u64);
@@ -41,7 +71,7 @@ pub struct Llc {
     ways: usize,
     set_mask: u64,
     stamp: u64,
-    mshrs: HashMap<u64, Mshr>,
+    mshrs: IntMap<Mshr>,
     mshr_capacity: usize,
     /// Line addresses whose fetch must be sent to the memory system.
     pub fetch_queue: Vec<u64>,
@@ -74,7 +104,7 @@ impl Llc {
             ways,
             set_mask: sets as u64 - 1,
             stamp: 0,
-            mshrs: HashMap::new(),
+            mshrs: IntMap::default(),
             mshr_capacity: 64,
             fetch_queue: Vec::new(),
             writeback_queue: Vec::new(),

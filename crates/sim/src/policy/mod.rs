@@ -360,12 +360,14 @@ pub trait RefreshPolicy: fmt::Debug + Send {
     /// [`next_action`](Self::next_action) would return `None` *under this*
     /// view: the same bank records and demand counts, with `now` advanced
     /// to `t` — so the controller may simply not call them. The controller
-    /// asks again after every tick it processes, so an answer never
-    /// outlives the bank state it was computed from: work held for a
-    /// backlogged or busy bank can name the cycle that bank state releases
-    /// it, through [`RankView::unbacklogged_at`], [`RankView::idle_at`]
-    /// and [`RankView::ns`]. The controller still delivers
-    /// [`on_demand_act`](Self::on_demand_act) and
+    /// asks again after every tick it processes and after every request
+    /// queued to the rank, so an answer never outlives the bank state it
+    /// was computed from (until then it is cached, and the next tick's
+    /// gate may read it at a later `t`, which this guarantee covers): work
+    /// held for a backlogged or busy bank can name the cycle that bank
+    /// state releases it, through [`RankView::unbacklogged_at`],
+    /// [`RankView::idle_at`] and [`RankView::ns`]. The controller still
+    /// delivers [`on_demand_act`](Self::on_demand_act) and
     /// [`on_act_executed`](Self::on_act_executed) whenever demand work
     /// executes, so a policy whose next action depends on those callbacks
     /// (e.g. a PARA layer) must return `now_ns` while it holds serveable

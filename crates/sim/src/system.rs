@@ -18,17 +18,26 @@
 //!   statistic in [`SimResult`] — are **bit-identical** between the two
 //!   kernels (the `perf_kernel` harness and `tests/kernel_equivalence.rs`
 //!   enforce it).
+//!
+//! A cycle the event kernel processes touches only what woke. A core
+//! whose cached wake lies ahead is left alone, on processed cycles and
+//! across jumps alike, and catches up with one [`Core::skip`] when its
+//! wake arrives, a fill reaches it, an epoch sample reads it or the run
+//! ends; that is exact because skips compose inside a stretch, and the
+//! warmup and target crossings fall on real ticks. The channels cache
+//! each rank's refresh wake between its state changes, and book both
+//! buses in sliding bitsets ([`crate::controller`]). [`RunTelemetry`]
+//! counts the events and the core updates they cost.
 
 use crate::config::{KernelMode, SystemConfig};
 use crate::controller::Channel;
 use crate::core_model::{Core, CoreRequest};
-use crate::llc::{Access, Llc, Waiter};
+use crate::llc::{Access, IntMap, Llc, Waiter};
 use crate::mapping::decode;
 use crate::metrics::SimResult;
 use crate::probe::{EpochSample, ProbeHost};
 use crate::request::MemRequest;
 use hira_workload::WorkloadEnv;
-use std::collections::HashMap;
 
 /// How a run spent its time: the simulator-side half of the engine's
 /// per-point telemetry ([`System::run_telemetered`]).
@@ -40,6 +49,11 @@ pub struct RunTelemetry {
     pub events: u64,
     /// High-water mark of any channel's combined read+write queue.
     pub peak_queue: u64,
+    /// [`Core::tick`] and [`Core::skip`] calls over all cores: the core
+    /// model's share of the work per event (the dense kernel makes one
+    /// per core per cycle; the event kernel's lazy catch-up about one per
+    /// event).
+    pub core_updates: u64,
 }
 
 /// Cumulative channel-stat snapshot an epoch diffs against.
@@ -74,7 +88,7 @@ pub struct System {
     llc: Llc,
     channels: Vec<Channel>,
     /// Outstanding memory fetches: request id → line address.
-    inflight: HashMap<u64, u64>,
+    inflight: IntMap<u64>,
     next_req_id: u64,
     mem_tick_acc: u64,
     mem_cycle: u64,
@@ -118,7 +132,7 @@ impl System {
             cores,
             llc,
             channels,
-            inflight: HashMap::new(),
+            inflight: IntMap::default(),
             next_req_id: 0,
             mem_tick_acc: 0,
             mem_cycle: 0,
@@ -154,11 +168,15 @@ impl System {
             .expect("the instruction budget overflows u64");
         let mut warm_cycle = vec![None::<u64>; self.cores.len()];
         let mut roi_ended = vec![false; self.cores.len()];
+        let mut ended = 0;
         let mut cycle = 0u64;
         let mut events = 0u64;
         loop {
             // One processed cycle: the CPU side, warmup/ROI bookkeeping,
-            // then every memory tick the rational accumulator yields.
+            // then every memory tick the rational accumulator yields. A
+            // core crosses its warmup or target count only in a real tick
+            // (its wake stops short of the crossing), so a core the event
+            // kernel left behind reads here as it would caught up.
             self.tick_cpu(cycle, target, warmup);
             for (i, c) in self.cores.iter_mut().enumerate() {
                 if warm_cycle[i].is_none() && c.retired >= warmup {
@@ -167,6 +185,7 @@ impl System {
                 }
                 if !roi_ended[i] && c.finished_at.is_some() {
                     roi_ended[i] = true;
+                    ended += 1;
                     c.end_roi();
                 }
             }
@@ -180,8 +199,7 @@ impl System {
             events += 1;
             cycle += 1;
             self.maybe_epoch(cycle);
-            let all_done = self.cores.iter().all(|c| c.finished_at.is_some());
-            if all_done || cycle >= cap {
+            if ended == self.cores.len() || cycle >= cap {
                 break;
             }
             if !event {
@@ -190,7 +208,8 @@ impl System {
             // Skip the provably uninteresting span, never past the cap
             // (the skipped cycles still count: SimResult::cycles and the
             // mem-tick accumulator advance exactly as the dense loop's
-            // no-op iterations would have advanced them).
+            // no-op iterations would have advanced them). The cores stay
+            // where they are: each catches up when it is next touched.
             let mut next = self.next_interesting_cycle(cycle).min(cap);
             // Epoch sampling clamps the skip to the next boundary so the
             // sample is taken at its exact dense cycle — processing the
@@ -201,9 +220,6 @@ impl System {
             }
             if next > cycle {
                 let span = next - cycle;
-                for c in &mut self.cores {
-                    c.skip(span);
-                }
                 let acc = self.mem_tick_acc + span * self.tick_num;
                 self.mem_cycle += acc / self.tick_den;
                 self.mem_tick_acc = acc % self.tick_den;
@@ -213,6 +229,9 @@ impl System {
                     break;
                 }
             }
+        }
+        for c in &mut self.cores {
+            c.catch_up(cycle);
         }
         self.collect(cycle, target, warmup, &warm_cycle, events)
     }
@@ -229,6 +248,9 @@ impl System {
         };
         if cycle == 0 || !cycle.is_multiple_of(ep.every) {
             return;
+        }
+        for c in &mut self.cores {
+            c.catch_up(cycle);
         }
         let mut agg = EpochAgg::default();
         let mut read_q = 0u64;
@@ -287,21 +309,21 @@ impl System {
     /// containing the channels' next memory-side event. Pending LLC→
     /// channel transfers pin the answer to `cur` (their retry runs inside
     /// every `tick_cpu`).
-    fn next_interesting_cycle(&self, cur: u64) -> u64 {
+    fn next_interesting_cycle(&mut self, cur: u64) -> u64 {
         if !self.llc.fetch_queue.is_empty() || !self.llc.writeback_queue.is_empty() {
             return cur;
         }
         let mut wake = u64::MAX;
         for c in &self.cores {
-            // Caches are refreshed whenever a core ticks and zeroed by
-            // completions, so the minimum over them is always current.
+            // Caches are refreshed whenever a core ticks or takes a fill,
+            // so the minimum over them is always current.
             wake = wake.min(c.wake_cache);
             if wake <= cur {
                 return cur;
             }
         }
         let mut tick = u64::MAX;
-        for ch in &self.channels {
+        for ch in &mut self.channels {
             tick = tick.min(ch.next_event(self.mem_cycle));
         }
         if tick != u64::MAX {
@@ -366,6 +388,7 @@ impl System {
         self.probes.on_run_end(&result);
         let telemetry = RunTelemetry {
             events,
+            core_updates: self.cores.iter().map(|c| c.updates).sum(),
             peak_queue: self
                 .channels
                 .iter()
@@ -390,14 +413,14 @@ impl System {
         } = self;
         let event = cfg.kernel == KernelMode::Event;
         for core in cores.iter_mut() {
-            // Event kernel: a core whose cached wake lies ahead takes its
-            // one-cycle mechanical advance (a no-op while blocked) instead
-            // of a full tick — this cycle is being processed for some
-            // other component's sake.
+            // Event kernel: a core whose cached wake lies ahead is left
+            // alone — this cycle is being processed for some other
+            // component's sake. A core whose wake arrived first catches
+            // up over the cycles it sat out, in one skip.
             if event && core.wake_cache > cycle {
-                core.skip(1);
                 continue;
             }
+            core.catch_up(cycle);
             let core_id = core.id;
             core.tick(cycle, target, |c, req| match req {
                 CoreRequest::Load { line, entry } => {
@@ -475,11 +498,13 @@ impl System {
                     let waiters: Vec<Waiter> = llc.fill(line);
                     for (core, entry) in waiters {
                         let c = &mut cores[core];
+                        // The fill lands after this cycle's CPU side, so
+                        // the core first advances through this cycle (a
+                        // no-op if it ticked in it); its wake can then be
+                        // re-derived right away: a fill deeper in the
+                        // window does not cut a compute stretch short.
+                        c.catch_up(cycle + 1);
                         c.complete(entry);
-                        // The core's tick for this cycle already ran, so
-                        // its wake can be re-derived right away: a fill
-                        // deeper in the window does not cut a compute
-                        // stretch short.
                         if event {
                             c.wake_cache = c.next_wake(cycle + 1, target, warmup);
                         }

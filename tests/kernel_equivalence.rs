@@ -364,3 +364,28 @@ fn event_kernel_processes_few_events_per_kcycle() {
         );
     }
 }
+
+#[test]
+fn event_kernel_updates_a_core_only_when_it_wakes() {
+    // Each processed event touches only what woke: a core whose wake lies
+    // ahead is caught up lazily, in one skip, when it is next touched. On
+    // the same cells, all eight cores together take at most two
+    // `Core::tick`/`Core::skip` calls per event; advancing every core on
+    // every event costs about twelve. The dense/event wall ratio cannot
+    // see such a regression when both kernels share the cost.
+    for name in ["noref", "baseline", "raidr", "hira0", "hira4"] {
+        let cfg = SystemBuilder::table3(64.0)
+            .policy_name(name)
+            .workload(workload("mix0"))
+            .insts(10_000, 2_000)
+            .build()
+            .unwrap();
+        let (_, telemetry) = System::new(cfg).run_telemetered();
+        assert!(
+            telemetry.core_updates <= 2 * telemetry.events,
+            "{name}: {} core updates over {} events",
+            telemetry.core_updates,
+            telemetry.events
+        );
+    }
+}
