@@ -6,6 +6,7 @@ use hira_bench::{CacheSpec, Scale, SweepRun, Task};
 use hira_engine::{Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
+use hira_workload::{Trace, WorkloadEnv};
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -101,5 +102,54 @@ fn ws_and_ws_with_stats_never_share_cache_keys() {
         .ws(mk_sweep("it_tasks"));
     assert_eq!(stats.run.bench_json(), warm.run.bench_json());
     assert_eq!(shard_lines(&dir, "it_tasks"), 6);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `trace:<path>` workload is keyed by the records it loaded, not by its
+/// path: editing the file in place moves the descriptor and turns a warm
+/// sweep into a miss, and restoring the file makes it hit again.
+#[test]
+fn trace_workloads_are_keyed_by_their_content() {
+    let dir = scratch("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("replay.trace");
+    let env = WorkloadEnv {
+        core: 0,
+        cores: 1,
+        seed: 7,
+    };
+    let trace = Trace::capture(hira_workload::random().build(&env).as_mut(), 400);
+    let mut edited = trace.records().to_vec();
+    edited[123].addr += 64;
+    let edited = Trace::new(edited).unwrap();
+    let spec = CacheSpec::at(dir.join("store"));
+    // Each pass resolves the workload anew, as a fresh process would.
+    let pass = |trace: &Trace| {
+        trace.save(&path).unwrap();
+        let handle = hira_workload::workload(&format!("trace:{}", path.display()));
+        let cfg = SystemConfig::table3(8.0, policy::noref()).with_workload(handle.clone());
+        let sweep = Sweep::new("it_trace").axis("wl", [("replay", handle)], |_, h| {
+            SystemConfig::table3(8.0, policy::noref()).with_workload(h.clone())
+        });
+        let (_, stats) = SweepRun::new(Executor::with_threads(1), tiny_scale())
+            .cache(spec.clone())
+            .run(sweep);
+        (cfg.cache_descriptor(), (stats.hits, stats.misses))
+    };
+    let (original, cold) = pass(&trace);
+    assert_eq!(cold, (0, 1));
+    assert!(original.contains(&format!("workload=trace:{}#", path.display())));
+    assert_eq!(pass(&trace), (original.clone(), (1, 0)), "warm pass");
+    let (moved, stats) = pass(&edited);
+    assert_ne!(moved, original, "an edited record must move the descriptor");
+    assert_eq!(stats, (0, 1), "the edited trace replayed a stale result");
+    assert_eq!(
+        pass(&trace),
+        (original, (1, 0)),
+        "the restored trace missed"
+    );
+    // Every other workload keeps the descriptor it had: its name alone.
+    let mix = SystemConfig::table3(8.0, policy::noref());
+    assert!(mix.cache_descriptor().contains(";workload=mix0;"));
     let _ = std::fs::remove_dir_all(&dir);
 }

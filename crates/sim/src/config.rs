@@ -240,12 +240,20 @@ impl SystemConfig {
     /// **names**, which is exactly the identity the rest of the system
     /// uses (`PolicyHandle` equality is name equality; parametric handles
     /// like `hira4`, `baseline+para(p=…)` or `ddr4-2400@32` encode their
-    /// parameters in the name). If that naming contract ever weakens,
-    /// bump `hira_store::CACHE_SCHEMA_VERSION`.
+    /// parameters in the name). A workload whose name does not pin its
+    /// content — a `trace:<path>` replay, whose file can be edited in
+    /// place — also contributes its
+    /// [`WorkloadHandle::content_digest`], a digest of the records it
+    /// loaded, as `workload=<name>#<digest>`. If that naming contract ever
+    /// weakens, bump `hira_store::CACHE_SCHEMA_VERSION`.
     pub fn cache_descriptor(&self) -> String {
         let cap = match self.cycle_cap {
             Some(c) => c.to_string(),
             None => "default".to_string(),
+        };
+        let digest = match self.workload.content_digest() {
+            Some(digest) => format!("#{digest:016x}"),
+            None => String::new(),
         };
         let plugins = if self.plugins.is_empty() {
             "none".to_string()
@@ -258,7 +266,7 @@ impl SystemConfig {
         };
         format!(
             "cores={};channels={};ranks={};banks={};bank_groups={};chip_gbit={};\
-             device={};timing={};policy={};plugins={plugins};workload={};llc_bytes={};llc_ways={};\
+             device={};timing={};policy={};plugins={plugins};workload={}{digest};llc_bytes={};llc_ways={};\
              queue_depth={};insts={};warmup={};spt={};seed={};cycle_cap={}",
             self.cores,
             self.channels,

@@ -21,9 +21,18 @@
 //! back through `on_act_executed`. Under the event kernel, a rank whose
 //! policy's `next_wake` (under the same borrowed view) and plugins' wakes
 //! all lie ahead is not ticked or polled at all. That rank wake is cached
-//! between the rank's state changes (its `enqueue` and every tick clear
-//! it), so [`Channel::next_event`] computes it once after a processed
-//! tick and the next tick's refresh gate reads the same answer.
+//! until the rank's own state changes: a request queued to it, a tick at
+//! which it passes the refresh gate, or a demand commit on it clears it.
+//! So [`Channel::next_event`] computes it once after the rank is touched,
+//! and every later refresh gate and `next_event` read the same answer.
+//!
+//! The write-drain toggle is evaluated lazily. With no reads and 1 to 16
+//! writes (the low watermark) queued it flips on every tick, yet FR-FCFS
+//! picks from the write queue in either state, so the event kernel skips
+//! those ticks like any other. The channel records the first tick its
+//! toggle does not reflect yet and, before the toggle is next evaluated or
+//! a queue changes, applies the skipped flips in closed form: the mode
+//! flips iff the queue oscillated over an odd number of skipped ticks.
 //!
 //! Both buses are sliding bitsets of busy command-clock cycles: every
 //! reservation starts at or after the current cycle, so each tick drops
@@ -172,8 +181,9 @@ struct Rank {
     /// activation and may inject preventive refreshes.
     plugins: Vec<Box<dyn ControllerPlugin>>,
     /// The rank's refresh wake ([`Channel::rank_wake`]) as `(cycle it was
-    /// asked at, wake)`, kept until the rank's state can change: its next
-    /// enqueue or the channel's next tick clears it.
+    /// asked at, wake)`, kept until the rank's state can change: a request
+    /// queued to it, a tick at which it passes the refresh gate, or a
+    /// demand commit on it clears it.
     wake: Option<(MemCycle, MemCycle)>,
 }
 
@@ -239,10 +249,16 @@ pub struct Channel {
     data_bus: BusSlots,
     completions: BinaryHeap<Reverse<(MemCycle, u64)>>,
     write_mode: bool,
+    /// The first tick whose write-drain toggle `write_mode` does not
+    /// reflect yet ([`Channel::settle_drain`]).
+    drain_due: MemCycle,
     stats: ChannelStats,
     /// Demand requests queued (read and write) per bank of every rank,
     /// kept as requests enqueue and commit.
     queued: Vec<u32>,
+    /// Fresh rank-wake computations, that is, [`Channel::rank_wake`]
+    /// cache misses (run telemetry).
+    rank_wakes: u64,
 }
 
 impl Channel {
@@ -300,8 +316,10 @@ impl Channel {
             data_bus: BusSlots::default(),
             completions: BinaryHeap::new(),
             write_mode: false,
+            drain_due: 0,
             stats: ChannelStats::default(),
             queued: vec![0; cfg.ranks * cfg.banks as usize],
+            rank_wakes: 0,
         }
     }
 
@@ -318,6 +336,11 @@ impl Channel {
     /// High-water mark of the combined queue occupancy (run telemetry).
     pub fn peak_queue(&self) -> usize {
         self.peak_queue
+    }
+
+    /// Rank wakes computed afresh so far, over all ranks (run telemetry).
+    pub fn rank_wakes(&self) -> u64 {
+        self.rank_wakes
     }
 
     /// Per-rank HiRA-MC statistics, where a HiRA-MC-backed policy is
@@ -353,7 +376,11 @@ impl Channel {
     }
 
     /// Enqueues a request (caller must have checked acceptance).
+    /// `req.arrived` is the current memory cycle, and the request arrives
+    /// after that cycle's tick, as in [`crate::System`], whose CPU side
+    /// queues requests after the memory tick it last counted.
     pub fn enqueue(&mut self, req: MemRequest) {
+        self.settle_drain(req.arrived);
         let bi = self.bank_index(req.addr.rank, req.addr.bank);
         self.queued[bi] += 1;
         self.ranks[req.addr.rank].wake = None;
@@ -615,21 +642,23 @@ impl Channel {
     /// its policy or a plugin may act, with the rank's bank state held as
     /// it is now.
     ///
-    /// The answer is cached until the rank's state can change (its next
-    /// [`Channel::enqueue`] or the next tick), so the refresh gate and
-    /// [`Channel::next_event`] ask the policy once per processed tick
-    /// between them. A cached wake `w` asked at `at` serves any later
-    /// `now`: the policy's contract makes every tick in `[at, w)` a no-op,
-    /// and every wake in this crate is a minimum of fixed instants and
-    /// `max(now, c)` terms (`now_ns` itself, [`RankView::unbacklogged_at`],
-    /// [`RankView::idle_at`]), so whether `w > now` and `w.max(now + 1)`
-    /// come out as a fresh answer's would.
+    /// The answer is cached until the rank's state can change (a request
+    /// queued to it, a tick at which it passes the refresh gate, or a
+    /// demand commit on it), so the refresh gate and
+    /// [`Channel::next_event`] ask the policy once per change of the
+    /// rank's state between them. A cached wake `w` asked at `at` serves
+    /// any later `now`: the policy's contract makes every tick in
+    /// `[at, w)` a no-op, and every wake in this crate is a minimum of
+    /// fixed instants and `max(now, c)` terms (`now_ns` itself,
+    /// [`RankView::unbacklogged_at`], [`RankView::idle_at`]), so whether
+    /// `w > now` and `w.max(now + 1)` come out as a fresh answer's would.
     fn rank_wake(&mut self, rank: usize, now: MemCycle) -> MemCycle {
         if let Some((at, wake)) = self.ranks[rank].wake {
             if at <= now {
                 return wake;
             }
         }
+        self.rank_wakes += 1;
         let now_ns = self.clock.cycles_to_ns(now);
         let r = &self.ranks[rank];
         let mut wake = self
@@ -642,62 +671,107 @@ impl Channel {
         wake
     }
 
+    /// Whether one evaluation of the write-drain toggle flips
+    /// `write_mode`: drain mode leaves at the low watermark, and enters at
+    /// the high one or when writes wait and no read does.
+    fn drain_flips(&self) -> bool {
+        let (reads, writes) = (self.read_q.len(), self.write_q.len());
+        if self.write_mode {
+            writes <= WQ_LOW
+        } else {
+            writes >= WQ_HIGH || (reads == 0 && writes > 0)
+        }
+    }
+
+    /// True while the write-drain toggle flips on every tick: no reads and
+    /// 1..=[`WQ_LOW`] writes queued. Drain mode then leaves on its low
+    /// watermark and re-enters because no read waits, and FR-FCFS picks
+    /// from the write queue in either state.
+    fn drain_oscillates(&self) -> bool {
+        self.read_q.is_empty() && (1..=WQ_LOW).contains(&self.write_q.len())
+    }
+
+    /// Brings the write-drain toggle up to date through tick `through`:
+    /// applies its evaluation at every tick from [`Channel::drain_due`]
+    /// on, in closed form, over queues that stayed as they are. While the
+    /// queues oscillate, every evaluation flips the mode, so it flips iff
+    /// that is an odd number of ticks. Otherwise the first evaluation
+    /// reaches the fixed point: a mode entered on either watermark or
+    /// because no read waits holds on the next tick unless the queues
+    /// oscillate.
+    ///
+    /// [`Channel::demand_step`] settles through its own tick, and
+    /// [`Channel::enqueue`] through the request's arrival tick before the
+    /// queue changes, so ticks the event kernel skipped flip the mode
+    /// exactly as the dense kernel's evaluations would have.
+    fn settle_drain(&mut self, through: MemCycle) {
+        if through < self.drain_due {
+            return;
+        }
+        let ticks = through - self.drain_due + 1;
+        self.drain_due = through + 1;
+        if self.drain_flips() && (ticks % 2 == 1 || !self.drain_oscillates()) {
+            self.write_mode = !self.write_mode;
+        }
+    }
+
     /// The first cycle after `now` at which [`Channel::demand_step`] could
     /// do anything with the queues and bank state as they are:
     ///
-    /// * `now + 1` when the write-drain toggle flips there (including its
-    ///   tick-by-tick oscillation while the read queue is empty and at
-    ///   most [`WQ_LOW`] writes wait);
+    /// * `now + 1` when the write-drain toggle flips there once and then
+    ///   holds, which can change the queue FR-FCFS picks from (its
+    ///   tick-by-tick oscillation cannot, so it is applied lazily by
+    ///   [`Channel::settle_drain`]);
     /// * otherwise the first cycle at which [`Channel::pick_frfcfs`] could
     ///   pick from the queue the drain state selects: the earliest start
     ///   of a request's bank less [`COMMIT_HORIZON`]. A row hit starts at
     ///   the earlier of its bank's next CAS and next PRE, because the pick
-    ///   falls through to its startable test;
+    ///   falls through to its startable test. The scan stops at the first
+    ///   request startable by `now + 1 + COMMIT_HORIZON`;
     /// * [`MemCycle::MAX`] with nothing queued.
     fn demand_wake(&self, now: MemCycle) -> MemCycle {
-        let (reads, writes) = (self.read_q.len(), self.write_q.len());
-        let flips = if self.write_mode {
-            writes <= WQ_LOW
-        } else {
-            writes >= WQ_HIGH || (reads == 0 && writes > 0)
-        };
-        if flips {
+        if self.drain_flips() && !self.drain_oscillates() {
             return now + 1;
         }
-        let q = if self.write_mode || reads == 0 {
+        let q = if self.write_mode || self.read_q.is_empty() {
             &self.write_q
         } else {
             &self.read_q
         };
-        let start = q
-            .iter()
-            .map(|r| {
-                let b = &self.banks[self.bank_index(r.addr.rank, r.addr.bank)];
-                match b.open_row {
-                    Some(row) if row == r.addr.row.0 => b.next_cas.min(b.next_pre),
-                    Some(_) => b.next_pre,
-                    None => b.next_act,
-                }
-            })
-            .min();
-        match start {
-            Some(start) => start.saturating_sub(COMMIT_HORIZON).max(now + 1),
-            None => MemCycle::MAX,
+        if q.is_empty() {
+            return MemCycle::MAX;
         }
+        let soon = now + 1 + COMMIT_HORIZON;
+        let mut first = MemCycle::MAX;
+        for r in q {
+            let b = &self.banks[self.bank_index(r.addr.rank, r.addr.bank)];
+            let start = match b.open_row {
+                Some(row) if row == r.addr.row.0 => b.next_cas.min(b.next_pre),
+                Some(_) => b.next_pre,
+                None => b.next_act,
+            };
+            if start <= soon {
+                return now + 1;
+            }
+            first = first.min(start);
+        }
+        first - COMMIT_HORIZON
     }
 
     /// The next memory cycle strictly after `now` at which ticking this
     /// channel could do anything — the channel's contribution to the event
     /// kernel's time skip. Ticks in `(now, next_event)` are provably
     /// no-ops while the queues and bank state stay as they are (the kernel
-    /// asks again after every cycle it processes): the write-drain toggle
-    /// holds and FR-FCFS can pick no queued request, no completion falls
-    /// due, and no rank's refresh machinery may act (under the
+    /// asks again after every cycle it processes): FR-FCFS can pick no
+    /// queued request, the write-drain toggle either holds or oscillates
+    /// (which the channel applies in closed form when it next evaluates
+    /// the toggle or a request arrives), no completion falls due, and no
+    /// rank's refresh machinery may act (under the
     /// [`RefreshPolicy::next_wake`] contract). Returns [`MemCycle::MAX`]
     /// for a fully idle channel. Bank/bus timestamps need no ticking — they
     /// are lazy. It takes `&mut self` only to fill the ranks' refresh-wake
-    /// caches, which the next tick's refresh gate reads; the answer is the
-    /// same for any caller.
+    /// caches, which later refresh gates read; the answer is the same for
+    /// any caller.
     pub fn next_event(&mut self, now: MemCycle) -> MemCycle {
         let mut next = self.demand_wake(now);
         if let Some(&Reverse((t, _))) = self.completions.peek() {
@@ -713,24 +787,21 @@ impl Channel {
     /// ids whose data returned this cycle. Probe-free convenience over
     /// [`Channel::tick_probed`].
     pub fn tick(&mut self, now: MemCycle) -> Vec<u64> {
-        self.tick_probed(now, &mut ProbeHost::disabled())
+        let mut done = Vec::new();
+        self.tick_probed(now, &mut ProbeHost::disabled(), &mut done);
+        done
     }
 
-    /// [`Channel::tick`] with an observer attached. Probes are read-only:
-    /// the schedule is identical whether `probes` is active or not.
-    pub fn tick_probed(&mut self, now: MemCycle, probes: &mut ProbeHost) -> Vec<u64> {
+    /// [`Channel::tick`] with an observer attached, appending the ids of
+    /// the requests whose data returned this cycle to `done`, a buffer the
+    /// caller reuses. Probes are read-only: the schedule is identical
+    /// whether `probes` is active or not.
+    pub fn tick_probed(&mut self, now: MemCycle, probes: &mut ProbeHost, done: &mut Vec<u64>) {
         self.bus.prune(now);
         self.data_bus.prune(now);
         self.refresh_step(now, probes);
         // One demand commitment per cycle keeps scheduling near-cycle-accurate.
         self.demand_step(now, probes);
-
-        // Refresh and demand work may have moved any rank's state.
-        for r in &mut self.ranks {
-            r.wake = None;
-        }
-
-        let mut done = Vec::new();
         while let Some(&Reverse((t, id))) = self.completions.peek() {
             if t > now {
                 break;
@@ -738,7 +809,6 @@ impl Channel {
             self.completions.pop();
             done.push(id);
         }
-        done
     }
 
     fn refresh_step(&mut self, now: MemCycle, probes: &mut ProbeHost) {
@@ -752,13 +822,15 @@ impl Channel {
             // policy and plugins all declared a future wake under its
             // current bank state (the `next_wake` contracts make those
             // calls no-ops); the wake is usually the one `next_event`
-            // cached after the previous processed tick. One rank's actions
-            // never touch another rank's banks or policy, so each rank is
-            // gated as the loop reaches it. The dense kernel polls every
+            // cached after the rank's state last changed. One rank's
+            // actions never touch another rank's banks or policy, so each
+            // rank is gated as the loop reaches it, and only a rank that
+            // passes loses its cached wake. The dense kernel polls every
             // rank.
             if self.kernel == KernelMode::Event && self.rank_wake(rank, now) > now {
                 continue;
             }
+            self.ranks[rank].wake = None;
             self.ranks[rank].policy.tick(now_ns);
             let span = self.bank_index(rank, 0)..self.bank_index(rank + 1, 0);
             for _ in 0..budget {
@@ -793,16 +865,9 @@ impl Channel {
     }
 
     fn demand_step(&mut self, now: MemCycle, probes: &mut ProbeHost) {
-        // Write-drain policy.
-        if self.write_mode {
-            if self.write_q.len() <= WQ_LOW {
-                self.write_mode = false;
-            }
-        } else if self.write_q.len() >= WQ_HIGH
-            || (self.read_q.is_empty() && !self.write_q.is_empty())
-        {
-            self.write_mode = true;
-        }
+        // Write-drain policy, evaluated at this tick and at every tick the
+        // event kernel skipped since the last evaluation.
+        self.settle_drain(now);
 
         let from_writes = self.write_mode || self.read_q.is_empty();
         let Some(idx) = self.pick_frfcfs(now, from_writes) else {
@@ -816,6 +881,8 @@ impl Channel {
         if self.commit(now, &req, probes) {
             let bi = self.bank_index(req.addr.rank, req.addr.bank);
             self.queued[bi] -= 1;
+            // The commit moved the rank's banks, policy and plugins.
+            self.ranks[req.addr.rank].wake = None;
             if from_writes {
                 self.write_q.swap_remove(idx);
             } else {
@@ -982,6 +1049,9 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::mapping::decode;
     use crate::policy::{self, PolicyHandle};
+    use crate::probe::{CmdEvent, Probe};
+    use hira_dram::rng::Stream;
+    use std::sync::{Arc, Mutex};
 
     fn config(refresh: PolicyHandle) -> SystemConfig {
         SystemConfig::table3(8.0, refresh)
@@ -993,6 +1063,22 @@ mod tests {
             addr: decode(cfg, addr),
             is_write: false,
             arrived: now,
+        }
+    }
+
+    fn write_at(cfg: &SystemConfig, id: u64, addr: u64, now: MemCycle) -> MemRequest {
+        MemRequest {
+            is_write: true,
+            ..read_at(cfg, id, addr, now)
+        }
+    }
+
+    /// Records every command a channel schedules, in commit order.
+    struct CmdLog(Arc<Mutex<Vec<CmdEvent>>>);
+
+    impl Probe for CmdLog {
+        fn on_cmd(&mut self, ev: &CmdEvent) {
+            self.0.lock().unwrap().push(*ev);
         }
     }
 
@@ -1323,6 +1409,171 @@ mod tests {
         }
         ch.tick(wake);
         assert_eq!(ch.stats().reads_done, 1, "nothing committed at the wake");
+    }
+
+    #[test]
+    fn next_event_sleeps_through_a_write_drain_oscillation() {
+        // Only writes queued, 1..=WQ_LOW of them, and no reads: the drain
+        // toggle flips on every tick, yet FR-FCFS picks from the write
+        // queue in either state. With every write's bank behind a 64 Gb
+        // tRFC, the channel's next event is that bank's next ACT less the
+        // commit horizon, not the next tick.
+        let mut cfg = SystemConfig::table3(64.0, policy::baseline());
+        cfg.kernel = KernelMode::Dense;
+        let mut ch = Channel::new(&cfg, 0);
+        ch.tick(0);
+        assert_eq!(ch.stats().ref_commands, 1, "the first REF is due at 0");
+        let mut rng = Stream::from_words(&[0xD7A1, 0]);
+        for n in 1..=WQ_LOW as u64 {
+            ch.enqueue(write_at(&cfg, n, rng.next_below(1 << 24) * 64, 0));
+            assert!(ch.drain_oscillates(), "{n} writes");
+            let next_act = ch
+                .write_q
+                .iter()
+                .map(|r| ch.banks[ch.bank_index(r.addr.rank, r.addr.bank)].next_act)
+                .min()
+                .unwrap();
+            assert!(next_act > COMMIT_HORIZON + 1, "bank not refresh-blocked");
+            assert_eq!(ch.next_event(0), next_act - COMMIT_HORIZON, "{n} writes");
+        }
+        let wake = ch.next_event(0);
+        for now in 1..wake {
+            ch.tick(now);
+            assert_eq!(
+                ch.stats().writes_done,
+                0,
+                "committed at {now}, before {wake}"
+            );
+            // Ticked on every cycle, the toggle enters drain mode on odd
+            // ticks and leaves it on even ones.
+            assert_eq!(ch.write_mode, now % 2 == 1, "drain mode at {now}");
+        }
+        ch.tick(wake);
+        assert_eq!(ch.stats().writes_done, 1, "nothing committed at the wake");
+    }
+
+    #[test]
+    fn lazy_drain_parity_matches_ticking_every_cycle() {
+        // Two channels get the same seeded bursts of reads and writes. The
+        // reference is ticked on every cycle. The other is ticked only at
+        // its `next_event`, and takes each burst at the cycle the burst
+        // arrives, as the event kernel queues requests at the cycles it
+        // reaches. Writes pile up behind each 64 Gb tRFC, where the drain
+        // toggle oscillates over the skipped ticks. A burst of reads plus
+        // enough writes to pass WQ_LOW then keeps drain mode on or leaves
+        // it off depending on the parity of the skipped span, so the two
+        // channels commit in the same order only if that parity is right.
+        // REFs come every 2.6 µs here, so most cycles lie in a tRFC.
+        let mut cfg = SystemConfig::table3(64.0, policy::baseline());
+        cfg.timing.t_refi = 2600.0;
+        let channel = |kernel| {
+            let cfg = cfg.clone().with_kernel(kernel);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let probes = ProbeHost::attach(Box::new(CmdLog(log.clone())));
+            (Channel::new(&cfg, 0), probes, log)
+        };
+        let mut rng = Stream::from_words(&[0xD7A1, 1]);
+        let end = 300_000;
+        let mut bursts = Vec::new();
+        let (mut at, mut id) = (0, 0);
+        loop {
+            at += 1 + rng.next_below(300);
+            if at > end {
+                break;
+            }
+            let reads = if rng.next_below(4) == 0 {
+                1 + rng.next_below(2)
+            } else {
+                0
+            };
+            let burst: Vec<_> = (0..reads + rng.next_below(12))
+                .map(|k| {
+                    let addr = rng.next_below(1 << 24) * 64;
+                    id += 1;
+                    if k < reads {
+                        read_at(&cfg, id, addr, at)
+                    } else {
+                        write_at(&cfg, id, addr, at)
+                    }
+                })
+                .collect();
+            bursts.push((at, burst));
+        }
+        let offer = |ch: &mut Channel, burst: &[MemRequest]| {
+            for &req in burst {
+                let room = if req.is_write {
+                    ch.can_accept_write()
+                } else {
+                    ch.can_accept_read()
+                };
+                if room {
+                    ch.enqueue(req);
+                }
+            }
+        };
+
+        let (mut dense, mut dense_probes, dense_log) = channel(KernelMode::Dense);
+        let mut dense_done = Vec::new();
+        let mut done = Vec::new();
+        let mut next = bursts.iter().peekable();
+        for now in 1..=end {
+            done.clear();
+            dense.tick_probed(now, &mut dense_probes, &mut done);
+            dense_done.extend(done.iter().map(|&id| (id, now)));
+            if let Some((_, burst)) = next.next_if(|(at, _)| *at == now) {
+                offer(&mut dense, burst);
+            }
+        }
+
+        let (mut event, mut event_probes, event_log) = channel(KernelMode::Event);
+        let mut event_done = Vec::new();
+        // Mixed bursts that pass WQ_LOW onto an oscillating write queue,
+        // by the parity of the ticks skipped since the last evaluation.
+        let mut parity_cases = [0; 2];
+        let (mut now, mut ticks) = (0, 0);
+        let mut next = bursts.iter().peekable();
+        loop {
+            let wake = event.next_event(now);
+            let arrival = next.peek().map_or(MemCycle::MAX, |(at, _)| *at);
+            now = wake.min(arrival);
+            if now > end {
+                break;
+            }
+            if wake == now {
+                ticks += 1;
+                done.clear();
+                event.tick_probed(now, &mut event_probes, &mut done);
+                event_done.extend(done.iter().map(|&id| (id, now)));
+            }
+            if arrival == now {
+                let (_, burst) = next.next().unwrap();
+                let writes = burst.iter().filter(|r| r.is_write).count();
+                if event.drain_oscillates()
+                    && writes < burst.len()
+                    && event.write_q.len() + writes > WQ_LOW
+                {
+                    parity_cases[((now + 1 - event.drain_due) % 2) as usize] += 1;
+                }
+                offer(&mut event, burst);
+            }
+        }
+
+        let (event_log, dense_log) = (event_log.lock().unwrap(), dense_log.lock().unwrap());
+        let diverged = (0..event_log.len().max(dense_log.len()))
+            .find(|&i| event_log.get(i) != dense_log.get(i))
+            .map(|i| (i, event_log.get(i), dense_log.get(i)));
+        assert_eq!(
+            diverged, None,
+            "commit order diverged (index, lazy, every cycle)"
+        );
+        assert_eq!(event_done, dense_done, "completions diverged");
+        assert_eq!(event.stats(), dense.stats());
+        assert!(dense.stats().writes_done > 1_000, "{:?}", dense.stats());
+        assert!(ticks < end / 2, "{ticks} ticks processed out of {end}");
+        assert!(
+            parity_cases.iter().all(|&n| n >= 3),
+            "even and odd skipped spans before a mixed burst: {parity_cases:?}"
+        );
     }
 
     #[test]

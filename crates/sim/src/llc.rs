@@ -1,15 +1,21 @@
 //! Shared last-level cache (Table 3: 8 MB, 8-way, 64 B lines) with MSHR
 //! merging and dirty writebacks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A map over the simulator's own integer keys (line addresses, request
-/// ids), hashed with one folded multiply instead of SipHash. The maps
-/// that use it are never iterated, so the hasher cannot move a result,
-/// and they stay small (the MSHRs, the reads in flight), which bounds
-/// what colliding keys from a crafted trace could cost.
+/// ids, packed `(bank, row)` pairs), hashed with one folded multiply
+/// instead of SipHash. No result depends on its iteration order, so the
+/// hasher cannot move one: the MSHRs and the reads in flight are never
+/// iterated, and the one fold over the victim-exposure map uses only
+/// max, sum and count ([`crate::plugin::ExposureTracker`]). The keys
+/// come from the simulator's own address decoding, so colliding keys
+/// from a crafted trace could cost time, never a result.
 pub(crate) type IntMap<V> = HashMap<u64, V, BuildHasherDefault<IntHasher>>;
+
+/// The set form of [`IntMap`].
+pub(crate) type IntSet = HashSet<u64, BuildHasherDefault<IntHasher>>;
 
 /// The [`IntMap`] hasher: the high and low halves of a 128-bit product,
 /// folded, so every key bit reaches the bucket-index bits.
@@ -73,6 +79,8 @@ pub struct Llc {
     stamp: u64,
     mshrs: IntMap<Mshr>,
     mshr_capacity: usize,
+    /// Emptied waiter lists of filled MSHRs, reused by later misses.
+    spare: Vec<Vec<Waiter>>,
     /// Line addresses whose fetch must be sent to the memory system.
     pub fetch_queue: Vec<u64>,
     /// Line addresses to write back (dirty evictions).
@@ -106,6 +114,7 @@ impl Llc {
             stamp: 0,
             mshrs: IntMap::default(),
             mshr_capacity: 64,
+            spare: Vec::new(),
             fetch_queue: Vec::new(),
             writeback_queue: Vec::new(),
             hits: 0,
@@ -148,7 +157,7 @@ impl Llc {
         }
         self.misses += 1;
         let mut m = Mshr {
-            waiters: Vec::new(),
+            waiters: self.spare.pop().unwrap_or_default(),
             mark_dirty: is_store,
         };
         if let Some(w) = waiter {
@@ -160,12 +169,14 @@ impl Llc {
     }
 
     /// Completes an outstanding fetch: installs the line (possibly evicting
-    /// a dirty victim onto `writeback_queue`) and returns the waiters.
-    pub fn fill(&mut self, line: u64) -> Vec<Waiter> {
+    /// a dirty victim onto `writeback_queue`) and appends its waiters to
+    /// `waiters`, a buffer the caller reuses. The emptied list is kept for
+    /// a later miss, so a fill allocates nothing.
+    pub fn fill(&mut self, line: u64, waiters: &mut Vec<Waiter>) {
         self.stamp += 1;
         let stamp = self.stamp;
-        let Some(m) = self.mshrs.remove(&line) else {
-            return Vec::new();
+        let Some(mut m) = self.mshrs.remove(&line) else {
+            return;
         };
         let set = self.set_of(line);
         let victim = self.lines[set]
@@ -181,7 +192,8 @@ impl Llc {
             used: stamp,
             valid: true,
         };
-        m.waiters
+        waiters.append(&mut m.waiters);
+        self.spare.push(m.waiters);
     }
 
     /// `(hits, misses)` counters.
@@ -198,12 +210,19 @@ mod tests {
         Llc::new(64 * 64 * 2, 2) // 64 sets × 2 ways
     }
 
+    /// [`Llc::fill`] into a fresh buffer.
+    fn fill(c: &mut Llc, line: u64) -> Vec<Waiter> {
+        let mut waiters = Vec::new();
+        c.fill(line, &mut waiters);
+        waiters
+    }
+
     #[test]
     fn miss_then_fill_then_hit() {
         let mut c = small();
         assert_eq!(c.access(5, false, Some((0, 1))), Access::Miss);
         assert_eq!(c.fetch_queue, vec![5]);
-        let waiters = c.fill(5);
+        let waiters = fill(&mut c, 5);
         assert_eq!(waiters, vec![(0, 1)]);
         assert_eq!(c.access(5, false, None), Access::Hit);
     }
@@ -214,7 +233,7 @@ mod tests {
         assert_eq!(c.access(9, false, Some((0, 1))), Access::Miss);
         assert_eq!(c.access(9, false, Some((1, 2))), Access::Miss);
         assert_eq!(c.fetch_queue.len(), 1);
-        let waiters = c.fill(9);
+        let waiters = fill(&mut c, 9);
         assert_eq!(waiters.len(), 2);
     }
 
@@ -224,11 +243,11 @@ mod tests {
         // Three lines mapping to set 1 in a 2-way cache.
         let lines = [1u64, 1 + 64, 1 + 128];
         assert_eq!(c.access(lines[0], true, None), Access::Miss);
-        c.fill(lines[0]);
+        fill(&mut c, lines[0]);
         assert_eq!(c.access(lines[1], false, None), Access::Miss);
-        c.fill(lines[1]);
+        fill(&mut c, lines[1]);
         assert_eq!(c.access(lines[2], false, None), Access::Miss);
-        c.fill(lines[2]); // evicts lines[0], which is dirty
+        fill(&mut c, lines[2]); // evicts lines[0], which is dirty
         assert_eq!(c.writeback_queue, vec![lines[0]]);
     }
 
@@ -236,14 +255,30 @@ mod tests {
     fn store_miss_marks_line_dirty_on_fill() {
         let mut c = small();
         c.access(7, true, None);
-        c.fill(7);
+        fill(&mut c, 7);
         // Evict it cleanly? Fill two more into the same set; the dirty line
         // must produce a writeback.
         c.access(7 + 64, false, None);
-        c.fill(7 + 64);
+        fill(&mut c, 7 + 64);
         c.access(7 + 128, false, None);
-        c.fill(7 + 128);
+        fill(&mut c, 7 + 128);
         assert!(c.writeback_queue.contains(&7));
+    }
+
+    #[test]
+    fn fills_recycle_their_waiter_lists() {
+        let mut c = small();
+        c.access(3, false, Some((0, 1)));
+        c.access(3, false, Some((1, 2)));
+        let mut waiters = vec![(7, 7)];
+        c.fill(3, &mut waiters);
+        assert_eq!(waiters, vec![(7, 7), (0, 1), (1, 2)], "fill appends");
+        assert_eq!(c.spare.len(), 1);
+        assert!(c.spare[0].is_empty() && c.spare[0].capacity() >= 2);
+        // The next miss takes the emptied list instead of a new one.
+        c.access(4, false, Some((2, 3)));
+        assert!(c.spare.is_empty());
+        assert_eq!(fill(&mut c, 4), vec![(2, 3)]);
     }
 
     #[test]
@@ -260,13 +295,13 @@ mod tests {
         let mut c = small();
         let (a, b, x) = (11u64, 11 + 64, 11 + 128);
         c.access(a, false, None);
-        c.fill(a);
+        fill(&mut c, a);
         c.access(b, false, None);
-        c.fill(b);
+        fill(&mut c, b);
         // Touch `a` so `b` is LRU.
         assert_eq!(c.access(a, false, None), Access::Hit);
         c.access(x, false, None);
-        c.fill(x);
+        fill(&mut c, x);
         assert_eq!(
             c.access(a, false, None),
             Access::Hit,

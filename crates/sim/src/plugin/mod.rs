@@ -111,9 +111,9 @@ pub use para::{para, ParaPlugin};
 pub use registry::PluginRegistry;
 
 use crate::config::SystemConfig;
+use crate::llc::IntMap;
 use crate::policy::RefreshAction;
 use hira_dram::addr::{BankId, RowId};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -217,17 +217,29 @@ struct Exposure {
     peak: u64,
 }
 
+/// The integer key of a `(bank, row)` pair: the bank above the row's 32
+/// bits, so distinct pairs never share a key.
+pub(crate) fn row_key(bank: BankId, row: RowId) -> u64 {
+    (u64::from(bank.0) << 32) | u64::from(row.0)
+}
+
 /// Shared victim-exposure bookkeeping: per (bank, row) counts of
 /// adjacent-row activations since the row itself was last activated.
 ///
 /// Counting is deliberately *unclamped* at the top of the bank — an
 /// activation of row `r` increments `r+1` even when `r` is the last row —
 /// so the guards match the `act-exposure` probe's
-/// [`crate::probe::neighbor_acts`] exactly (the probe has no geometry). Injection decisions, not
-/// counting, clamp to the physical row range.
+/// [`crate::probe::neighbor_acts`] exactly (the probe has no geometry).
+/// Injection decisions, not counting, clamp to the physical row range.
+///
+/// Rows are keyed by the packed integer `bank << 32 | row` on the
+/// simulator's one-multiply integer hasher, as ramulator2's OracleRH keys
+/// its per-bank counters by a plain row number; every activation makes
+/// three lookups. No result depends on the map's order:
+/// [`ExposureTracker::fold_into`] uses only max, sum and count.
 #[derive(Debug, Default)]
 pub struct ExposureTracker {
-    rows: HashMap<(BankId, RowId), Exposure>,
+    rows: IntMap<Exposure>,
     neighbor_increments: u64,
 }
 
@@ -241,7 +253,7 @@ impl ExposureTracker {
     /// resets (an activation refreshes it), both physical neighbors gain
     /// one exposure.
     pub fn on_act(&mut self, bank: BankId, row: RowId) {
-        let e = self.rows.entry((bank, row)).or_default();
+        let e = self.rows.entry(row_key(bank, row)).or_default();
         e.peak = e.peak.max(e.current);
         e.current = 0;
         if row.0 > 0 {
@@ -251,7 +263,7 @@ impl ExposureTracker {
     }
 
     fn bump(&mut self, bank: BankId, row: RowId) {
-        let e = self.rows.entry((bank, row)).or_default();
+        let e = self.rows.entry(row_key(bank, row)).or_default();
         e.current += 1;
         e.peak = e.peak.max(e.current);
         self.neighbor_increments += 1;
@@ -260,7 +272,7 @@ impl ExposureTracker {
     /// The row's current exposure (adjacent activations since it was last
     /// activated).
     pub fn exposure(&self, bank: BankId, row: RowId) -> u64 {
-        self.rows.get(&(bank, row)).map_or(0, |e| e.current)
+        self.rows.get(&row_key(bank, row)).map_or(0, |e| e.current)
     }
 
     /// Total neighbor-exposure increments ever recorded (never reset).
@@ -448,6 +460,7 @@ pub fn plugin(spec: &str) -> PluginHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn handles_compare_by_name() {
@@ -491,6 +504,117 @@ mod tests {
         t.on_act(BankId(0), RowId(0));
         assert_eq!(t.neighbor_increments(), 1);
         assert_eq!(t.exposure(BankId(0), RowId(1)), 1);
+    }
+
+    /// The exposure accounting [`ExposureTracker`] keeps, over an ordered
+    /// map keyed by the `(bank, row)` pair itself.
+    #[derive(Default)]
+    struct ReferenceTracker {
+        /// `(current, peak)` per touched row.
+        rows: BTreeMap<(u16, u32), (u64, u64)>,
+        neighbor_increments: u64,
+    }
+
+    impl ReferenceTracker {
+        fn on_act(&mut self, bank: u16, row: u32) {
+            let (current, peak) = self.rows.entry((bank, row)).or_default();
+            *peak = (*peak).max(*current);
+            *current = 0;
+            if row > 0 {
+                self.bump(bank, row - 1);
+            }
+            self.bump(bank, row + 1);
+        }
+
+        fn bump(&mut self, bank: u16, row: u32) {
+            let (current, peak) = self.rows.entry((bank, row)).or_default();
+            *current += 1;
+            *peak = (*peak).max(*current);
+            self.neighbor_increments += 1;
+        }
+
+        /// `(max, sum, rows, rows over threshold)` of the rows' peaks.
+        fn fold(&self, threshold: u64) -> (u64, u64, u64, u64) {
+            let peaks = self
+                .rows
+                .values()
+                .map(|&(c, p)| p.max(c))
+                .filter(|&p| p > 0);
+            peaks.fold((0, 0, 0, 0), |(max, sum, rows, over), p| {
+                (
+                    max.max(p),
+                    sum + p,
+                    rows + 1,
+                    over + u64::from(p >= threshold),
+                )
+            })
+        }
+    }
+
+    #[test]
+    fn packed_exposure_keys_match_a_pair_keyed_reference() {
+        // Seeded activations over 16 banks: a hot row set shared by every
+        // bank, the full row range, row 0, and the rows at and past the
+        // top of a 64 K-row bank (counting is unclamped there). A packing
+        // that dropped the bank or truncated the row would merge rows the
+        // reference keeps apart.
+        let rows_per_bank = 64 * 1024;
+        let mut rng = hira_dram::rng::Stream::from_words(&[0xE4905, 16]);
+        let hot: Vec<u32> = (0..24)
+            .map(|_| rng.next_below(u64::from(rows_per_bank)) as u32)
+            .collect();
+        let edges = [
+            0,
+            1,
+            rows_per_bank - 2,
+            rows_per_bank - 1,
+            rows_per_bank,
+            rows_per_bank + 1,
+        ];
+        let (mut tracker, mut reference) = (ExposureTracker::new(), ReferenceTracker::default());
+        for _ in 0..60_000 {
+            let bank = rng.next_below(16) as u16;
+            let row = match rng.next_below(8) {
+                0..=3 => hot[rng.next_below(hot.len() as u64) as usize],
+                4 => edges[rng.next_below(edges.len() as u64) as usize],
+                _ => rng.next_below(u64::from(rows_per_bank)) as u32,
+            };
+            tracker.on_act(BankId(bank), RowId(row));
+            reference.on_act(bank, row);
+        }
+        for (&(bank, row), &(current, _)) in &reference.rows {
+            assert_eq!(
+                tracker.exposure(BankId(bank), RowId(row)),
+                current,
+                "bank {bank} row {row}"
+            );
+        }
+        assert_eq!(
+            tracker.exposure(BankId(16), RowId(hot[0])),
+            0,
+            "untouched bank"
+        );
+        assert_eq!(tracker.neighbor_increments(), reference.neighbor_increments);
+        for threshold in [1, 2, 3, 5, 8, 13, 40, u64::MAX] {
+            let s = tracker.fold_into(PluginStats::default(), threshold);
+            let (max, sum, rows, over) = reference.fold(threshold);
+            assert_eq!(
+                (
+                    s.max_exposure,
+                    s.exposure_sum,
+                    s.exposure_rows,
+                    s.rows_over_threshold
+                ),
+                (max, sum, rows, over),
+                "threshold {threshold}"
+            );
+            assert_eq!(s.neighbor_increments, reference.neighbor_increments);
+        }
+        let (max, _, _, over) = reference.fold(8);
+        assert!(
+            max >= 13 && over > 16,
+            "the hot rows never built up exposure"
+        );
     }
 
     #[test]

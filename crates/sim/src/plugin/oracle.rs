@@ -3,10 +3,11 @@
 //! no aliasing or budget, refreshing each victim the instant its exposure
 //! reaches the chip's RowHammer threshold `tRH`.
 
-use super::{ControllerPlugin, ExposureTracker, PluginEnv, PluginHandle, PluginStats};
+use super::{row_key, ControllerPlugin, ExposureTracker, PluginEnv, PluginHandle, PluginStats};
+use crate::llc::IntSet;
 use crate::policy::RefreshAction;
 use hira_dram::addr::{BankId, RowId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The oracle defense: exact per-row exposure, exact `tRH` trigger. Its
 /// injected-refresh count is the *minimum* any deterministic defense with
@@ -22,8 +23,9 @@ pub struct OracleRh {
     /// Victims whose exposure crossed `t_rh`, awaiting injection.
     due: VecDeque<(BankId, RowId)>,
     /// Rows currently queued or injected-but-not-yet-executed, so one
-    /// victim is never queued twice before its refresh lands.
-    pending: HashSet<(BankId, RowId)>,
+    /// victim is never queued twice before its refresh lands (packed
+    /// [`row_key`]s; the set is only probed, never iterated).
+    pending: IntSet,
     injected: u64,
     acts: u64,
 }
@@ -39,7 +41,7 @@ impl OracleRh {
             rows_per_bank,
             tracker: ExposureTracker::new(),
             due: VecDeque::new(),
-            pending: HashSet::new(),
+            pending: IntSet::default(),
             injected: 0,
             acts: 0,
         }
@@ -55,7 +57,9 @@ impl OracleRh {
         if victim.0 >= self.rows_per_bank {
             return; // counted for the cross-check, but physically absent
         }
-        if self.tracker.exposure(bank, victim) >= self.t_rh && self.pending.insert((bank, victim)) {
+        if self.tracker.exposure(bank, victim) >= self.t_rh
+            && self.pending.insert(row_key(bank, victim))
+        {
             self.due.push_back((bank, victim));
         }
     }
@@ -71,7 +75,7 @@ impl ControllerPlugin for OracleRh {
         self.tracker.on_act(bank, row);
         // The activation reset `row`'s own exposure — its refresh (if one
         // was in flight) is now moot.
-        self.pending.remove(&(bank, row));
+        self.pending.remove(&row_key(bank, row));
         if row.0 > 0 {
             self.consider(bank, RowId(row.0 - 1));
         }
@@ -84,7 +88,7 @@ impl ControllerPlugin for OracleRh {
         // double-queue; an entry whose victim a demand activation already
         // reset is stale and skipped.
         while let Some((bank, row)) = self.due.pop_front() {
-            if !self.pending.contains(&(bank, row)) {
+            if !self.pending.contains(&row_key(bank, row)) {
                 continue;
             }
             self.injected += 1;

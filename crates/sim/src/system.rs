@@ -24,10 +24,13 @@
 //! across jumps alike, and catches up with one [`Core::skip`] when its
 //! wake arrives, a fill reaches it, an epoch sample reads it or the run
 //! ends; that is exact because skips compose inside a stretch, and the
-//! warmup and target crossings fall on real ticks. The channels cache
-//! each rank's refresh wake between its state changes, and book both
-//! buses in sliding bitsets ([`crate::controller`]). [`RunTelemetry`]
-//! counts the events and the core updates they cost.
+//! warmup and target crossings fall on real ticks, so only the cores that
+//! ticked in a cycle are checked for them. The channels cache each rank's
+//! refresh wake until that rank is touched, apply the write-drain
+//! toggle's tick-by-tick oscillation lazily, and book both buses in
+//! sliding bitsets ([`crate::controller`]). Completions and LLC fill
+//! waiters pass through buffers the system reuses. [`RunTelemetry`]
+//! counts the events and the core updates and rank wakes they cost.
 
 use crate::config::{KernelMode, SystemConfig};
 use crate::controller::Channel;
@@ -54,6 +57,11 @@ pub struct RunTelemetry {
     /// per core per cycle; the event kernel's lazy catch-up about one per
     /// event).
     pub core_updates: u64,
+    /// Rank refresh wakes computed afresh over all channels (the
+    /// controller's wake-cache misses): the refresh machinery's share of
+    /// the work per event. Each rank's wake is recomputed only after the
+    /// rank is touched.
+    pub rank_wakes: u64,
 }
 
 /// Cumulative channel-stat snapshot an epoch diffs against.
@@ -100,6 +108,12 @@ pub struct System {
     probes: ProbeHost,
     /// Epoch sampling, when the probe asked for a cadence.
     epoch: Option<EpochTracker>,
+    /// The cores that ticked in the cycle being processed, in core order.
+    ticked: Vec<usize>,
+    /// Reused buffers: one channel tick's completed request ids, and one
+    /// fill's waiters.
+    done: Vec<u64>,
+    waiters: Vec<Waiter>,
 }
 
 impl System {
@@ -140,6 +154,9 @@ impl System {
             tick_den,
             probes,
             epoch,
+            ticked: Vec::with_capacity(cfg.cores),
+            done: Vec::new(),
+            waiters: Vec::new(),
             cfg,
         }
     }
@@ -175,10 +192,11 @@ impl System {
             // One processed cycle: the CPU side, warmup/ROI bookkeeping,
             // then every memory tick the rational accumulator yields. A
             // core crosses its warmup or target count only in a real tick
-            // (its wake stops short of the crossing), so a core the event
-            // kernel left behind reads here as it would caught up.
+            // (its wake stops short of the crossing), so only the cores
+            // that ticked in this cycle can have crossed one.
             self.tick_cpu(cycle, target, warmup);
-            for (i, c) in self.cores.iter_mut().enumerate() {
+            for &i in &self.ticked {
+                let c = &mut self.cores[i];
                 if warm_cycle[i].is_none() && c.retired >= warmup {
                     warm_cycle[i] = Some(cycle);
                     c.begin_roi();
@@ -389,6 +407,7 @@ impl System {
         let telemetry = RunTelemetry {
             events,
             core_updates: self.cores.iter().map(|c| c.updates).sum(),
+            rank_wakes: self.channels.iter().map(Channel::rank_wakes).sum(),
             peak_queue: self
                 .channels
                 .iter()
@@ -409,9 +428,11 @@ impl System {
             next_req_id,
             cfg,
             mem_cycle,
+            ticked,
             ..
         } = self;
         let event = cfg.kernel == KernelMode::Event;
+        ticked.clear();
         for core in cores.iter_mut() {
             // Event kernel: a core whose cached wake lies ahead is left
             // alone — this cycle is being processed for some other
@@ -437,6 +458,7 @@ impl System {
                     matches!(llc.access(line, true, None), Access::Hit | Access::Miss)
                 }
             });
+            ticked.push(core_id);
             if event {
                 core.wake_cache = core.next_wake(cycle + 1, target, warmup);
             }
@@ -490,13 +512,18 @@ impl System {
             channels,
             inflight,
             probes,
+            done,
+            waiters,
             ..
         } = self;
         for ch in channels.iter_mut() {
-            for req_id in ch.tick_probed(now, probes) {
-                if let Some(line) = inflight.remove(&req_id) {
-                    let waiters: Vec<Waiter> = llc.fill(line);
-                    for (core, entry) in waiters {
+            done.clear();
+            ch.tick_probed(now, probes, done);
+            for req_id in done.iter() {
+                if let Some(line) = inflight.remove(req_id) {
+                    waiters.clear();
+                    llc.fill(line, waiters);
+                    for &(core, entry) in waiters.iter() {
                         let c = &mut cores[core];
                         // The fill lands after this cycle's CPU side, so
                         // the core first advances through this cycle (a

@@ -256,6 +256,8 @@ pub struct WorkloadHandle {
     family: Family,
     summary: Arc<str>,
     factory: Arc<WorkloadFactory>,
+    /// See [`WorkloadHandle::content_digest`].
+    pub(crate) content_digest: Option<u64>,
 }
 
 impl WorkloadHandle {
@@ -271,7 +273,17 @@ impl WorkloadHandle {
             family,
             summary: Arc::from(summary.into()),
             factory: Arc::new(factory),
+            content_digest: None,
         }
+    }
+
+    /// A digest of the data the factory replays, for a workload whose
+    /// name does not pin its content: a `trace:<path>` replay
+    /// ([`crate::trace_file`]), whose file can change under the same path.
+    /// Result caches key a workload by its name plus this digest. Not part
+    /// of the identity: equality stays by name.
+    pub fn content_digest(&self) -> Option<u64> {
+        self.content_digest
     }
 
     /// The workload's registry name.

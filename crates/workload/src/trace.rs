@@ -25,6 +25,7 @@
 //! contract), which is precisely one record.
 
 use crate::{Family, Op, Workload, WorkloadHandle, WorkloadProfile, CORE_WINDOW_BYTES};
+use hira_dram::rng::hash_words;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
@@ -168,6 +169,19 @@ impl Trace {
     /// The records, in file order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
+    }
+
+    /// A 64-bit digest of the records in order: every bubble count,
+    /// address and store flag. Two traces replay the same access stream
+    /// iff their records are equal, so a changed record moves the digest
+    /// (up to hash collisions); comments, blank lines and number spelling
+    /// do not.
+    pub fn digest(&self) -> u64 {
+        self.records
+            .iter()
+            .fold(self.records.len() as u64, |acc, r| {
+                hash_words(&[acc, u64::from(r.bubbles), r.addr, u64::from(r.is_write)])
+            })
     }
 
     /// Serializes the trace in the parseable format (header comment,
@@ -374,12 +388,19 @@ fn parse_addr(token: &str) -> Option<u64> {
 
 /// Loads `path` and wraps it into a handle named `trace:<path>` — the
 /// dynamic `trace:` form [`crate::WorkloadRegistry::lookup`] resolves.
+/// The name says where the records came from, not what they are, so the
+/// handle also carries the loaded records' [`Trace::digest`] as its
+/// [`WorkloadHandle::content_digest`].
 ///
 /// # Errors
 ///
 /// Returns any [`ParseError`] from loading the file.
 pub fn trace_file(path: &str) -> Result<WorkloadHandle, ParseError> {
-    Ok(Trace::load(path)?.into_handle(format!("trace:{path}")))
+    let trace = Trace::load(path)?;
+    let digest = trace.digest();
+    let mut handle = trace.into_handle(format!("trace:{path}"));
+    handle.content_digest = Some(digest);
+    Ok(handle)
 }
 
 /// A per-core trace replayer.
@@ -612,6 +633,23 @@ mod tests {
         assert_eq!(wl.next_access(), Op::Store(base + 128));
         // Wrap-around: the sequence repeats.
         assert_eq!(wl.next_access(), Op::Load(base + 64));
+    }
+
+    #[test]
+    fn the_digest_follows_the_records_not_their_spelling() {
+        let a = Trace::parse("# x\n27 0x1a3f40\n0 68719476736 W\n").unwrap();
+        let same = Trace::parse("27 1720128\n\n0 0x1000000000 w\n").unwrap();
+        assert_eq!(a.digest(), same.digest());
+        for other in [
+            "28 0x1a3f40\n0 68719476736 W\n",
+            "27 0x1a3f80\n0 68719476736 W\n",
+            "27 0x1a3f40\n0 68719476736\n",
+            "0 68719476736 W\n27 0x1a3f40\n",
+            "27 0x1a3f40\n0 68719476736 W\n0 68719476736 W\n",
+        ] {
+            let b = Trace::parse(other).unwrap();
+            assert_ne!(a.digest(), b.digest(), "{other:?}");
+        }
     }
 
     #[test]
