@@ -86,30 +86,42 @@ impl Scale {
 }
 
 /// Alone-IPC cache key: workload *instance* name (for a mix, the member
-/// benchmark a core runs), device, channels, ranks, and the Scale
-/// dimensions the simulation depends on (measured + warmup instructions)
-/// — so runs at different scales or on different devices in one process
-/// never share stale values.
-type AloneKey = (String, String, usize, usize, u64, u64);
+/// benchmark a core runs), the digest of a `trace:<path>` instance's
+/// records (`None` for every other name), device, channels, ranks, and the
+/// Scale dimensions the simulation depends on (measured + warmup
+/// instructions) — so runs at different scales, on different devices or
+/// over an edited trace file in one process never share stale values.
+type AloneKey = (String, Option<u64>, String, usize, usize, u64, u64);
 
-fn alone_key(
+/// The memo key of instance `name`, and its handle when resolving it was
+/// needed to make the key. A `trace:<path>` instance is loaded on every
+/// call, so its key carries the digest of the records its file holds now,
+/// as [`SystemConfig::cache_descriptor`] does. Every other name keys by
+/// itself: no registry is built and no file read until a value must be
+/// computed.
+fn alone_entry(
     name: &str,
     device: &DeviceHandle,
     channels: usize,
     ranks: usize,
     scale: Scale,
-) -> AloneKey {
-    (
+) -> (AloneKey, Option<WorkloadHandle>) {
+    let trace = name
+        .starts_with("trace:")
+        .then(|| hira_workload::workload(name));
+    let key = (
         name.to_owned(),
+        trace.as_ref().and_then(WorkloadHandle::content_digest),
         device.name().to_owned(),
         channels,
         ranks,
         scale.insts,
         scale.warmup,
-    )
+    );
+    (key, trace)
 }
 
-/// Global memo of alone-IPC values, keyed by instance name and geometry.
+/// Global memo of alone-IPC values, keyed by instance and geometry.
 static ALONE_IPC: LazyLock<Mutex<HashMap<AloneKey, f64>>> = LazyLock::new(Default::default);
 
 /// The (pure, deterministic) computation behind [`alone_ipc`]: the
@@ -140,8 +152,10 @@ fn compute_alone_ipc(
 /// denominator of weighted speedup. The device matters: a speedup on
 /// `lpddr4-3200` is normalized by an `lpddr4-3200` alone run, so the
 /// metric isolates refresh interference, not inter-device raw speed.
-/// Memoized; the value is a pure function of its arguments, so concurrent
-/// computation of the same key is merely redundant, never divergent.
+/// Memoized; the value is a pure function of its arguments and, for a
+/// `trace:<path>` instance, of the records the file holds at the call, so
+/// concurrent computation of the same key is merely redundant, never
+/// divergent.
 ///
 /// # Panics
 ///
@@ -156,23 +170,18 @@ pub fn alone_ipc(
     ranks: usize,
     scale: Scale,
 ) -> f64 {
-    let key = alone_key(name, device, channels, ranks, scale);
+    let (key, trace) = alone_entry(name, device, channels, ranks, scale);
     if let Some(&v) = ALONE_IPC.lock().expect("alone-IPC memo").get(&key) {
         return v;
     }
-    let ipc = compute_alone_ipc(
-        &hira_workload::workload(name),
-        device,
-        channels,
-        ranks,
-        scale,
-    );
+    let handle = trace.unwrap_or_else(|| hira_workload::workload(name));
+    let ipc = compute_alone_ipc(&handle, device, channels, ranks, scale);
     ALONE_IPC.lock().expect("alone-IPC memo").insert(key, ipc);
     ipc
 }
 
 /// Pre-computes every alone-IPC value the given configurations will need —
-/// one engine task per distinct `(instance name, geometry)` pair — so the
+/// one engine task per distinct `(instance, geometry)` key — so the
 /// main sweep's tasks only ever hit the in-process memo. Instance names
 /// come from each configuration's workload handle (building an instance is
 /// cheap and does not simulate). The cached run path passes only its *miss*
@@ -187,17 +196,17 @@ fn warm_alone_cache<'a>(
     let mut seen: Vec<AloneKey> = Vec::new();
     for cfg in configs {
         for name in cfg.workload.instance_names(cfg.cores, cfg.seed) {
-            let key = alone_key(&name, &cfg.device, cfg.channels, cfg.ranks, scale);
+            let (key, trace) = alone_entry(&name, &cfg.device, cfg.channels, cfg.ranks, scale);
             if ALONE_IPC.lock().expect("alone-IPC memo").contains_key(&key) || seen.contains(&key) {
                 continue;
             }
-            seen.push(key);
+            seen.push(key.clone());
             let sc_key = ScenarioKey::root()
                 .with("wl", &name)
                 .with("dev", cfg.device.name())
                 .with("ch", cfg.channels.to_string())
                 .with("rk", cfg.ranks.to_string());
-            points.push((sc_key, (name, cfg.device.clone(), cfg.channels, cfg.ranks)));
+            points.push((sc_key, (key, trace, cfg.device.clone())));
         }
     }
     if points.is_empty() {
@@ -205,12 +214,15 @@ fn warm_alone_cache<'a>(
     }
     let warm = Sweep::from_points("alone_ipc", base_seed, points);
     let ipcs = ex.map(&warm, |sc| {
-        let (name, dev, ch, rk) = sc.params;
-        compute_alone_ipc(&hira_workload::workload(name), dev, *ch, *rk, scale)
+        let ((name, _, _, channels, ranks, _, _), trace, dev) = sc.params;
+        let handle = trace
+            .clone()
+            .unwrap_or_else(|| hira_workload::workload(name));
+        compute_alone_ipc(&handle, dev, *channels, *ranks, scale)
     });
     let mut memo = ALONE_IPC.lock().expect("alone-IPC memo");
-    for ((_, (name, dev, ch, rk)), ipc) in warm.points().iter().zip(ipcs) {
-        memo.insert(alone_key(name, dev, *ch, *rk, scale), ipc);
+    for ((_, (key, _, _)), ipc) in warm.points().iter().zip(ipcs) {
+        memo.insert(key.clone(), ipc);
     }
 }
 
@@ -1693,6 +1705,38 @@ mod tests {
 
     fn run(threads: usize) -> SweepRun {
         SweepRun::new(Executor::with_threads(threads), tiny_scale())
+    }
+
+    #[test]
+    fn alone_ipc_of_an_edited_trace_follows_its_records() {
+        // A long-lived process (a `serve` session) sees a trace file
+        // rewritten under its path: the memo keys by what the file holds.
+        let dir = std::env::temp_dir().join(format!("hira-bench-alone-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("edited.trace");
+        let name = format!("trace:{}", path.display());
+        let save = |wl: WorkloadHandle| {
+            let env = hira_workload::WorkloadEnv {
+                core: 0,
+                cores: 1,
+                seed: 7,
+            };
+            hira_workload::Trace::capture(wl.build(&env).as_mut(), 4_000)
+                .save(&path)
+                .unwrap();
+        };
+        let (dev, scale) = (hira_sim::device::ddr4_2400(), tiny_scale());
+        save(hira_workload::random());
+        let random = alone_ipc(&name, &dev, 1, 1, scale);
+        assert_eq!(alone_ipc(&name, &dev, 1, 1, scale), random, "a repeat hits");
+        save(hira_workload::stream());
+        let stream = alone_ipc(&name, &dev, 1, 1, scale);
+        let direct = compute_alone_ipc(&hira_workload::workload(&name), &dev, 1, 1, scale);
+        // 1.0005 for the stream records, where a name-keyed memo answered
+        // the random records' 0.6161.
+        assert_eq!(stream, direct, "the memo answered for the old records");
+        assert_ne!(stream, random);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -98,8 +98,11 @@ pub enum BuildError {
         /// The offending fraction.
         spt_fraction: f64,
     },
-    /// The LLC must hold at least one set of the configured associativity.
-    LlcTooSmall {
+    /// The LLC cannot be built at this geometry: it holds no whole set of
+    /// the configured associativity, its set count is not a power of two,
+    /// or its ways outnumber 16 × its sets, too many for a way's packed
+    /// word to hold the tag, valid and dirty bits and recency rank.
+    LlcGeometry {
         /// LLC capacity in bytes.
         bytes: usize,
         /// Associativity.
@@ -198,9 +201,11 @@ impl fmt::Display for BuildError {
             BuildError::SptFractionOutOfRange { spt_fraction } => {
                 write!(f, "SPT fraction {spt_fraction} is not in [0, 1]")
             }
-            BuildError::LlcTooSmall { bytes, ways } => write!(
+            BuildError::LlcGeometry { bytes, ways } => write!(
                 f,
-                "LLC of {bytes} B cannot hold one {ways}-way set of 64 B lines"
+                "an LLC of {bytes} B at {ways} ways has {} sets of 64 B lines; \
+                 it needs a power-of-two set count and ways <= 16 x sets",
+                bytes / 64 / ways
             ),
             BuildError::UnknownPolicy { name } => write!(
                 f,
@@ -557,8 +562,8 @@ impl SystemBuilder {
                 spt_fraction: self.spt_fraction,
             });
         }
-        if self.llc_bytes < 64 * self.llc_ways {
-            return Err(BuildError::LlcTooSmall {
+        if crate::llc::Llc::sets(self.llc_bytes, self.llc_ways).is_none() {
+            return Err(BuildError::LlcGeometry {
                 bytes: self.llc_bytes,
                 ways: self.llc_ways,
             });

@@ -302,3 +302,51 @@ fn valid_random_configurations_build_and_simulate() {
         assert!(cfg.timing.t_rfc < cfg.timing.t_refi, "case {case}");
     }
 }
+
+#[test]
+fn llc_geometries_the_cache_cannot_build_are_rejected() {
+    for (bytes, ways) in [
+        (3 << 20, 8),      // 6,144 sets: not a power of two
+        (8 << 20, 12),     // 10,922 sets: not a power of two
+        (64 * 8 - 1, 8),   // no whole set
+        (64 * 17, 17),     // one set of 17 ways: a 5-bit rank beside a 58-bit tag
+        (64 * 2 * 33, 33), // two sets of 33 ways: a 6-bit rank beside a 57-bit tag
+    ] {
+        let err = SystemBuilder::new()
+            .llc(bytes, ways)
+            .build()
+            .expect_err(&format!("{bytes} B at {ways} ways accepted"));
+        assert_eq!(err, BuildError::LlcGeometry { bytes, ways });
+        let msg = err.to_string();
+        assert!(msg.contains(&bytes.to_string()), "{msg}");
+    }
+}
+
+#[test]
+fn llc_geometries_the_cache_can_build_run() {
+    // One 3-way set; the largest way counts at one and two sets; the
+    // Table 3 8 MB cache and the 256 KB and 16 KB caches of the write-path
+    // benchmarks and tests.
+    for (bytes, ways) in [
+        (192, 3),
+        (64 * 16, 16),
+        (64 * 2 * 32, 32),
+        (8 << 20, 8),
+        (256 << 10, 8),
+        (16 << 10, 8),
+    ] {
+        let cfg = SystemBuilder::new()
+            .cores(2)
+            .workload(hira::workload::rw(50))
+            .llc(bytes, ways)
+            .insts(2_000, 400)
+            .build()
+            .unwrap_or_else(|e| panic!("{bytes} B at {ways} ways rejected: {e}"));
+        let r = System::new(cfg).run();
+        assert!(
+            r.ipc.iter().all(|&ipc| ipc > 0.0),
+            "{bytes} B at {ways} ways: {:?}",
+            r.ipc
+        );
+    }
+}
