@@ -609,9 +609,14 @@ fn mix_axis(mixes: usize) -> Vec<(String, usize)> {
 /// cell builds through [`SystemBuilder`] from the Table 3 defaults; the
 /// cells it refuses as a HiRA policy on a HiRA-inert device or a
 /// directed-refresh plugin on a VRR-less device come back from
-/// [`Grid::build`] with their reason.
+/// [`Grid::build`] with their reason. An axis that repeats a label would
+/// make two points under one key, so [`Grid::build`] refuses it.
 #[derive(Debug, Clone)]
-pub struct Grid(Sweep<SystemBuilder>);
+pub struct Grid {
+    cells: Sweep<SystemBuilder>,
+    /// The first label an axis was given twice, as `(axis, label)`.
+    repeated: Option<(String, String)>,
+}
 
 /// The cells [`Grid::build`] skipped: each one's key and reason, such as
 /// `ddr4-2400 x hira4 (HiRA-inert device)`.
@@ -621,7 +626,10 @@ impl Grid {
     /// A one-cell grid of the Table 3 defaults, named `name` (the sweep,
     /// store-shard and `BENCH_<name>.json` name).
     pub fn new(name: &str) -> Self {
-        Grid(Sweep::new(name).map(|_, ()| SystemBuilder::new()))
+        Grid {
+            cells: Sweep::new(name).map(|_, ()| SystemBuilder::new()),
+            repeated: None,
+        }
     }
 
     fn axis<V>(
@@ -633,8 +641,19 @@ impl Grid {
         if values.is_empty() {
             return self;
         }
+        let repeated = self.repeated.or_else(|| {
+            values.iter().enumerate().find_map(|(i, (label, _))| {
+                values[..i]
+                    .iter()
+                    .any(|(earlier, _)| earlier == label)
+                    .then(|| (axis.to_owned(), label.clone()))
+            })
+        });
         let values = values.iter().map(|(label, v)| (label.as_str(), v));
-        Grid(self.0.axis(axis, values, |b, v| set(b.clone(), v)))
+        Grid {
+            cells: self.cells.axis(axis, values, |b, v| set(b.clone(), v)),
+            repeated,
+        }
     }
 
     /// The `policy` axis.
@@ -683,14 +702,19 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Any other build failure, naming its cell.
+    /// An axis that repeats a label (such as `caps` 8 and 8.0, both
+    /// labelled `8`), naming the axis and the label; any other build
+    /// failure, naming its cell.
     pub fn build(
         self,
         scale: Scale,
         kernel: KernelMode,
     ) -> Result<(Sweep<SystemConfig>, Skipped), String> {
+        if let Some((axis, label)) = self.repeated {
+            return Err(format!("the `{axis}` axis repeats `{label}`"));
+        }
         let built = self
-            .0
+            .cells
             .map(|_, b| b.insts(scale.insts, scale.warmup).kernel(kernel).build());
         let mut skipped = Vec::new();
         for (key, cell) in built.points() {

@@ -714,3 +714,124 @@ fn print_fig12(t: &WsTable, scale: Scale) {
         print_series(name, &norm);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// Every refresh-policy handle the repository selects, by name: the
+    /// standard registry, every figure's sweep, the four matrix presets,
+    /// and the PARA compositions and HiRA-N points the examples and tests
+    /// build.
+    fn repository_handles() -> BTreeMap<String, PolicyHandle> {
+        let mut all = BTreeMap::new();
+        let mut add = |h: &PolicyHandle| {
+            all.entry(h.name().to_owned()).or_insert_with(|| h.clone());
+        };
+        PolicyRegistry::standard().handles().for_each(&mut add);
+        for figure in [
+            Figure::Periodic {
+                no_refresh_access: false,
+            },
+            Figure::Periodic {
+                no_refresh_access: true,
+            },
+            Figure::Para,
+            Figure::GeometryPeriodic(Geometry::Channels),
+            Figure::GeometryPeriodic(Geometry::Ranks),
+            Figure::GeometryPara(Geometry::Channels),
+            Figure::GeometryPara(Geometry::Ranks),
+            Figure::Ablation,
+        ] {
+            figure
+                .sweep()
+                .points()
+                .iter()
+                .for_each(|(_, c)| add(&c.refresh));
+        }
+        for matrix in [Matrix::Policy, Matrix::Workload, Matrix::Device, Matrix::Rh] {
+            let args = MatrixArgs::defaults(matrix, Scale::from_env());
+            args.policies.iter().for_each(|(_, h)| add(h));
+        }
+        for h in [
+            policy::baseline().with_para_immediate(0.5),
+            policy::baseline().with_para_hira(0.5, 4),
+            policy::noref().with_para_immediate(0.125),
+            policy::noref().with_para_hira(0.5, 4),
+            policy::refpb().with_para_immediate(0.5),
+            policy::hira(4).with_para_hira(0.5, 4),
+            policy::hira(8).with_para_hira(0.5, 2),
+            policy::hira(3),
+            policy::hira(u32::MAX),
+        ] {
+            add(&h);
+        }
+        all
+    }
+
+    /// The lead each handle's built instance reported (`RefreshPolicy::
+    /// hira_lead` of channel 0, rank 0) before the lead moved onto the
+    /// handle.
+    const BUILT_LEADS: [(&str, Option<(f64, f64)>); 48] = [
+        ("baseline", None),
+        ("baseline+para(p=0.0664)", None),
+        ("baseline+para(p=0.1307)", None),
+        ("baseline+para(p=0.2532)", None),
+        ("baseline+para(p=0.4754)", None),
+        ("baseline+para(p=0.5000)", None),
+        ("baseline+para(p=0.8392)", None),
+        ("baseline+para@hira0(p=0.0664)", Some((3.0, 3.0))),
+        ("baseline+para@hira0(p=0.1307)", Some((3.0, 3.0))),
+        ("baseline+para@hira0(p=0.2532)", Some((3.0, 3.0))),
+        ("baseline+para@hira0(p=0.4754)", Some((3.0, 3.0))),
+        ("baseline+para@hira0(p=0.8392)", Some((3.0, 3.0))),
+        ("baseline+para@hira2(p=0.0665)", Some((3.0, 3.0))),
+        ("baseline+para@hira2(p=0.1312)", Some((3.0, 3.0))),
+        ("baseline+para@hira2(p=0.2551)", Some((3.0, 3.0))),
+        ("baseline+para@hira2(p=0.4819)", Some((3.0, 3.0))),
+        ("baseline+para@hira2(p=0.8594)", Some((3.0, 3.0))),
+        ("baseline+para@hira4(p=0.0667)", Some((3.0, 3.0))),
+        ("baseline+para@hira4(p=0.1317)", Some((3.0, 3.0))),
+        ("baseline+para@hira4(p=0.2570)", Some((3.0, 3.0))),
+        ("baseline+para@hira4(p=0.4887)", Some((3.0, 3.0))),
+        ("baseline+para@hira4(p=0.5000)", Some((3.0, 3.0))),
+        ("baseline+para@hira4(p=0.8806)", Some((3.0, 3.0))),
+        ("baseline+para@hira8(p=0.0669)", Some((3.0, 3.0))),
+        ("baseline+para@hira8(p=0.1327)", Some((3.0, 3.0))),
+        ("baseline+para@hira8(p=0.2609)", Some((3.0, 3.0))),
+        ("baseline+para@hira8(p=0.5028)", Some((3.0, 3.0))),
+        ("baseline+para@hira8(p=0.9261)", Some((3.0, 3.0))),
+        ("hira0", Some((3.0, 3.0))),
+        ("hira0-noRA", Some((3.0, 3.0))),
+        ("hira2", Some((3.0, 3.0))),
+        ("hira2-noRA", Some((3.0, 3.0))),
+        ("hira3", Some((3.0, 3.0))),
+        ("hira4", Some((3.0, 3.0))),
+        ("hira4+para@hira4(p=0.5000)", Some((3.0, 3.0))),
+        ("hira4-noRA", Some((3.0, 3.0))),
+        ("hira4-noRR", Some((3.0, 3.0))),
+        ("hira4-singles", Some((3.0, 3.0))),
+        ("hira4294967295", Some((3.0, 3.0))),
+        ("hira8", Some((3.0, 3.0))),
+        ("hira8+para@hira2(p=0.5000)", Some((3.0, 3.0))),
+        ("hira8-noRA", Some((3.0, 3.0))),
+        ("noref", None),
+        ("noref+para(p=0.1250)", None),
+        ("noref+para@hira4(p=0.5000)", Some((3.0, 3.0))),
+        ("raidr", None),
+        ("refpb", None),
+        ("refpb+para(p=0.5000)", None),
+    ];
+
+    #[test]
+    fn every_handle_carries_the_lead_its_instances_reported() {
+        let handles = repository_handles();
+        let names: Vec<&str> = handles.keys().map(String::as_str).collect();
+        let recorded: Vec<&str> = BUILT_LEADS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, recorded, "the repository selects other handles now");
+        for (name, lead) in BUILT_LEADS {
+            assert_eq!(handles[name].hira_lead(), lead, "{name}");
+        }
+    }
+}

@@ -48,7 +48,8 @@
 //!   point of an accepted sweep; `points_per_sec`/`eta_ms` count only
 //!   computed points and are `null` until a rate is known.
 //! * `{"event":"error","id":"a","line":7,"message":"..."}` — the request
-//!   was rejected (unparsable line, unknown name, empty grid); `id` is the
+//!   was rejected (unparsable line, unknown name, empty grid, an axis
+//!   that repeats a value such as `caps` 8 and 8.0); `id` is the
 //!   line's string `id` whenever the line is a JSON object carrying one
 //!   (`""` otherwise), `line` is the 1-based request line number within
 //!   the session, and the server keeps serving.
@@ -65,9 +66,10 @@ use hira_engine::{Executor, ScenarioKey, Sweep};
 use hira_obs::{field, Counter, Gauge, Level, MetricsRegistry, Progress, TraceSink};
 use hira_sim::config::{KernelMode, SystemConfig};
 use hira_store::{CacheStats, SweepStore};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One parsed request line.
@@ -298,28 +300,69 @@ impl SweepSpec {
     }
 }
 
-fn obj(entries: Vec<(&str, String)>) -> String {
-    let mut out = String::new();
-    json::write_object(&mut out, entries);
-    out
-}
+/// One event line under construction in a reused buffer: `{"event":` and
+/// the event name, then each field in call order, then `}` on
+/// [`EventLine::emit`]. Every value goes through [`json::write_str`] or
+/// [`json::write_f64`], or is an integer or boolean in its `Display` form.
+struct EventLine<'a>(&'a mut String);
 
-fn jstr(s: &str) -> String {
-    let mut out = String::new();
-    json::write_str(&mut out, s);
-    out
-}
+impl<'a> EventLine<'a> {
+    fn start(buf: &'a mut String, event: &str) -> Self {
+        buf.clear();
+        buf.push_str("{\"event\":");
+        json::write_str(buf, event);
+        EventLine(buf)
+    }
 
-fn jf64(v: f64) -> String {
-    let mut out = String::new();
-    json::write_f64(&mut out, v);
-    out
-}
+    fn field(&mut self, name: &str) {
+        self.0.push(',');
+        json::write_str(self.0, name);
+        self.0.push(':');
+    }
 
-fn key_json(key: &ScenarioKey) -> String {
-    let mut out = String::new();
-    json::write_object(&mut out, key.axes().map(|(a, v)| (a, jstr(v))));
-    out
+    fn str(mut self, name: &str, v: &str) -> Self {
+        self.field(name);
+        json::write_str(self.0, v);
+        self
+    }
+
+    /// An integer or boolean, as `Display` writes it.
+    fn int(mut self, name: &str, v: impl std::fmt::Display) -> Self {
+        self.field(name);
+        let _ = write!(self.0, "{v}");
+        self
+    }
+
+    /// `v`, or `null` when absent (as for any non-finite value).
+    fn f64(mut self, name: &str, v: Option<f64>) -> Self {
+        self.field(name);
+        match v {
+            Some(v) => json::write_f64(self.0, v),
+            None => self.0.push_str("null"),
+        }
+        self
+    }
+
+    /// A point's scenario key as an object of its axes.
+    fn key(mut self, name: &str, key: &ScenarioKey) -> Self {
+        self.field(name);
+        self.0.push('{');
+        for (i, (axis, value)) in key.axes().enumerate() {
+            if i > 0 {
+                self.0.push(',');
+            }
+            json::write_str(self.0, axis);
+            self.0.push(':');
+            json::write_str(self.0, value);
+        }
+        self.0.push('}');
+        self
+    }
+
+    fn emit(self, emit: &(dyn Fn(&str) + Sync)) {
+        self.0.push('}');
+        emit(self.0);
+    }
 }
 
 /// The transport-free sweep service: feed request lines to
@@ -344,6 +387,9 @@ pub struct Server {
     plugin_sweeps: Counter,
     uptime: Gauge,
     sink: Option<TraceSink>,
+    /// The buffer every event line is rendered into, reused across
+    /// requests.
+    out: String,
 }
 
 impl Server {
@@ -399,6 +445,7 @@ impl Server {
             plugin_sweeps,
             uptime,
             sink: None,
+            out: String::new(),
         }
     }
 
@@ -427,6 +474,14 @@ impl Server {
     /// (shutdown op); protocol errors emit an `error` event and return
     /// `true` — a long-running service survives bad requests.
     pub fn handle(&mut self, line: &str, emit: &(dyn Fn(&str) + Sync)) -> bool {
+        let mut out = std::mem::take(&mut self.out);
+        let alive = self.answer(line, &mut out, emit);
+        self.out = out;
+        alive
+    }
+
+    /// [`Server::handle`], rendering each event into `out`.
+    fn answer(&mut self, line: &str, out: &mut String, emit: &(dyn Fn(&str) + Sync)) -> bool {
         self.lines += 1;
         let line = line.trim();
         if line.is_empty() {
@@ -447,12 +502,12 @@ impl Server {
                     .ok()
                     .and_then(|v| v.get("id").and_then(Value::as_str).map(str::to_owned))
                     .unwrap_or_default();
-                emit(&self.error_event(&id, &msg));
+                self.error(out, &id, &msg, emit);
                 true
             }
             Ok(Op::Shutdown) => {
                 request_counter("shutdown").inc();
-                emit(&obj(vec![("event", jstr("bye"))]));
+                EventLine::start(out, "bye").emit(emit);
                 if let Some(s) = &self.sink {
                     s.flush();
                 }
@@ -462,39 +517,39 @@ impl Server {
                 request_counter("stats").inc();
                 let uptime_ms = self.started.elapsed().as_secs_f64() * 1e3;
                 self.uptime.set(uptime_ms);
-                emit(&obj(vec![
-                    ("event", jstr("stats")),
-                    ("sweeps", self.sweeps.to_string()),
-                    ("points", self.totals.points.to_string()),
-                    ("hits", self.totals.hits.to_string()),
-                    ("misses", self.totals.misses.to_string()),
-                    ("appended", self.totals.appended.to_string()),
-                    ("uptime_ms", jf64(uptime_ms)),
-                    ("sweeps_accepted", self.sweeps_accepted.to_string()),
-                    ("points_streamed", self.streamed.get().to_string()),
-                ]));
+                EventLine::start(out, "stats")
+                    .int("sweeps", self.sweeps)
+                    .int("points", self.totals.points)
+                    .int("hits", self.totals.hits)
+                    .int("misses", self.totals.misses)
+                    .int("appended", self.totals.appended)
+                    .f64("uptime_ms", Some(uptime_ms))
+                    .int("sweeps_accepted", self.sweeps_accepted)
+                    .int("points_streamed", self.streamed.get())
+                    .emit(emit);
                 true
             }
             Ok(Op::Metrics) => {
                 request_counter("metrics").inc();
-                emit(&obj(vec![
-                    ("event", jstr("metrics")),
-                    ("text", jstr(&self.metrics_text())),
-                ]));
+                let text = self.metrics_text();
+                EventLine::start(out, "metrics")
+                    .str("text", &text)
+                    .emit(emit);
                 true
             }
             Ok(Op::Sweep(spec)) => {
                 request_counter("sweep").inc();
-                if let Err(msg) = self.run_sweep(&spec, emit) {
-                    emit(&self.error_event(&spec.id, &msg));
+                if let Err(msg) = self.run_sweep(&spec, out, emit) {
+                    self.error(out, &spec.id, &msg, emit);
                 }
                 true
             }
         }
     }
 
-    /// Counts and traces a rejected request; returns its `error` event.
-    fn error_event(&self, id: &str, msg: &str) -> String {
+    /// Counts, traces and answers a rejected request with its `error`
+    /// event.
+    fn error(&self, out: &mut String, id: &str, msg: &str, emit: &(dyn Fn(&str) + Sync)) {
         self.errors.inc();
         if let Some(s) = &self.sink {
             s.event(
@@ -503,15 +558,19 @@ impl Server {
                 &[field("line", self.lines), field("message", msg)],
             );
         }
-        obj(vec![
-            ("event", jstr("error")),
-            ("id", jstr(id)),
-            ("line", self.lines.to_string()),
-            ("message", jstr(msg)),
-        ])
+        EventLine::start(out, "error")
+            .str("id", id)
+            .int("line", self.lines)
+            .str("message", msg)
+            .emit(emit);
     }
 
-    fn run_sweep(&mut self, spec: &SweepSpec, emit: &(dyn Fn(&str) + Sync)) -> Result<(), String> {
+    fn run_sweep(
+        &mut self,
+        spec: &SweepSpec,
+        out: &mut String,
+        emit: &(dyn Fn(&str) + Sync),
+    ) -> Result<(), String> {
         let (sweep, skipped) = spec.build(self.scale)?;
         let task = if spec.channel_stats {
             Task::WsStats
@@ -536,52 +595,47 @@ impl Server {
         if !spec.plugins.is_empty() {
             self.plugin_sweeps.inc();
         }
-        emit(&obj(vec![
-            ("event", jstr("accepted")),
-            ("id", jstr(&spec.id)),
-            ("sweep", jstr(sweep.name())),
-            ("points", plan.len().to_string()),
-            ("hits", plan.hits().to_string()),
-            ("misses", plan.misses().to_string()),
-            ("skipped", skipped.to_string()),
-        ]));
+        EventLine::start(out, "accepted")
+            .str("id", &spec.id)
+            .str("sweep", sweep.name())
+            .int("points", plan.len())
+            .int("hits", plan.hits())
+            .int("misses", plan.misses())
+            .int("skipped", skipped)
+            .emit(emit);
 
         let meters = &self.meters;
         let streamed = &self.streamed;
         let progress = Progress::new(plan.len());
+        // Computed points arrive from worker threads.
+        let shared = Mutex::new(&mut *out);
         let on_point = |o: hira_store::PointOutcome<'_>| {
+            let mut out = shared.lock().expect("no event was left half-written");
             let key = &sweep.points()[o.index].0;
             for m in &o.point.metrics {
-                emit(&obj(vec![
-                    ("event", jstr("record")),
-                    ("id", jstr(&spec.id)),
-                    ("cached", o.cached.to_string()),
-                    ("key", key_json(key)),
-                    ("metric", jstr(&m.name)),
-                    ("value", jf64(m.value)),
-                    ("wall_ms", jf64(o.point.wall_ms)),
-                ]));
+                EventLine::start(&mut out, "record")
+                    .str("id", &spec.id)
+                    .int("cached", o.cached)
+                    .key("key", key)
+                    .str("metric", &m.name)
+                    .f64("value", Some(m.value))
+                    .f64("wall_ms", Some(o.point.wall_ms))
+                    .emit(emit);
             }
             streamed.inc();
             meters.point(o.cached, o.queue_wait_ms, o.point.wall_ms);
             let snap = progress.point_done(o.cached);
-            let rate = if snap.points_per_sec > 0.0 {
-                jf64(snap.points_per_sec)
-            } else {
-                "null".to_owned()
-            };
-            emit(&obj(vec![
-                ("event", jstr("progress")),
-                ("id", jstr(&spec.id)),
-                ("done", snap.done.to_string()),
-                ("total", snap.total.to_string()),
-                ("cached", snap.cached.to_string()),
-                ("points_per_sec", rate),
-                (
-                    "eta_ms",
-                    snap.eta_ms.map_or_else(|| "null".to_owned(), jf64),
-                ),
-            ]));
+            EventLine::start(&mut out, "progress")
+                .str("id", &spec.id)
+                .int("done", snap.done)
+                .int("total", snap.total)
+                .int("cached", snap.cached)
+                .f64(
+                    "points_per_sec",
+                    (snap.points_per_sec > 0.0).then_some(snap.points_per_sec),
+                )
+                .f64("eta_ms", snap.eta_ms)
+                .emit(emit);
         };
         let (run, stats) = runner
             .execute(Some(&mut self.store), &sweep, &plan, None, &on_point)
@@ -596,15 +650,14 @@ impl Server {
         self.totals.hits += stats.hits;
         self.totals.misses += stats.misses;
         self.totals.appended += stats.appended;
-        emit(&obj(vec![
-            ("event", jstr("done")),
-            ("id", jstr(&spec.id)),
-            ("points", stats.points.to_string()),
-            ("hits", stats.hits.to_string()),
-            ("misses", stats.misses.to_string()),
-            ("appended", stats.appended.to_string()),
-            ("wall_ms", jf64(run.wall_ms)),
-        ]));
+        EventLine::start(out, "done")
+            .str("id", &spec.id)
+            .int("points", stats.points)
+            .int("hits", stats.hits)
+            .int("misses", stats.misses)
+            .int("appended", stats.appended)
+            .f64("wall_ms", Some(run.wall_ms))
+            .emit(emit);
         Ok(())
     }
 }
@@ -1112,6 +1165,160 @@ mod tests {
              \"workloads\":[\"stream\"]}",
         );
         assert_eq!(field(events.last().unwrap(), "event"), "\"done\"");
+    }
+
+    /// The events [`warm_events_keep_their_bytes`] expects, `@ID@` standing
+    /// for the id's JSON string: the bytes the server wrote when it
+    /// rendered each value to its own `String` and joined them.
+    const WARM_GOLDEN: &str = r#"{"event":"accepted","id":@ID@,"sweep":"serve_golden","points":4,"hits":4,"misses":0,"skipped":0}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"baseline","wl":"stream","cap":"8"},"metric":"ws","value":2.3333333333333335,"wall_ms":12.5}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"baseline","wl":"stream","cap":"8"},"metric":"read_lat","value":null,"wall_ms":12.5}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"baseline","wl":"stream","cap":"8"},"metric":"dbus","value":-0,"wall_ms":12.5}
+{"event":"progress","id":@ID@,"done":1,"total":4,"cached":1,"points_per_sec":_,"eta_ms":_}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"baseline","wl":"stream","cap":"64"},"metric":"ws","value":3.3333333333333335,"wall_ms":0.30000000000000004}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"baseline","wl":"stream","cap":"64"},"metric":"read_lat","value":null,"wall_ms":0.30000000000000004}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"baseline","wl":"stream","cap":"64"},"metric":"dbus","value":-0,"wall_ms":0.30000000000000004}
+{"event":"progress","id":@ID@,"done":2,"total":4,"cached":2,"points_per_sec":_,"eta_ms":_}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"hira4","wl":"stream","cap":"8"},"metric":"ws","value":4.333333333333334,"wall_ms":0.0000001}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"hira4","wl":"stream","cap":"8"},"metric":"read_lat","value":null,"wall_ms":0.0000001}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"hira4","wl":"stream","cap":"8"},"metric":"dbus","value":-0,"wall_ms":0.0000001}
+{"event":"progress","id":@ID@,"done":3,"total":4,"cached":3,"points_per_sec":_,"eta_ms":_}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"hira4","wl":"stream","cap":"64"},"metric":"ws","value":5.333333333333334,"wall_ms":3000000000000000000000}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"hira4","wl":"stream","cap":"64"},"metric":"read_lat","value":null,"wall_ms":3000000000000000000000}
+{"event":"record","id":@ID@,"cached":true,"key":{"policy":"hira4","wl":"stream","cap":"64"},"metric":"dbus","value":-0,"wall_ms":3000000000000000000000}
+{"event":"progress","id":@ID@,"done":4,"total":4,"cached":4,"points_per_sec":_,"eta_ms":_}
+{"event":"done","id":@ID@,"points":4,"hits":4,"misses":0,"appended":0,"wall_ms":3000000000000000000000}
+{"event":"error","id":@ID@,"line":2,"message":"unknown policy `nope`"}
+{"event":"error","id":@ID@,"line":3,"message":"unknown task None: expected \"ws\" or \"ws+stats\""}
+{"event":"stats","sweeps":1,"points":4,"hits":4,"misses":0,"appended":0,"uptime_ms":_,"sweeps_accepted":1,"points_streamed":4}
+{"event":"bye"}"#;
+
+    /// `event` with the value of each named field replaced by `_`.
+    fn masked(event: &str, fields: &[&str]) -> String {
+        let mut out = event.to_owned();
+        for f in fields {
+            if out.contains(&format!("\"{f}\":")) {
+                let value = field(&out, f).to_owned();
+                out = out.replacen(&format!("\"{f}\":{value}"), &format!("\"{f}\":_"), 1);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn warm_events_keep_their_bytes() {
+        let dir = std::env::temp_dir().join(format!("hira-serve-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // An id with a quote, a backslash, control characters, a line
+        // separator and non-ASCII text.
+        let id = "q\"b\\s\u{1}\n\t\u{1f}\u{2028}é🦀";
+        let mut id_json = String::new();
+        json::write_str(&mut id_json, id);
+        let request = format!(
+            "{{\"op\":\"sweep\",\"id\":{id_json},\"name\":\"serve_golden\",\
+             \"task\":\"ws+stats\",\"policies\":[\"baseline\",\"hira4\"],\
+             \"workloads\":[\"stream\"],\"caps\":[8,64],\"insts\":1000}}"
+        );
+        let Ok(Op::Sweep(spec)) = parse_op(&request) else {
+            panic!("{request} is no sweep")
+        };
+        assert_eq!(spec.id, id);
+        // Store hand-made results under the keys the request plans, so
+        // every replayed number is known.
+        let (sweep, _) = spec.build(tiny_scale()).unwrap();
+        let mut store = SweepStore::open(&dir).unwrap();
+        let plan = SweepRun::new(Executor::with_threads(1), spec.scale(tiny_scale()))
+            .task(Task::WsStats)
+            .plan(Some(&store), &sweep);
+        let walls = [12.5, 0.1 + 0.2, 1e-7, 3e21];
+        let points = (0..plan.len())
+            .map(|i| hira_store::StoredPoint {
+                hash: plan.hash(i).to_owned(),
+                sweep: sweep.name().to_owned(),
+                key: sweep.points()[i].0.clone(),
+                wall_ms: walls[i],
+                telemetry: None,
+                metrics: vec![
+                    hira_engine::metric("ws", 7.0 / 3.0 + i as f64),
+                    hira_engine::metric("read_lat", f64::NAN),
+                    hira_engine::metric("dbus", -0.0),
+                ],
+            })
+            .collect();
+        assert_eq!(store.append(points).unwrap(), 4);
+        drop(store);
+
+        let mut server = Server::new(
+            Executor::with_threads(1),
+            tiny_scale(),
+            &CacheSpec::at(&dir),
+        );
+        let mut lines = Vec::new();
+        for request in [
+            request.as_str(),
+            &format!("{{\"op\":\"sweep\",\"id\":{id_json},\"policies\":[\"nope\"]}}"),
+            &format!("{{\"op\":\"sweep\",\"id\":{id_json},\"task\":7}}"),
+            "{\"op\":\"stats\"}",
+            "{\"op\":\"shutdown\"}",
+        ] {
+            let (_, events) = collect(&mut server, request);
+            lines.extend(
+                events
+                    .iter()
+                    .map(|e| masked(e, &["points_per_sec", "eta_ms", "uptime_ms"])),
+            );
+        }
+        let golden: Vec<String> = WARM_GOLDEN
+            .lines()
+            .map(|l| l.replace("@ID@", &id_json))
+            .collect();
+        assert_eq!(lines, golden);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sweeps_whose_axes_repeat_a_value_answer_an_error() {
+        let mut server = Server::new(
+            Executor::with_threads(1),
+            tiny_scale(),
+            &CacheSpec::disabled(),
+        );
+        // Each would make two points under one key: `8` and `8.0` share
+        // the label `8`, `para:0.050` is `para:0.05`.
+        for (axes, axis, label) in [
+            ("\"policies\":[\"hira4\",\"hira4\"]", "policy", "hira4"),
+            (
+                "\"workloads\":[\"stream\",\"mix0\",\"stream\"]",
+                "wl",
+                "stream",
+            ),
+            ("\"caps\":[8,8.0]", "cap", "8"),
+            (
+                "\"plugins\":[\"para:0.05\",\"para:0.050\"]",
+                "plugin",
+                "para:0.05",
+            ),
+            (
+                "\"devices\":[\"ddr4-2400\",\"ddr4-2400\"]",
+                "dev",
+                "ddr4-2400",
+            ),
+        ] {
+            let line = format!("{{\"op\":\"sweep\",\"id\":\"e\",{axes},\"insts\":300}}");
+            let (alive, ev) = collect(&mut server, &line);
+            assert!(alive, "{line}");
+            assert_eq!(ev.len(), 1, "{line}: {ev:?}");
+            assert_eq!(field(&ev[0], "event"), "\"error\"", "{line}");
+            assert_eq!(field(&ev[0], "id"), "\"e\"", "{line}");
+            let message = field(&ev[0], "message");
+            assert!(
+                message.contains(&format!("`{axis}`")) && message.contains(&format!("`{label}`")),
+                "{line}: {message}"
+            );
+        }
+        let (_, stats) = collect(&mut server, "{\"op\":\"stats\"}");
+        assert_eq!(field(&stats[0], "sweeps"), "0");
+        assert_eq!(field(&stats[0], "points"), "0");
     }
 
     #[test]

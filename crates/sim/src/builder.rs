@@ -503,7 +503,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Validates and assembles the configuration.
+    /// Validates and assembles the configuration. Validation reads the
+    /// handles alone and runs no factory: a HiRA policy's lead pair is
+    /// [`PolicyHandle::hira_lead`] and a plugin's need for directed
+    /// refresh is [`crate::plugin::PluginHandle::requires_vrr`], so a
+    /// build instantiates no policy or plugin (the channels do, in
+    /// [`crate::System::new`]).
     pub fn build(self) -> Result<SystemConfig, BuildError> {
         // The device resolves first: it supplies the geometry, capacity
         // and timing defaults everything below validates against.
@@ -628,10 +633,9 @@ impl SystemBuilder {
                 insts: cfg.insts_per_core,
             });
         }
-        // HiRA capability cross-checks need a live policy instance (the
-        // lead pair is the policy's choice, the decoder behaviour the
-        // device's): probe one and validate the pairing.
-        if let Some((t1, t2)) = crate::policy::probe(&cfg).hira_lead() {
+        // HiRA capability cross-checks: the lead pair is the policy
+        // handle's choice, the decoder behaviour the device's.
+        if let Some((t1, t2)) = cfg.refresh.hira_lead() {
             if !cfg.device.profile().supports_hira {
                 return Err(BuildError::DeviceLacksHira {
                     device: cfg.device.name().to_owned(),
@@ -651,13 +655,11 @@ impl SystemBuilder {
         // VRR capability cross-check: a plugin that injects directed
         // victim-row refreshes needs a device whose decoder honors them.
         if !cfg.device.profile().supports_vrr {
-            for p in crate::plugin::probe(&cfg) {
-                if p.requires_vrr() {
-                    return Err(BuildError::DeviceLacksVrr {
-                        device: cfg.device.name().to_owned(),
-                        plugin: p.name().to_owned(),
-                    });
-                }
+            if let Some(p) = cfg.plugins.iter().find(|p| p.requires_vrr()) {
+                return Err(BuildError::DeviceLacksVrr {
+                    device: cfg.device.name().to_owned(),
+                    plugin: p.name().to_owned(),
+                });
             }
         }
         Ok(cfg)
@@ -946,6 +948,70 @@ mod tests {
                 .build()
                 .is_ok());
         }
+    }
+
+    #[test]
+    fn building_runs_no_policy_or_plugin_factory() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // hira4 and oracle:1024, counting every instance their factories
+        // build.
+        let (policies, plugins) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let counted_hira4 = {
+            let (n, inner) = (policies.clone(), hira(4));
+            PolicyHandle::new("hira4", move |env| {
+                n.fetch_add(1, Ordering::Relaxed);
+                inner.build(env)
+            })
+            .with_hira_lead(3.0, 3.0)
+        };
+        let counted_oracle = {
+            let (n, inner) = (plugins.clone(), crate::plugin::oracle(1024));
+            PluginHandle::new("oracle:1024", move |env| {
+                n.fetch_add(1, Ordering::Relaxed);
+                inner.build(env)
+            })
+            .with_vrr()
+        };
+        let build = |policy: PolicyHandle, device: DeviceHandle| {
+            SystemBuilder::new()
+                .device(device)
+                .policy(policy)
+                .plugin(counted_oracle.clone())
+                .build()
+        };
+        let mut cfg = None;
+        for policy in [
+            counted_hira4.clone(),
+            counted_hira4.clone().with_para_hira(0.5, 4),
+            counted_hira4.clone().with_para_immediate(0.5),
+        ] {
+            cfg = Some(build(policy.clone(), ddr4_2400()).unwrap());
+            // The HiRA-inert, VRR-less part refuses both by their handles.
+            let inert = crate::device::samsung_ddr4_2400();
+            assert!(matches!(
+                build(policy, inert.clone()).unwrap_err(),
+                BuildError::DeviceLacksHira { .. }
+            ));
+            assert!(matches!(
+                build(baseline(), inert).unwrap_err(),
+                BuildError::DeviceLacksVrr { .. }
+            ));
+        }
+        assert_eq!(
+            policies.load(Ordering::Relaxed),
+            0,
+            "a build ran the policy factory"
+        );
+        assert_eq!(
+            plugins.load(Ordering::Relaxed),
+            0,
+            "a build ran the plugin factory"
+        );
+        // The system builds one of each per rank.
+        crate::System::new(cfg.unwrap().with_geometry(2, 2));
+        assert_eq!(policies.load(Ordering::Relaxed), 4);
+        assert_eq!(plugins.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -285,15 +285,12 @@ impl Channel {
                 }
             })
             .collect();
-        // HiRA lead timing comes from the policy when it issues HiRA
-        // operations; nominal t1 = t2 = 3 ns otherwise (unused then).
-        let (t1, t2) = ranks
-            .iter()
-            .find_map(|r| r.policy.hira_lead())
-            .unwrap_or_else(|| {
-                let t = HiraOperation::nominal().timings;
-                (t.t1, t.t2)
-            });
+        // HiRA lead timing comes from the policy handle when it issues
+        // HiRA operations; nominal t1 = t2 = 3 ns otherwise (unused then).
+        let (t1, t2) = cfg.refresh.hira_lead().unwrap_or_else(|| {
+            let t = HiraOperation::nominal().timings;
+            (t.t1, t.t2)
+        });
         // The integer table quantizes `cfg.timing` (which the device
         // supplied at build time, but may have been overridden since)
         // onto the device's command grid.

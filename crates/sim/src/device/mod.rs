@@ -84,7 +84,7 @@ pub struct DeviceProfile {
     pub t_rfc_pb_frac: f64,
     /// Whether the device honors vendor directed-refresh (VRR-style
     /// victim-row refresh) commands. A controller plugin that injects
-    /// directed victim refreshes ([`crate::plugin::ControllerPlugin::
+    /// directed victim refreshes ([`crate::plugin::PluginHandle::
     /// requires_vrr`]) on a device without this flag is a typed
     /// [`crate::builder::BuildError::DeviceLacksVrr`]. The conservative
     /// Samsung decoder that drops HiRA's timing-violating sequences (§12)

@@ -106,10 +106,6 @@ impl ControllerPlugin for GraphenePlugin {
         }
     }
 
-    fn requires_vrr(&self) -> bool {
-        true
-    }
-
     fn stats(&self) -> PluginStats {
         self.tracker.fold_into(
             PluginStats {
@@ -131,6 +127,7 @@ pub fn graphene(t_rh: u64, budget: usize) -> PluginHandle {
     .with_summary(format!(
         "Misra-Gries aggressor tracking, {budget} counters/bank, neighbor refresh at tRH = {t_rh}"
     ))
+    .with_vrr()
 }
 
 #[cfg(test)]

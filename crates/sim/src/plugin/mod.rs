@@ -342,14 +342,6 @@ pub trait ControllerPlugin: fmt::Debug + Send {
         now_ns
     }
 
-    /// Whether the plugin's injected refreshes are *directed* victim-row
-    /// refresh commands (VRR-style) rather than plain activations — a
-    /// typed [`crate::builder::BuildError::DeviceLacksVrr`] on devices
-    /// whose command decoder lacks the command.
-    fn requires_vrr(&self) -> bool {
-        false
-    }
-
     /// Service and victim-exposure counters.
     fn stats(&self) -> PluginStats;
 }
@@ -358,20 +350,26 @@ pub trait ControllerPlugin: fmt::Debug + Send {
 pub type PluginFactory = dyn Fn(&PluginEnv) -> Box<dyn ControllerPlugin> + Send + Sync;
 
 /// A cloneable, comparable *selection* of a controller plugin: the
-/// registry key plus the factory that builds per-rank instances. This is
-/// what [`SystemConfig::plugins`] stores — equality and hashing go by
-/// name, mirroring [`crate::policy::PolicyHandle`].
+/// registry key, the factory that builds per-rank instances, and whether
+/// the plugin's refreshes need a directed-refresh command. This is what
+/// [`SystemConfig::plugins`] stores — equality and hashing go by name,
+/// mirroring [`crate::policy::PolicyHandle`]. Like the policy handle's
+/// HiRA lead, the VRR need is a property of the selection, so
+/// [`crate::builder::SystemBuilder::build`] checks it against the device
+/// without building an instance.
 #[derive(Clone)]
 pub struct PluginHandle {
     name: Arc<str>,
     summary: Arc<str>,
     factory: Arc<PluginFactory>,
+    requires_vrr: bool,
 }
 
 impl PluginHandle {
     /// Wraps a factory under a registry name. Parameterized plugins must
     /// encode their parameters in the name (e.g. `oracle:1024`): the name
-    /// is the identity — and the cache key.
+    /// is the identity — and the cache key. The plugin refreshes through
+    /// plain activations until [`with_vrr`](Self::with_vrr) says otherwise.
     pub fn new(
         name: impl Into<String>,
         factory: impl Fn(&PluginEnv) -> Box<dyn ControllerPlugin> + Send + Sync + 'static,
@@ -380,6 +378,7 @@ impl PluginHandle {
             name: Arc::from(name.into()),
             summary: Arc::from(""),
             factory: Arc::new(factory),
+            requires_vrr: false,
         }
     }
 
@@ -388,6 +387,22 @@ impl PluginHandle {
     pub fn with_summary(mut self, summary: impl Into<String>) -> Self {
         self.summary = Arc::from(summary.into());
         self
+    }
+
+    /// Declares that the plugin's injected refreshes are *directed*
+    /// victim-row refresh commands (VRR-style) rather than plain
+    /// activations. Not part of the identity.
+    pub fn with_vrr(mut self) -> Self {
+        self.requires_vrr = true;
+        self
+    }
+
+    /// Whether the plugin needs a device whose command decoder honors
+    /// directed victim-row refresh — a typed
+    /// [`crate::builder::BuildError::DeviceLacksVrr`] on devices that lack
+    /// it.
+    pub fn requires_vrr(&self) -> bool {
+        self.requires_vrr
     }
 
     /// The plugin's registry name.
@@ -424,18 +439,6 @@ impl std::hash::Hash for PluginHandle {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.name.hash(state);
     }
-}
-
-/// Builds a throwaway instance of each of `cfg`'s plugins (channel 0,
-/// rank 0) for analytic queries — the builder's device-capability
-/// validation uses this so it works for any registered plugin, not just
-/// the built-ins.
-pub fn probe(cfg: &SystemConfig) -> Vec<Box<dyn ControllerPlugin>> {
-    cfg.plugins
-        .iter()
-        .enumerate()
-        .map(|(i, h)| h.build(&PluginEnv::for_rank(cfg, 0, 0, i)))
-        .collect()
 }
 
 /// CLI shortcut: resolves a plugin spec through the standard registry,

@@ -105,10 +105,6 @@ impl ControllerPlugin for OracleRh {
         }
     }
 
-    fn requires_vrr(&self) -> bool {
-        true
-    }
-
     fn stats(&self) -> PluginStats {
         self.tracker.fold_into(
             PluginStats {
@@ -129,6 +125,7 @@ pub fn oracle(t_rh: u64) -> PluginHandle {
     .with_summary(format!(
         "exact per-row exposure counters, victim refresh at tRH = {t_rh} (lower bound)"
     ))
+    .with_vrr()
 }
 
 #[cfg(test)]

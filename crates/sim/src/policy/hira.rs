@@ -208,11 +208,6 @@ impl RefreshPolicy for HiraPolicy {
         true
     }
 
-    fn hira_lead(&self) -> Option<(f64, f64)> {
-        let t = self.mc.config().op.timings;
-        Some((t.t1, t.t2))
-    }
-
     fn mc_stats(&self) -> Vec<McStats> {
         let mut stats = vec![self.mc.stats()];
         if let Some(inner) = &self.inner {
@@ -242,14 +237,24 @@ pub fn hira(n: u32) -> PolicyHandle {
     ))
 }
 
+/// The `(t1, t2)` lead of the HiRA operations a HiRA-MC under `config`
+/// issues.
+pub(super) fn lead(config: &HiraConfig) -> (f64, f64) {
+    let t = config.op.timings;
+    (t.t1, t.t2)
+}
+
 /// Handle for an explicitly-configured HiRA-MC (ablations, custom `t1/t2`).
-/// The name is the identity — encode the configuration in it.
+/// The name is the identity — encode the configuration in it. The handle's
+/// HiRA lead is `config`'s operation timing.
 pub fn hira_custom(name: impl Into<String>, config: HiraConfig) -> PolicyHandle {
     let name = name.into();
     let key = name.clone();
+    let (t1, t2) = lead(&config);
     PolicyHandle::new(name, move |env| {
         Box::new(HiraPolicy::new(key.clone(), env, config))
     })
+    .with_hira_lead(t1, t2)
 }
 
 #[cfg(test)]
@@ -325,8 +330,6 @@ mod tests {
 
     #[test]
     fn lead_timings_come_from_the_operation() {
-        let p = policy(4);
-        let (t1, t2) = p.hira_lead().unwrap();
-        assert_eq!((t1, t2), (3.0, 3.0));
+        assert_eq!(hira(4).hira_lead(), Some((3.0, 3.0)));
     }
 }

@@ -92,6 +92,7 @@ pub use registry::{policy, PolicyRegistry};
 use crate::clock::{MemClock, MemCycle};
 use crate::config::SystemConfig;
 use crate::controller::Bank;
+use hira_core::config::HiraConfig;
 use hira_core::finder::McStats;
 use hira_dram::addr::{BankId, RowId};
 use hira_dram::timing::TimingParams;
@@ -150,13 +151,6 @@ impl PolicyEnv {
             seed: cfg.seed ^ ((channel as u64) << 32) ^ (rank as u64),
         }
     }
-}
-
-/// Builds a throwaway instance of `cfg`'s policy (channel 0, rank 0) —
-/// [`crate::builder::SystemBuilder::build`] checks the HiRA lead pair of
-/// *any* registered policy against the device through this.
-pub fn probe(cfg: &SystemConfig) -> Box<dyn RefreshPolicy> {
-    cfg.refresh.build(&PolicyEnv::for_rank(cfg, 0, 0))
 }
 
 /// A scheduling request the policy asks the controller to execute. The
@@ -405,13 +399,6 @@ pub trait RefreshPolicy: fmt::Debug + Send {
         false
     }
 
-    /// The `(t1, t2)` ns timings the controller should use for HiRA
-    /// operations issued on this policy's behalf; `None` when the policy
-    /// never emits [`RefreshAction::Pair`] or [`DemandDecision::Hira`].
-    fn hira_lead(&self) -> Option<(f64, f64)> {
-        None
-    }
-
     /// HiRA-MC statistics, for HiRA-MC-backed policies (composition layers
     /// concatenate).
     fn mc_stats(&self) -> Vec<McStats> {
@@ -426,21 +413,34 @@ pub trait RefreshPolicy: fmt::Debug + Send {
 pub type PolicyFactory = dyn Fn(&PolicyEnv) -> Box<dyn RefreshPolicy> + Send + Sync;
 
 /// A cloneable, comparable *selection* of a refresh policy: the registry
-/// key plus the factory that builds per-rank instances. This is what
+/// key, the factory that builds per-rank instances, and the HiRA lead pair
+/// the policy's HiRA operations use, if it issues any. This is what
 /// [`crate::config::SystemConfig`] stores and what sweeps pass around —
 /// equality and hashing go by name, so two configs selecting the same
 /// registered policy compare (and bucket) equal.
+///
+/// The lead is a property of the selection, not of a built instance, so
+/// [`crate::builder::SystemBuilder::build`] validates it against the device
+/// and [`crate::controller::Channel::new`] quantizes it without running the
+/// factory: [`hira_custom`] sets it from its [`HiraConfig`], and the PARA
+/// layers carry it through ([`with_para_immediate`](Self::with_para_immediate),
+/// [`with_para_hira`](Self::with_para_hira)). A policy of another crate
+/// that emits [`RefreshAction::Pair`] or [`DemandDecision::Hira`] declares
+/// its lead with [`with_hira_lead`](Self::with_hira_lead).
 #[derive(Clone)]
 pub struct PolicyHandle {
     name: Arc<str>,
     summary: Arc<str>,
     factory: Arc<PolicyFactory>,
+    hira_lead: Option<(f64, f64)>,
 }
 
 impl PolicyHandle {
     /// Wraps a factory under a registry name. Parameterized policies must
     /// encode their parameters in the name (e.g. `hira4`,
-    /// `baseline+para(p=0.5157)`): the name is the identity.
+    /// `baseline+para(p=0.5157)`): the name is the identity. The handle
+    /// issues no HiRA operation until [`with_hira_lead`](Self::with_hira_lead)
+    /// says otherwise.
     pub fn new(
         name: impl Into<String>,
         factory: impl Fn(&PolicyEnv) -> Box<dyn RefreshPolicy> + Send + Sync + 'static,
@@ -449,6 +449,7 @@ impl PolicyHandle {
             name: Arc::from(name.into()),
             summary: Arc::from(""),
             factory: Arc::new(factory),
+            hira_lead: None,
         }
     }
 
@@ -457,6 +458,21 @@ impl PolicyHandle {
     pub fn with_summary(mut self, summary: impl Into<String>) -> Self {
         self.summary = Arc::from(summary.into());
         self
+    }
+
+    /// Declares that the policy issues HiRA operations, whose second
+    /// activation follows the first `PRE` by `t2` ns and that `PRE` the
+    /// first `ACT` by `t1` ns. Not part of the identity.
+    pub fn with_hira_lead(mut self, t1: f64, t2: f64) -> Self {
+        self.hira_lead = Some((t1, t2));
+        self
+    }
+
+    /// The `(t1, t2)` ns timings of the HiRA operations issued on this
+    /// policy's behalf; `None` when it never emits [`RefreshAction::Pair`]
+    /// or [`DemandDecision::Hira`].
+    pub fn hira_lead(&self) -> Option<(f64, f64)> {
+        self.hira_lead
     }
 
     /// The policy's registry name.
@@ -478,13 +494,19 @@ impl PolicyHandle {
     /// "PARA" baseline) onto this policy: every executed activation
     /// triggers with probability `pth`, and victims are refreshed as
     /// standalone singles on the very next tick.
+    /// The layer issues plain singles, so the handle keeps this policy's
+    /// HiRA lead.
     pub fn with_para_immediate(self, pth: f64) -> PolicyHandle {
         let name = preventive::immediate_name(&self.name, pth);
         let summary = format!("{} + immediate PARA (p_th = {pth:.4})", self.name);
-        PolicyHandle::new(name, move |env| {
-            Box::new(ImmediatePara::new(self.build(env), pth, env))
-        })
-        .with_summary(summary)
+        let hira_lead = self.hira_lead;
+        PolicyHandle {
+            hira_lead,
+            ..PolicyHandle::new(name, move |env| {
+                Box::new(ImmediatePara::new(self.build(env), pth, env))
+            })
+            .with_summary(summary)
+        }
     }
 
     /// Layers HiRA-queued PARA preventive refreshes onto this policy:
@@ -492,22 +514,29 @@ impl PolicyHandle {
     /// through HiRA-MC (refresh-access and refresh-refresh parallelized).
     /// A policy that already hosts a HiRA-MC absorbs the layer natively
     /// ([`RefreshPolicy::attach_para`]); anything else runs under a
-    /// [`HiraPolicy::para_layer`].
+    /// [`HiraPolicy::para_layer`]. The handle keeps this policy's HiRA
+    /// lead, or takes HiRA-N's nominal one when this policy has none.
     pub fn with_para_hira(self, pth: f64, slack_acts: u32) -> PolicyHandle {
         let name = hira::queued_name(&self.name, pth, slack_acts);
         let summary = format!(
             "{} + HiRA-{slack_acts}-queued PARA (p_th = {pth:.4})",
             self.name
         );
-        PolicyHandle::new(name, move |env| {
-            let mut inner = self.build(env);
-            if inner.attach_para(pth, slack_acts) {
-                inner
-            } else {
-                Box::new(HiraPolicy::para_layer(inner, pth, slack_acts, env))
-            }
-        })
-        .with_summary(summary)
+        let hira_lead = self
+            .hira_lead
+            .or_else(|| Some(hira::lead(&HiraConfig::hira_n(slack_acts))));
+        PolicyHandle {
+            hira_lead,
+            ..PolicyHandle::new(name, move |env| {
+                let mut inner = self.build(env);
+                if inner.attach_para(pth, slack_acts) {
+                    inner
+                } else {
+                    Box::new(HiraPolicy::para_layer(inner, pth, slack_acts, env))
+                }
+            })
+            .with_summary(summary)
+        }
     }
 }
 
@@ -571,6 +600,11 @@ mod tests {
             banks,
             queued,
         }
+    }
+
+    /// The instance `cfg`'s policy builds for channel 0, rank 0.
+    fn probe(cfg: &SystemConfig) -> Box<dyn RefreshPolicy> {
+        cfg.refresh.build(&PolicyEnv::for_rank(cfg, 0, 0))
     }
 
     #[test]
@@ -680,6 +714,6 @@ mod tests {
         // A baseline inner requires the wrapper (its own HiRA-MC).
         let cfg = SystemConfig::table3(8.0, baseline().with_para_hira(0.5, 4));
         assert_eq!(probe(&cfg).mc_stats().len(), 1);
-        assert!(probe(&cfg).hira_lead().is_some());
+        assert_eq!(cfg.refresh.hira_lead(), Some((3.0, 3.0)));
     }
 }

@@ -98,10 +98,6 @@ impl RefreshPolicy for ImmediatePara {
         }
     }
 
-    fn hira_lead(&self) -> Option<(f64, f64)> {
-        self.inner.hira_lead()
-    }
-
     fn mc_stats(&self) -> Vec<McStats> {
         self.inner.mc_stats()
     }

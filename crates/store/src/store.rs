@@ -31,7 +31,7 @@
 use crate::hash;
 use hira_engine::json;
 use hira_engine::{sanitize_component, Metric, PointTelemetry, ScenarioKey};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -286,8 +286,9 @@ impl SweepStore {
     }
 
     /// Appends `points` (grouped by sweep into their shards), skipping
-    /// hashes already present, and indexes them. Returns how many points
-    /// were actually written.
+    /// hashes already present in the store or earlier in `points`, and
+    /// indexes them. Returns how many distinct points were actually
+    /// written.
     ///
     /// # Errors
     ///
@@ -297,8 +298,9 @@ impl SweepStore {
     pub fn append(&mut self, points: Vec<StoredPoint>) -> io::Result<usize> {
         let mut by_shard: Vec<(PathBuf, String, Vec<StoredPoint>)> = Vec::new();
         let mut appended = 0;
+        let mut batched = HashSet::new();
         for p in points {
-            if self.index.contains_key(&p.hash) {
+            if self.index.contains_key(&p.hash) || !batched.insert(p.hash.clone()) {
                 continue;
             }
             let path = self.shard_path(&p.sweep);
@@ -394,6 +396,25 @@ mod tests {
         assert_eq!(store.recovered_lines(), 0);
         assert!(store.shard_path("policy_matrix").exists());
         assert!(store.shard_path("workload_matrix").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_hash_repeated_within_one_batch_is_written_once() {
+        let dir = tmp_dir("batchdup");
+        let mut store = SweepStore::open(&dir).unwrap();
+        let a = sample("aa", "s");
+        let b = sample("bb", "s");
+        let batch = vec![a.clone(), b.clone(), a.clone(), sample("aa", "t")];
+        assert_eq!(store.append(batch).unwrap(), 2, "distinct points only");
+        assert_eq!(store.len(), 2);
+        let body = std::fs::read_to_string(store.shard_path("s")).unwrap();
+        assert_eq!(body.lines().count(), 2, "{body}");
+        assert!(!store.shard_path("t").exists());
+        drop(store);
+        let store = SweepStore::open(&dir).unwrap();
+        assert_eq!((store.len(), store.recovered_lines()), (2, 0));
+        assert_eq!(store.get("aa"), Some(&a));
         std::fs::remove_dir_all(&dir).ok();
     }
 
