@@ -27,7 +27,7 @@
 
 use hira_engine::{
     flabel, metric, sanitize_key, suffix_path, Executor, Metric, PointTelemetry, RunRecord,
-    Scenario, ScenarioKey, Sweep,
+    Scenario, ScenarioKey, Sweep, DEFAULT_BASE_SEED,
 };
 use hira_obs::{field, Level, MetricsRegistry, Progress, TraceSink};
 use hira_sim::builder::{BuildError, SystemBuilder};
@@ -606,16 +606,42 @@ fn mix_axis(mixes: usize) -> Vec<(String, usize)> {
 /// — `policy`, `wl`, `dev`, `cap`, `plugin` or `mix` — crossed in call
 /// order, which is also the key order, so point seeds and cache hashes
 /// follow from the call order alone. An empty axis adds no key part. Every
-/// cell builds through [`SystemBuilder`] from the Table 3 defaults; the
-/// cells it refuses as a HiRA policy on a HiRA-inert device or a
-/// directed-refresh plugin on a VRR-less device come back from
-/// [`Grid::build`] with their reason. An axis that repeats a label would
-/// make two points under one key, so [`Grid::build`] refuses it.
+/// cell builds through [`SystemBuilder`] from the Table 3 defaults, once,
+/// at [`Grid::build`], from its axis values; the cells it refuses as a
+/// HiRA policy on a HiRA-inert device or a directed-refresh plugin on a
+/// VRR-less device come back from [`Grid::build`] with their reason. An
+/// axis that repeats a label would make two points under one key, so
+/// [`Grid::build`] refuses it.
 #[derive(Debug, Clone)]
 pub struct Grid {
-    cells: Sweep<SystemBuilder>,
+    name: String,
+    /// The axes in call order, each with its `(label, setting)` values.
+    axes: Vec<(&'static str, Vec<(String, Setting)>)>,
     /// The first label an axis was given twice, as `(axis, label)`.
-    repeated: Option<(String, String)>,
+    repeated: Option<(&'static str, String)>,
+}
+
+/// What one grid axis value sets on a cell's builder.
+#[derive(Debug, Clone)]
+enum Setting {
+    Policy(PolicyHandle),
+    Workload(WorkloadHandle),
+    Device(DeviceHandle),
+    Cap(f64),
+    Plugin(Option<PluginHandle>),
+}
+
+impl Setting {
+    fn apply(&self, b: SystemBuilder) -> SystemBuilder {
+        match self {
+            Setting::Policy(p) => b.policy(p.clone()),
+            Setting::Workload(w) => b.workload(w.clone()),
+            Setting::Device(d) => b.device(d.clone()),
+            Setting::Cap(c) => b.chip_gbit(*c),
+            Setting::Plugin(Some(p)) => b.plugin(p.clone()),
+            Setting::Plugin(None) => b,
+        }
+    }
 }
 
 /// The cells [`Grid::build`] skipped: each one's key and reason, such as
@@ -627,63 +653,62 @@ impl Grid {
     /// store-shard and `BENCH_<name>.json` name).
     pub fn new(name: &str) -> Self {
         Grid {
-            cells: Sweep::new(name).map(|_, ()| SystemBuilder::new()),
+            name: name.to_owned(),
+            axes: Vec::new(),
             repeated: None,
         }
     }
 
     fn axis<V>(
-        self,
-        axis: &str,
+        mut self,
+        axis: &'static str,
         values: &[(String, V)],
-        set: impl Fn(SystemBuilder, &V) -> SystemBuilder,
+        setting: impl Fn(&V) -> Setting,
     ) -> Self {
         if values.is_empty() {
             return self;
         }
-        let repeated = self.repeated.or_else(|| {
-            values.iter().enumerate().find_map(|(i, (label, _))| {
+        if self.repeated.is_none() {
+            self.repeated = values.iter().enumerate().find_map(|(i, (label, _))| {
                 values[..i]
                     .iter()
                     .any(|(earlier, _)| earlier == label)
-                    .then(|| (axis.to_owned(), label.clone()))
-            })
-        });
-        let values = values.iter().map(|(label, v)| (label.as_str(), v));
-        Grid {
-            cells: self.cells.axis(axis, values, |b, v| set(b.clone(), v)),
-            repeated,
+                    .then(|| (axis, label.clone()))
+            });
         }
+        let values = values
+            .iter()
+            .map(|(label, v)| (label.clone(), setting(v)))
+            .collect();
+        self.axes.push((axis, values));
+        self
     }
 
     /// The `policy` axis.
     pub fn policies(self, axis: &[(String, PolicyHandle)]) -> Self {
-        self.axis("policy", axis, |b, p| b.policy(p.clone()))
+        self.axis("policy", axis, |p| Setting::Policy(p.clone()))
     }
 
     /// The `wl` (workload) axis.
     pub fn workloads(self, axis: &[(String, WorkloadHandle)]) -> Self {
-        self.axis("wl", axis, |b, w| b.workload(w.clone()))
+        self.axis("wl", axis, |w| Setting::Workload(w.clone()))
     }
 
     /// The `dev` (device) axis.
     pub fn devices(self, axis: &[(String, DeviceHandle)]) -> Self {
-        self.axis("dev", axis, |b, d| b.device(d.clone()))
+        self.axis("dev", axis, |d| Setting::Device(d.clone()))
     }
 
     /// The `cap` axis: chip capacities in Gb, labelled by [`flabel`].
     pub fn caps(self, caps: &[f64]) -> Self {
         let axis: Vec<(String, f64)> = caps.iter().map(|&c| (flabel(c), c)).collect();
-        self.axis("cap", &axis, |b, &c| b.chip_gbit(c))
+        self.axis("cap", &axis, |&c| Setting::Cap(c))
     }
 
     /// The `plugin` axis; a `None` entry (label `none`) is the undefended
     /// point.
     pub fn plugins(self, axis: &[(String, Option<PluginHandle>)]) -> Self {
-        self.axis("plugin", axis, |b, g| match g {
-            Some(h) => b.plugin(h.clone()),
-            None => b,
-        })
+        self.axis("plugin", axis, |g| Setting::Plugin(g.clone()))
     }
 
     /// The `mix` axis: the first `mixes` mixes of the standard suite
@@ -693,12 +718,13 @@ impl Grid {
     ///
     /// Panics when `mixes` is zero.
     pub fn mixes(self, mixes: usize) -> Self {
-        self.axis("mix", &mix_axis(mixes), |b, &id| b.workload(mix(id)))
+        self.axis("mix", &mix_axis(mixes), |&id| Setting::Workload(mix(id)))
     }
 
     /// Builds every cell at `scale`'s instruction budget under `kernel`:
-    /// the sweep of built cells in grid order, plus every cell the builder
-    /// refused as HiRA-inert or VRR-less, with its reason.
+    /// the sweep of built cells in grid order (the first axis outermost,
+    /// the last turning fastest), plus every cell the builder refused as
+    /// HiRA-inert or VRR-less, with its reason.
     ///
     /// # Errors
     ///
@@ -713,31 +739,54 @@ impl Grid {
         if let Some((axis, label)) = self.repeated {
             return Err(format!("the `{axis}` axis repeats `{label}`"));
         }
-        let built = self
-            .cells
-            .map(|_, b| b.insts(scale.insts, scale.warmup).kernel(kernel).build());
+        // The defaults' handles are built once per process, not per grid.
+        static TABLE3: LazyLock<SystemBuilder> = LazyLock::new(SystemBuilder::new);
+        let table3 = TABLE3
+            .clone()
+            .insts(scale.insts, scale.warmup)
+            .kernel(kernel);
+        let cells: usize = self.axes.iter().map(|(_, values)| values.len()).product();
+        let mut points = Vec::with_capacity(cells);
         let mut skipped = Vec::new();
-        for (key, cell) in built.points() {
-            let label = |axis: &str, name: &str| key.get(axis).unwrap_or(name).to_owned();
-            let reason = match cell {
-                Ok(_) => continue,
-                Err(BuildError::DeviceLacksHira { device, policy }) => format!(
-                    "{} x {} (HiRA-inert device)",
-                    label("dev", device),
-                    label("policy", policy)
-                ),
-                Err(BuildError::DeviceLacksVrr { device, plugin }) => format!(
-                    "{} x {} (device drops directed refresh)",
-                    label("dev", device),
-                    label("plugin", plugin)
-                ),
-                Err(e) => return Err(format!("cannot build {key}: {e}")),
-            };
-            skipped.push((key.clone(), reason));
+        // The cell's value index on every axis, advanced like an odometer.
+        let mut at = vec![0; self.axes.len()];
+        for _ in 0..cells {
+            let mut key = ScenarioKey::root();
+            let mut cell = table3.clone();
+            for ((axis, values), &i) in self.axes.iter().zip(&at) {
+                let (label, setting) = &values[i];
+                key = key.with(*axis, label.as_str());
+                cell = setting.apply(cell);
+            }
+            match cell.build() {
+                Ok(cfg) => points.push((key, cfg)),
+                Err(e) => {
+                    let label = |axis: &str, name: &str| key.get(axis).unwrap_or(name).to_owned();
+                    let reason = match e {
+                        BuildError::DeviceLacksHira { device, policy } => format!(
+                            "{} x {} (HiRA-inert device)",
+                            label("dev", &device),
+                            label("policy", &policy)
+                        ),
+                        BuildError::DeviceLacksVrr { device, plugin } => format!(
+                            "{} x {} (device drops directed refresh)",
+                            label("dev", &device),
+                            label("plugin", &plugin)
+                        ),
+                        e => return Err(format!("cannot build {key}: {e}")),
+                    };
+                    skipped.push((key, reason));
+                }
+            }
+            for (i, (_, values)) in at.iter_mut().zip(&self.axes).rev() {
+                *i += 1;
+                if *i < values.len() {
+                    break;
+                }
+                *i = 0;
+            }
         }
-        let sweep = built
-            .retain(|_, cell| cell.is_ok())
-            .map(|_, cell| cell.expect("refused cells were dropped"));
+        let sweep = Sweep::from_points(self.name, DEFAULT_BASE_SEED, points);
         Ok((sweep, skipped))
     }
 }
@@ -748,7 +797,12 @@ impl Grid {
 /// different metric sets over identical configurations (`ws`, `ws+stats`,
 /// `perf_kernel`) from colliding in the store.
 pub fn ws_canonical(tag: &str, cfg: &SystemConfig) -> String {
-    format!("task={tag};{}", cfg.cache_descriptor())
+    let mut canonical = String::with_capacity(512);
+    canonical.push_str("task=");
+    canonical.push_str(tag);
+    canonical.push(';');
+    cfg.write_cache_descriptor(&mut canonical);
+    canonical
 }
 
 /// The process's code-version salt for the sweep cache: the store schema

@@ -56,7 +56,7 @@ fn answer(server: &mut Server, line: &str) -> (u64, usize) {
 }
 
 #[test]
-fn a_warm_eight_point_request_allocates_at_most_500_times() {
+fn a_warm_eight_point_request_allocates_at_most_250_times() {
     let dir = std::env::temp_dir().join(format!("hira-serve-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let scale = Scale {
@@ -75,7 +75,7 @@ fn a_warm_eight_point_request_allocates_at_most_500_times() {
     assert!(cold > warm, "the cold answer was no sweep: {cold} bytes");
     eprintln!("warm 8-point request: {allocations} allocations, {warm} bytes of events");
     assert!(
-        allocations <= 500,
+        allocations <= 250,
         "a warm 8-point request allocated {allocations} times"
     );
     drop(server);

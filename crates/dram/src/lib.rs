@@ -46,6 +46,7 @@ pub mod analog;
 pub mod bank;
 pub mod chip;
 pub mod command;
+pub mod decimal;
 pub mod error;
 pub mod geometry;
 pub mod isolation;

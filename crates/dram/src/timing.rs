@@ -6,6 +6,9 @@
 //! The refresh latency `tRFC` scales with chip capacity per the paper's
 //! Expression (1): `tRFC = 110 × C_chip^0.6` ns.
 
+use crate::decimal;
+use std::cell::RefCell;
+
 /// Full set of DDR4 timing parameters used by the controller and benches.
 ///
 /// All fields are in nanoseconds. The set is deliberately flat and public in
@@ -52,13 +55,16 @@ pub struct TimingParams {
     pub t_refw: f64,
 }
 
+/// How many distinct timing tables [`TimingParams::write_cache_descriptor`]
+/// keeps rendered per thread: a sweep has one per device and capacity, and
+/// each entry is about 0.5 KB.
+const RENDERED_TABLES: usize = 8;
+
 impl TimingParams {
-    /// A canonical, exhaustive rendering of every timing field (shortest
-    /// round-trip `f64` formatting) — the timing portion of a simulation's
-    /// cache identity. Lives next to the struct so a new field cannot be
-    /// forgotten here silently: the exhaustive destructuring below stops
-    /// compiling when the struct grows.
-    pub fn cache_descriptor(&self) -> String {
+    /// Every field with its descriptor name, in descriptor order. The
+    /// exhaustive destructuring stops compiling when the struct grows, so
+    /// a new field cannot be left out of the cache identity silently.
+    fn named_fields(&self) -> [(&'static str, f64); 19] {
         let TimingParams {
             t_ck,
             t_rcd,
@@ -79,13 +85,66 @@ impl TimingParams {
             t_rfc,
             t_refi,
             t_refw,
-        } = self;
-        format!(
-            "tCK={t_ck};tRCD={t_rcd};tRAS={t_ras};tRP={t_rp};tRC={t_rc};\
-             tRRDL={t_rrd_l};tRRDS={t_rrd_s};tFAW={t_faw};tCCDL={t_ccd_l};\
-             tCCDS={t_ccd_s};tCL={t_cl};tCWL={t_cwl};tBL={t_bl};tWR={t_wr};\
-             tWTR={t_wtr};tRTP={t_rtp};tRFC={t_rfc};tREFI={t_refi};tREFW={t_refw}"
-        )
+        } = *self;
+        [
+            ("tCK", t_ck),
+            ("tRCD", t_rcd),
+            ("tRAS", t_ras),
+            ("tRP", t_rp),
+            ("tRC", t_rc),
+            ("tRRDL", t_rrd_l),
+            ("tRRDS", t_rrd_s),
+            ("tFAW", t_faw),
+            ("tCCDL", t_ccd_l),
+            ("tCCDS", t_ccd_s),
+            ("tCL", t_cl),
+            ("tCWL", t_cwl),
+            ("tBL", t_bl),
+            ("tWR", t_wr),
+            ("tWTR", t_wtr),
+            ("tRTP", t_rtp),
+            ("tRFC", t_rfc),
+            ("tREFI", t_refi),
+            ("tREFW", t_refw),
+        ]
+    }
+
+    /// Appends a canonical, exhaustive rendering of every timing field,
+    /// `tCK=0.8333;tRCD=14.25;...;tREFW=64000000` (each value as `Display`
+    /// writes it, the shortest decimal that parses back to it) — the
+    /// timing portion of a simulation's cache identity.
+    ///
+    /// A sweep renders the same few tables over and over (one per device
+    /// and capacity), so each thread keeps its last eight renderings,
+    /// keyed by the fields' exact bit patterns: `-0.0` and `0.0`, each NaN
+    /// payload and two values one ulp apart are distinct keys, and a hit
+    /// appends exactly the bytes a fresh rendering would.
+    pub fn write_cache_descriptor(&self, out: &mut String) {
+        thread_local! {
+            static RENDERED: RefCell<Vec<([u64; 19], String)>> = const { RefCell::new(Vec::new()) };
+        }
+        let fields = self.named_fields();
+        let bits = fields.map(|(_, v)| v.to_bits());
+        RENDERED.with_borrow_mut(|rendered| {
+            if let Some((_, text)) = rendered.iter().rev().find(|(key, _)| *key == bits) {
+                out.push_str(text);
+                return;
+            }
+            let mut text = String::with_capacity(320);
+            for (i, (name, v)) in fields.into_iter().enumerate() {
+                if i > 0 {
+                    text.push(';');
+                }
+                text.push_str(name);
+                text.push('=');
+                decimal::write_f64(&mut text, v);
+            }
+            out.push_str(&text);
+            if rendered.len() == RENDERED_TABLES {
+                rendered.remove(0);
+            }
+            rendered.push((bits, text));
+        });
     }
 
     /// DDR4-2400 parameters for a 4 Gb chip (the characterization default),

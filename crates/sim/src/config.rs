@@ -27,9 +27,10 @@ use crate::device::DeviceHandle;
 use crate::plugin::PluginHandle;
 use crate::policy::PolicyHandle;
 use crate::probe::ProbeHandle;
+use hira_dram::decimal;
 use hira_dram::timing::TimingParams;
 use hira_workload::WorkloadHandle;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 /// Which simulation kernel [`crate::system::System::run`] uses. Both
@@ -247,46 +248,60 @@ impl SystemConfig {
     /// loaded, as `workload=<name>#<digest>`. If that naming contract ever
     /// weakens, bump `hira_store::CACHE_SCHEMA_VERSION`.
     pub fn cache_descriptor(&self) -> String {
-        let cap = match self.cycle_cap {
-            Some(c) => c.to_string(),
-            None => "default".to_string(),
+        let mut out = String::with_capacity(512);
+        self.write_cache_descriptor(&mut out);
+        out
+    }
+
+    /// Appends [`SystemConfig::cache_descriptor`] to `out`, rendering
+    /// straight into it: integers and floats through
+    /// [`hira_dram::decimal`] (byte-identical to `Display`), the timing
+    /// table through [`TimingParams::write_cache_descriptor`].
+    pub fn write_cache_descriptor(&self, out: &mut String) {
+        let int = |out: &mut String, field: &str, n: u64| {
+            out.push_str(field);
+            decimal::write_u64(out, n);
         };
-        let digest = match self.workload.content_digest() {
-            Some(digest) => format!("#{digest:016x}"),
-            None => String::new(),
-        };
-        let plugins = if self.plugins.is_empty() {
-            "none".to_string()
-        } else {
-            self.plugins
-                .iter()
-                .map(|p| p.name())
-                .collect::<Vec<_>>()
-                .join("+")
-        };
-        format!(
-            "cores={};channels={};ranks={};banks={};bank_groups={};chip_gbit={};\
-             device={};timing={};policy={};plugins={plugins};workload={}{digest};llc_bytes={};llc_ways={};\
-             queue_depth={};insts={};warmup={};spt={};seed={};cycle_cap={}",
-            self.cores,
-            self.channels,
-            self.ranks,
-            self.banks,
-            self.bank_groups,
-            self.chip_gbit,
-            self.device.name(),
-            self.timing.cache_descriptor(),
-            self.refresh.name(),
-            self.workload.name(),
-            self.llc_bytes,
-            self.llc_ways,
-            self.queue_depth,
-            self.insts_per_core,
-            self.warmup_insts,
-            self.spt_fraction,
-            self.seed,
-            cap,
-        )
+        int(out, "cores=", self.cores as u64);
+        int(out, ";channels=", self.channels as u64);
+        int(out, ";ranks=", self.ranks as u64);
+        int(out, ";banks=", u64::from(self.banks));
+        int(out, ";bank_groups=", u64::from(self.bank_groups));
+        out.push_str(";chip_gbit=");
+        decimal::write_f64(out, self.chip_gbit);
+        out.push_str(";device=");
+        out.push_str(self.device.name());
+        out.push_str(";timing=");
+        self.timing.write_cache_descriptor(out);
+        out.push_str(";policy=");
+        out.push_str(self.refresh.name());
+        out.push_str(";plugins=");
+        if self.plugins.is_empty() {
+            out.push_str("none");
+        }
+        for (i, plugin) in self.plugins.iter().enumerate() {
+            if i > 0 {
+                out.push('+');
+            }
+            out.push_str(plugin.name());
+        }
+        out.push_str(";workload=");
+        out.push_str(self.workload.name());
+        if let Some(digest) = self.workload.content_digest() {
+            let _ = write!(out, "#{digest:016x}");
+        }
+        int(out, ";llc_bytes=", self.llc_bytes as u64);
+        int(out, ";llc_ways=", self.llc_ways as u64);
+        int(out, ";queue_depth=", self.queue_depth as u64);
+        int(out, ";insts=", self.insts_per_core);
+        int(out, ";warmup=", self.warmup_insts);
+        out.push_str(";spt=");
+        decimal::write_f64(out, self.spt_fraction);
+        int(out, ";seed=", self.seed);
+        match self.cycle_cap {
+            Some(cap) => int(out, ";cycle_cap=", cap),
+            None => out.push_str(";cycle_cap=default"),
+        }
     }
 }
 

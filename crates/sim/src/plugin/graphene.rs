@@ -9,7 +9,7 @@
 use super::{ControllerPlugin, ExposureTracker, PluginEnv, PluginHandle, PluginStats};
 use crate::policy::RefreshAction;
 use hira_dram::addr::{BankId, RowId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The Graphene defense: per-bank Misra-Gries aggressor tables with `k`
 /// counters; when a tracked aggressor's estimated count reaches `tRH`,
@@ -20,10 +20,11 @@ pub struct GraphenePlugin {
     t_rh: u64,
     budget: usize,
     rows_per_bank: u32,
-    /// Per-bank Misra-Gries tables. `BTreeMap`, not `HashMap`: the
-    /// decrement sweep iterates the table, and iteration order must be
-    /// deterministic for dense/event and thread-count bit-identity.
-    counters: Vec<BTreeMap<u32, u64>>,
+    /// Per-bank Misra-Gries tables of at most `budget` `(row, count)`
+    /// entries, in no particular order: only lookups by row, the table's
+    /// length and the decrement sweep read a table, and none of them
+    /// depends on the order.
+    counters: Vec<Vec<(u32, u64)>>,
     tracker: ExposureTracker,
     queue: VecDeque<(BankId, RowId)>,
     injected: u64,
@@ -42,7 +43,7 @@ impl GraphenePlugin {
             t_rh,
             budget,
             rows_per_bank: env.rows_per_bank,
-            counters: (0..env.banks).map(|_| BTreeMap::new()).collect(),
+            counters: (0..env.banks).map(|_| Vec::new()).collect(),
             tracker: ExposureTracker::new(),
             queue: VecDeque::new(),
             injected: 0,
@@ -70,24 +71,37 @@ impl ControllerPlugin for GraphenePlugin {
         self.acts += 1;
         self.tracker.on_act(bank, row);
         let table = &mut self.counters[bank.index()];
-        let fired = if let Some(count) = table.get_mut(&row.0) {
-            *count += 1;
-            *count >= self.t_rh
-        } else if table.len() < self.budget {
-            table.insert(row.0, 1);
-            self.t_rh <= 1
-        } else {
-            // Misra-Gries spill: decrement every counter, evict zeros.
-            self.spills += 1;
-            table.retain(|_, count| {
-                *count -= 1;
-                *count > 0
-            });
-            false
+        // A counter that fires is dropped: the neighbors are refreshed and
+        // the aggressor's slate is clean.
+        let fired = match table.iter().position(|&(tracked, _)| tracked == row.0) {
+            Some(at) => {
+                table[at].1 += 1;
+                let fired = table[at].1 >= self.t_rh;
+                if fired {
+                    table.swap_remove(at);
+                }
+                fired
+            }
+            None if table.len() < self.budget => {
+                // A new counter starts at 1, so at tRH = 1 it fires at once
+                // and is never kept.
+                let fired = self.t_rh <= 1;
+                if !fired {
+                    table.push((row.0, 1));
+                }
+                fired
+            }
+            None => {
+                // Misra-Gries spill: decrement every counter, evict zeros.
+                self.spills += 1;
+                table.retain_mut(|(_, count)| {
+                    *count -= 1;
+                    *count > 0
+                });
+                false
+            }
         };
         if fired {
-            // Neighbors refreshed: the aggressor's slate is clean.
-            self.counters[bank.index()].remove(&row.0);
             self.queue_neighbors(bank, row);
         }
     }
@@ -133,6 +147,8 @@ pub fn graphene(t_rh: u64, budget: usize) -> PluginHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hira_dram::rng::Stream;
+    use std::collections::BTreeMap;
 
     fn env() -> PluginEnv {
         PluginEnv {
@@ -187,7 +203,7 @@ mod tests {
         p.on_act(2.0, b, RowId(2)); // {1: 1, 2: 2}
         p.on_act(3.0, b, RowId(3)); // table full: spill -> {2: 1}
         assert_eq!(p.spills, 1);
-        assert_eq!(p.counters[b.index()], BTreeMap::from([(2, 1)]));
+        assert_eq!(p.counters[b.index()], vec![(2, 1)]);
     }
 
     #[test]
@@ -229,5 +245,89 @@ mod tests {
                 row: RowId(62)
             }]
         );
+    }
+
+    /// One bank's Misra-Gries table as a `BTreeMap`, the form the flat
+    /// table replaced.
+    #[derive(Default)]
+    struct TreeTable(BTreeMap<u32, u64>);
+
+    impl TreeTable {
+        /// One ACT to `row`: whether its counter fired, and whether the
+        /// table spilled.
+        fn on_act(&mut self, row: u32, t_rh: u64, budget: usize) -> (bool, bool) {
+            let fired = if let Some(count) = self.0.get_mut(&row) {
+                *count += 1;
+                *count >= t_rh
+            } else if self.0.len() < budget {
+                self.0.insert(row, 1);
+                t_rh <= 1
+            } else {
+                self.0.retain(|_, count| {
+                    *count -= 1;
+                    *count > 0
+                });
+                return (false, true);
+            };
+            if fired {
+                self.0.remove(&row);
+            }
+            (fired, false)
+        }
+    }
+
+    #[test]
+    fn flat_tables_match_the_btree_reference() {
+        let env = PluginEnv {
+            rows_per_bank: 1 << 16,
+            ..env()
+        };
+        let banks = u64::from(env.banks);
+        for budget in [1usize, 2, 64, 1024] {
+            let (mut fires, mut spills) = (0, 0);
+            for t_rh in [1u64, 2, 9, 120] {
+                let mut rng = Stream::from_words(&[budget as u64, t_rh]);
+                let mut p = GraphenePlugin::new(t_rh, budget, &env);
+                let mut reference: Vec<TreeTable> =
+                    (0..banks).map(|_| TreeTable::default()).collect();
+                for i in 0..30_000u32 {
+                    let bank = BankId(rng.next_below(banks) as u16);
+                    // A few hot rows, a warm set about the table's size,
+                    // and the whole bank.
+                    let row = match rng.next_below(4) {
+                        0 => rng.next_below(4),
+                        1 => rng.next_below(2 * budget as u64 + 8),
+                        _ => rng.next_below(1 << 16),
+                    } as u32;
+                    let spilled_before = p.spills;
+                    p.on_act(f64::from(i), bank, RowId(row));
+                    let fired = !drain(&mut p).is_empty();
+                    let expect = reference[bank.index()].on_act(row, t_rh, budget);
+                    assert_eq!(
+                        (fired, p.spills > spilled_before),
+                        expect,
+                        "k={budget} tRH={t_rh}: ACT {i} to bank {bank} row {row}"
+                    );
+                    fires += u64::from(fired);
+                    spills += u64::from(expect.1);
+                    let table = &p.counters[bank.index()];
+                    assert_eq!(table.len(), reference[bank.index()].0.len());
+                    if i % 251 == 0 {
+                        let mut sorted = table.clone();
+                        sorted.sort_unstable();
+                        let tree: Vec<(u32, u64)> = reference[bank.index()]
+                            .0
+                            .iter()
+                            .map(|(&r, &c)| (r, c))
+                            .collect();
+                        assert_eq!(sorted, tree, "k={budget} tRH={t_rh} after ACT {i}");
+                    }
+                }
+            }
+            assert!(
+                fires > 20 && spills > 20,
+                "k={budget}: {fires} fires, {spills} spills"
+            );
+        }
     }
 }

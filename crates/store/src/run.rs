@@ -28,14 +28,16 @@
 use crate::store::{StoredPoint, SweepStore};
 use hira_engine::{Executor, Metric, PointTelemetry, RunRecord, RunSet, Scenario, Sweep};
 use std::io;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A sweep classified against the store: per-point content hashes plus the
-/// cached results of every hit. Computing a plan runs nothing.
+/// cached results of every hit, shared with the store's index rather than
+/// copied out of it. Computing a plan runs nothing.
 #[derive(Debug)]
 pub struct SweepPlan {
     hashes: Vec<String>,
-    hits: Vec<Option<StoredPoint>>,
+    hits: Vec<Option<Arc<StoredPoint>>>,
 }
 
 impl SweepPlan {
@@ -57,7 +59,7 @@ impl SweepPlan {
             let sc = sweep.scenario(i);
             let seed = sc.seed;
             let hash = crate::point_key(&canon(sc), seed, salt);
-            hits.push(store.get(&hash).cloned());
+            hits.push(store.shared(&hash));
             hashes.push(hash);
         }
         SweepPlan { hashes, hits }
@@ -207,7 +209,7 @@ impl CacheExecutorExt for Executor {
         // Hits stream immediately, in point order.
         if let Some(cb) = on_point {
             for (i, hit) in plan.hits.iter().enumerate() {
-                if let Some(point) = hit {
+                if let Some(point) = hit.as_deref() {
                     cb(PointOutcome {
                         index: i,
                         cached: true,
@@ -267,11 +269,12 @@ impl CacheExecutorExt for Executor {
         // the querying sweep's key (stored keys are provenance, and a result
         // may have been computed under another sweep's coordinates).
         let mut by_index: Vec<Option<&StoredPoint>> =
-            plan.hits.iter().map(|h| h.as_ref()).collect();
+            plan.hits.iter().map(Option::as_deref).collect();
         for (&i, point) in miss_indices.iter().zip(&computed) {
             by_index[i] = Some(point);
         }
-        let mut records = Vec::new();
+        let mut records =
+            Vec::with_capacity(by_index.iter().flatten().map(|p| p.metrics.len()).sum());
         let mut wall_ms = 0.0;
         for (i, point) in by_index.iter().enumerate() {
             let point = point.expect("every point is a hit or was computed");

@@ -35,6 +35,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One completed sweep point, as persisted in (and recalled from) a shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,10 +160,12 @@ impl StoredPoint {
 }
 
 /// The open store: shard directory + in-memory index over every point.
+/// Indexed points are shared: a [`crate::SweepPlan`] holds its hits by
+/// reference count, and a replay reads them where the index keeps them.
 #[derive(Debug)]
 pub struct SweepStore {
     dir: PathBuf,
-    index: HashMap<String, StoredPoint>,
+    index: HashMap<String, Arc<StoredPoint>>,
     recovered: usize,
 }
 
@@ -215,7 +218,9 @@ impl SweepStore {
             }
             match StoredPoint::from_json_line(text) {
                 Some(point) if pending.is_none() => {
-                    self.index.entry(point.hash.clone()).or_insert(point);
+                    self.index
+                        .entry(point.hash.clone())
+                        .or_insert_with(|| Arc::new(point));
                     good_bytes = end;
                 }
                 // A parseable line after a bad one: mid-file corruption.
@@ -271,7 +276,13 @@ impl SweepStore {
 
     /// Looks a point up by content hash.
     pub fn get(&self, hash: &str) -> Option<&StoredPoint> {
-        self.index.get(hash)
+        self.index.get(hash).map(|point| &**point)
+    }
+
+    /// [`SweepStore::get`], sharing the indexed point instead of
+    /// borrowing it from the store.
+    pub(crate) fn shared(&self, hash: &str) -> Option<Arc<StoredPoint>> {
+        self.index.get(hash).cloned()
     }
 
     /// The shard path a sweep name maps to.
@@ -322,7 +333,7 @@ impl SweepStore {
             file.write_all(buf.as_bytes())?;
             file.flush()?;
             for p in batch {
-                self.index.insert(p.hash.clone(), p);
+                self.index.insert(p.hash.clone(), Arc::new(p));
                 appended += 1;
             }
         }
