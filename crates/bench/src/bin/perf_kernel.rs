@@ -22,9 +22,8 @@
 //!
 //! * `--policy=<name>[,<name>...]` (repeatable) — subset the policy axis;
 //!   default: the full standard registry,
-//! * `--plugin=<form>[,<form>...]` (repeatable) — cross the sweep with a
-//!   controller-plugin axis (`none`, `oracle:<tRH>`, `para:<p>`,
-//!   `graphene:<tRH>:<k>`); the dense-vs-event identity assertion then
+//! * `--plugin=<name>[,<name>...]` (repeatable) — cross the sweep with a
+//!   controller-plugin axis; the dense-vs-event identity assertion then
 //!   runs with each plugin attached; without the flag no plugin axis is
 //!   added and the sweep keys are unchanged,
 //! * `--cache=<dir>` / `--no-cache` / `--cache-stats` — the shared sweep
@@ -44,17 +43,19 @@
 //!   `--log-level=<level>` — the shared observability axis: JSONL span
 //!   log, Prometheus dump, live progress on stderr and the slow-point
 //!   report (see [`hira_bench::ObsSpec`]),
-//! * `--list` — print the registered policies and plugin forms, then exit.
+//! * `--list` — print every policy and plugin name and form the two axis
+//!   flags accept, then exit.
 //!
 //! Scale: `HIRA_MIXES` × `HIRA_INSTS` as everywhere else.
 
 use hira_bench::presets::labels;
 use hira_bench::{
-    extract_metric_value, plugin_axis_from_args, policy_axis_from_args, print_plugin_list,
-    print_policy_list, print_series, write_bench, CacheSpec, Grid, ObsSpec, Scale, SweepRun, Task,
+    axis_from_args, extract_metric_value, list, list_requested, print_series, write_bench,
+    CacheSpec, Grid, ObsSpec, Scale, SweepRun, Task, PERF_KERNEL_AXES,
 };
 use hira_engine::{Executor, RunRecord, ScenarioKey};
 use hira_sim::config::KernelMode;
+use hira_sim::{PluginHandle, PolicyHandle};
 
 /// The single value of a `--<flag>=` argument, when passed.
 fn flag_value(flag: &str) -> Option<String> {
@@ -63,15 +64,13 @@ fn flag_value(flag: &str) -> Option<String> {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        print_policy_list();
-        println!();
-        print_plugin_list();
+    if list_requested() {
+        print!("{}", list(PERF_KERNEL_AXES, false));
         return;
     }
     let scale = Scale::from_env();
-    let policies = policy_axis_from_args();
-    let plugins = plugin_axis_from_args();
+    let policies = axis_from_args::<PolicyHandle>(true, "");
+    let plugins = axis_from_args::<PluginHandle>(true, "");
     let cache = CacheSpec::from_args();
     let obs = ObsSpec::from_args();
     // Read the baseline before the sweep so a bad path fails fast.

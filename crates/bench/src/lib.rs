@@ -26,8 +26,8 @@
 //! share one flag parser, [`MatrixArgs`], which documents the flags once.
 
 use hira_engine::{
-    flabel, metric, sanitize_key, suffix_path, Executor, Metric, PointTelemetry, RunRecord,
-    Scenario, ScenarioKey, Sweep, DEFAULT_BASE_SEED,
+    flabel, metric, sanitize_key, suffix_path, Executor, Handle, Metric, PointTelemetry, Registry,
+    RunRecord, Scenario, ScenarioKey, Sweep, DEFAULT_BASE_SEED,
 };
 use hira_obs::{field, Level, MetricsRegistry, Progress, TraceSink};
 use hira_sim::builder::{BuildError, SystemBuilder};
@@ -621,12 +621,14 @@ pub struct Grid {
     repeated: Option<(&'static str, String)>,
 }
 
-/// What one grid axis value sets on a cell's builder.
+/// What one grid axis value sets on a cell's builder. A `None` handle —
+/// the `none` value of an axis that declares one — leaves the Table 3
+/// default in place.
 #[derive(Debug, Clone)]
 enum Setting {
-    Policy(PolicyHandle),
-    Workload(WorkloadHandle),
-    Device(DeviceHandle),
+    Policy(Option<PolicyHandle>),
+    Workload(Option<WorkloadHandle>),
+    Device(Option<DeviceHandle>),
     Cap(f64),
     Plugin(Option<PluginHandle>),
 }
@@ -634,15 +636,23 @@ enum Setting {
 impl Setting {
     fn apply(&self, b: SystemBuilder) -> SystemBuilder {
         match self {
-            Setting::Policy(p) => b.policy(p.clone()),
-            Setting::Workload(w) => b.workload(w.clone()),
-            Setting::Device(d) => b.device(d.clone()),
+            Setting::Policy(Some(p)) => b.policy(p.clone()),
+            Setting::Workload(Some(w)) => b.workload(w.clone()),
+            Setting::Device(Some(d)) => b.device(d.clone()),
             Setting::Cap(c) => b.chip_gbit(*c),
             Setting::Plugin(Some(p)) => b.plugin(p.clone()),
-            Setting::Plugin(None) => b,
+            Setting::Policy(None)
+            | Setting::Workload(None)
+            | Setting::Device(None)
+            | Setting::Plugin(None) => b,
         }
     }
 }
+
+/// The values of one named sweep axis, as [`Registry::axis`] resolves
+/// them: each labelled by its handle's canonical name, `None` for the
+/// axis's `none` value.
+pub type AxisValues<H> = Vec<(String, Option<H>)>;
 
 /// The cells [`Grid::build`] skipped: each one's key and reason, such as
 /// `ddr4-2400 x hira4 (HiRA-inert device)`.
@@ -685,18 +695,18 @@ impl Grid {
     }
 
     /// The `policy` axis.
-    pub fn policies(self, axis: &[(String, PolicyHandle)]) -> Self {
-        self.axis("policy", axis, |p| Setting::Policy(p.clone()))
+    pub fn policies(self, axis: &[(String, Option<PolicyHandle>)]) -> Self {
+        self.axis("policy", axis, |h| Setting::Policy(h.clone()))
     }
 
     /// The `wl` (workload) axis.
-    pub fn workloads(self, axis: &[(String, WorkloadHandle)]) -> Self {
-        self.axis("wl", axis, |w| Setting::Workload(w.clone()))
+    pub fn workloads(self, axis: &[(String, Option<WorkloadHandle>)]) -> Self {
+        self.axis("wl", axis, |h| Setting::Workload(h.clone()))
     }
 
     /// The `dev` (device) axis.
-    pub fn devices(self, axis: &[(String, DeviceHandle)]) -> Self {
-        self.axis("dev", axis, |d| Setting::Device(d.clone()))
+    pub fn devices(self, axis: &[(String, Option<DeviceHandle>)]) -> Self {
+        self.axis("dev", axis, |h| Setting::Device(h.clone()))
     }
 
     /// The `cap` axis: chip capacities in Gb, labelled by [`flabel`].
@@ -708,7 +718,7 @@ impl Grid {
     /// The `plugin` axis; a `None` entry (label `none`) is the undefended
     /// point.
     pub fn plugins(self, axis: &[(String, Option<PluginHandle>)]) -> Self {
-        self.axis("plugin", axis, |g| Setting::Plugin(g.clone()))
+        self.axis("plugin", axis, |h| Setting::Plugin(h.clone()))
     }
 
     /// The `mix` axis: the first `mixes` mixes of the standard suite
@@ -718,7 +728,9 @@ impl Grid {
     ///
     /// Panics when `mixes` is zero.
     pub fn mixes(self, mixes: usize) -> Self {
-        self.axis("mix", &mix_axis(mixes), |&id| Setting::Workload(mix(id)))
+        self.axis("mix", &mix_axis(mixes), |&id| {
+            Setting::Workload(Some(mix(id)))
+        })
     }
 
     /// Builds every cell at `scale`'s instruction budget under `kernel`:
@@ -805,29 +817,28 @@ pub fn ws_canonical(tag: &str, cfg: &SystemConfig) -> String {
     canonical
 }
 
+/// The digest of the source a cached point's numbers depend on, made by
+/// the build script: the simulator crates (`hira-dram`, `hira-core`,
+/// `hira-workload` with its embedded data, and `hira-sim`, registries
+/// included) and this file, which holds [`Task::point`] and the alone-IPC
+/// reference system.
+const SOURCE_DIGEST: &str = include_str!(concat!(env!("OUT_DIR"), "/source_digest"));
+
 /// The process's code-version salt for the sweep cache: the store schema
-/// version plus the fingerprints of every registry a cached result depends
-/// on (policies, workloads, devices, probe forms, plugin forms). Any
-/// registry change — a handle added, removed or renamed — moves the salt
-/// and conservatively invalidates existing stores. The registries are fixed
-/// per binary, so the salt is computed once per process.
+/// version and a digest of the source a cached point's numbers depend on
+/// (the simulator crates and this file). Any edit to that source, a
+/// comment included, moves the salt, so a store made by another build
+/// goes cold once instead of replaying numbers the current code might not
+/// produce. The digest is fixed per build, so the salt is computed once
+/// per process.
 pub fn cache_salt() -> u64 {
     static SALT: OnceLock<u64> = OnceLock::new();
-    *SALT.get_or_init(|| {
-        let owned = |v: Vec<&str>| v.into_iter().map(str::to_owned).collect::<Vec<_>>();
-        let forms = |v: Vec<(&str, &str)>| {
-            v.into_iter()
-                .map(|(form, _)| form.to_owned())
-                .collect::<Vec<_>>()
-        };
-        hira_store::code_version_salt([
-            ("policy", owned(PolicyRegistry::standard().names())),
-            ("workload", owned(WorkloadRegistry::standard().names())),
-            ("device", owned(DeviceRegistry::standard().names())),
-            ("probe", forms(ProbeRegistry::standard().forms())),
-            ("plugin", forms(PluginRegistry::standard().forms())),
-        ])
-    })
+    *SALT.get_or_init(|| salt_for(SOURCE_DIGEST))
+}
+
+/// The cache salt of a build whose source digest is `digest`.
+fn salt_for(digest: &str) -> u64 {
+    hira_store::code_version_salt([("source", vec![digest.to_owned()])])
 }
 
 /// The sweep-cache selection of a matrix binary: `--cache=<dir>` enables
@@ -1407,68 +1418,43 @@ pub fn preventive_schemes_geometry(nrh: u32) -> Vec<(&'static str, PolicyHandle)
         .collect()
 }
 
-/// Prints every registered refresh policy with its one-line summary (the
-/// `--policy=` part of a binary's `--list` output).
-pub fn print_policy_list() {
-    println!("registered refresh policies (--policy=<name>):");
-    for h in PolicyRegistry::standard().handles() {
-        println!("  {:<12} {}", h.name(), h.summary());
-    }
-    println!(
-        "  {:<12} (dynamic) any slack point: tRefSlack = N*tRC",
-        "hira<N>"
-    );
-}
+/// The named sweep axes of the `perf_kernel` binary, in key order.
+pub const PERF_KERNEL_AXES: [&str; 2] = ["policy", "plugin"];
 
-/// Prints every registered device with its one-line summary (the
-/// `--device=` part of a binary's `--list` output).
-pub fn print_device_list() {
-    println!("registered devices (--device=<name>):");
-    for h in DeviceRegistry::standard().handles() {
-        println!("  {:<18} {}", h.name(), h.summary());
+/// The `--list` output of a binary: the standard registry of each named
+/// sweep axis among `axes` (grid keys: `policy`, `wl`, `dev`, `plugin`),
+/// in order, then, with `observers`, the probe forms with their
+/// shorthands and the kernel modes.
+pub fn list<'a>(axes: impl IntoIterator<Item = &'a str>, observers: bool) -> String {
+    let mut blocks: Vec<String> = axes
+        .into_iter()
+        .filter_map(|axis| match axis {
+            "policy" => Some(PolicyRegistry::shared().list()),
+            "wl" => Some(WorkloadRegistry::shared().list()),
+            "dev" => Some(DeviceRegistry::shared().list()),
+            "plugin" => Some(PluginRegistry::shared().list()),
+            _ => None,
+        })
+        .collect();
+    if observers {
+        blocks.push(
+            ProbeRegistry::shared().list()
+                + "  --cmdtrace=<prefix>      the cmdtrace probe at <prefix>\n"
+                + "  --stats-epoch=<cycles>   the epochs probe every <cycles>, default path\n"
+                + "  --telemetry              print the per-point run telemetry table\n",
+        );
+        blocks.push(
+            "kernel (--kernel=<name>):\n\
+             \x20 event  event-driven time-skipping kernel (default)\n\
+             \x20 dense  cycle-by-cycle reference kernel (bit-identical)\n"
+                .to_owned(),
+        );
     }
-    println!(
-        "  {:<18} (dynamic) DDR4-2400 part pinned at <Gb> (tRFC fixed)",
-        "ddr4-2400@<Gb>"
-    );
-}
-
-/// Prints every registered workload with its family and one-line summary
-/// (the `--workload=` part of a binary's `--list` output).
-pub fn print_workload_list() {
-    println!("registered workloads (--workload=<name>):");
-    for h in WorkloadRegistry::standard().handles() {
-        println!("  {:<12} [{}] {}", h.name(), h.family(), h.summary());
-    }
-    for line in [
-        "mix<N>       (dynamic) multiprogrammed roster mix N of the standard suite",
-        "zipf<N>      (dynamic) zipfian generator with theta = N/100",
-        "rw<N>        (dynamic) uniform-random generator with N% stores (N <= 100)",
-        "open<N>      (dynamic) open-loop generator at N accesses per kinst (N >= 1)",
-        "trace:<path> (dynamic) replay of the .trace file at <path>",
-    ] {
-        println!("  {line}");
-    }
-}
-
-/// Prints the accepted probe forms (the `--probe=` grammar of
-/// [`ProbeSpec::from_args`]) with the CLI shorthands.
-pub fn print_probe_list() {
-    println!("probe forms (--probe=<form>, repeatable):");
-    for (form, what) in ProbeRegistry::standard().forms() {
-        println!("  {form:<28} {what}");
-    }
-    for line in [
-        "--cmdtrace=<prefix>          shorthand for --probe=cmdtrace:<prefix>",
-        "--stats-epoch=<cycles>       shorthand for --probe=epochs:<cycles>",
-        "--telemetry                  print the per-point run telemetry table",
-    ] {
-        println!("  {line}");
-    }
+    blocks.join("\n")
 }
 
 /// The probe selection of a sweep binary: every `--probe=<form>` argument
-/// (repeatable; see [`hira_sim::ProbeRegistry`] for the grammar) plus the
+/// (repeatable; `--list` prints the forms) plus the
 /// shorthands `--cmdtrace=<prefix>` and `--stats-epoch=<cycles>`. Probes
 /// are read-only observers — results are bit-identical with or without
 /// them — so any sweep binary can carry the same flags through one shared
@@ -1603,8 +1589,8 @@ pub fn extract_metric_value(json: &str, metric: &str) -> Option<f64> {
 }
 
 /// True when `--list` was passed: the binary prints the registries its
-/// flags draw from and exits.
-fn list_requested() -> bool {
+/// flags draw from ([`list`]) and exits.
+pub fn list_requested() -> bool {
     std::env::args().any(|a| a == "--list")
 }
 
@@ -1623,95 +1609,29 @@ fn axis_args(flag: &str) -> Vec<String> {
         .collect()
 }
 
-/// The names `--<flag>=` arguments select, or `defaults` when none were
-/// passed.
-fn selected(flag: &str, defaults: &[&str]) -> Vec<String> {
-    let chosen = axis_args(flag);
-    if chosen.is_empty() {
-        defaults.iter().map(|s| (*s).to_owned()).collect()
+/// One named sweep axis, resolved through the standard registry of `H`'s
+/// axis: the names of every `--<axis>=` argument when `cli` and any was
+/// passed, else the space-separated `defaults`, else every registered
+/// handle.
+///
+/// # Panics
+///
+/// With the axis's [`hira_engine::UnknownName`] message when a name does
+/// not resolve.
+pub fn axis_from_args<H: Handle>(cli: bool, defaults: &str) -> AxisValues<H> {
+    let registry = Registry::<H>::shared();
+    let mut names = if cli {
+        axis_args(registry.axis_name())
     } else {
-        chosen
+        Vec::new()
+    };
+    if names.is_empty() {
+        names = defaults.split_whitespace().map(str::to_owned).collect();
     }
-}
-
-/// Resolves each name through `resolve` — which panics, listing the
-/// registered names, on an unknown one — into a labelled sweep axis.
-fn resolve_axis<T>(names: Vec<String>, resolve: impl Fn(&str) -> T) -> Vec<(String, T)> {
-    names
-        .into_iter()
-        .map(|name| {
-            let handle = resolve(&name);
-            (name, handle)
-        })
-        .collect()
-}
-
-/// The policy axis of a sweep, from `--policy=name[,name...]` arguments
-/// (label = registry key), or every policy in the standard registry when
-/// none is passed — an open, string-keyed axis instead of enum plumbing.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument names an unknown
-/// policy.
-pub fn policy_axis_from_args() -> Vec<(String, PolicyHandle)> {
-    let registry = PolicyRegistry::standard();
-    resolve_axis(selected("policy", &registry.names()), policy::policy)
-}
-
-/// Prints the accepted controller-plugin forms (the `--plugin=` grammar)
-/// plus the `none` baseline.
-pub fn print_plugin_list() {
-    println!("controller plugins (--plugin=<form>, repeatable):");
-    println!(
-        "  {:<20} no plugin attached (the undefended baseline)",
-        "none"
-    );
-    for (form, what) in PluginRegistry::standard().forms() {
-        println!("  {form:<20} (dynamic) {what}");
+    if names.is_empty() {
+        names = registry.names().into_iter().map(str::to_owned).collect();
     }
-}
-
-/// The controller-plugin axis `--plugin=` arguments select: empty when the
-/// flag was never passed, so a sweep gains its `plugin` axis opt-in and
-/// its keys (and the committed `BENCH_*.json` keys) are otherwise
-/// unchanged.
-///
-/// # Panics
-///
-/// Panics (with the accepted forms) when an argument matches no plugin
-/// form.
-pub fn plugin_axis_from_args() -> Vec<(String, Option<PluginHandle>)> {
-    plugin_axis(axis_args("plugin"))
-}
-
-/// Resolves plugin forms into a plugin axis: `none` is the undefended
-/// `None` point, and every other form is keyed by its handle's canonical
-/// name (`oracle:01024` and `oracle:1024` land on one scenario key and
-/// cache entry).
-fn plugin_axis(forms: Vec<String>) -> Vec<(String, Option<PluginHandle>)> {
-    forms
-        .into_iter()
-        .map(|spec| {
-            if spec == "none" {
-                return (spec, None);
-            }
-            let h = hira_sim::plugin::plugin(&spec);
-            (h.name().to_owned(), Some(h))
-        })
-        .collect()
-}
-
-/// Prints the accepted kernel modes (the `--kernel=` values of
-/// [`kernel_from_args`]).
-pub fn print_kernel_list() {
-    println!("simulation kernels (--kernel=<name>):");
-    for (name, what) in [
-        ("event", "event-driven time-skipping kernel (default)"),
-        ("dense", "cycle-by-cycle reference kernel (bit-identical)"),
-    ] {
-        println!("  {name:<12} {what}");
-    }
+    registry.axis(&names).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The simulation kernel selected by `--kernel=dense|event` (default:
@@ -2043,6 +1963,19 @@ mod tests {
     #[test]
     fn cache_salt_is_stable_within_a_process() {
         assert_eq!(cache_salt(), cache_salt());
+    }
+
+    #[test]
+    fn the_cache_salt_moves_with_the_source_digest() {
+        assert_eq!(cache_salt(), salt_for(SOURCE_DIGEST));
+        assert_eq!(SOURCE_DIGEST.len(), 16, "{SOURCE_DIGEST}");
+        // Every digit of the digest counts.
+        for i in 0..SOURCE_DIGEST.len() {
+            let mut edited = SOURCE_DIGEST.as_bytes().to_vec();
+            edited[i] = if edited[i] == b'0' { b'1' } else { b'0' };
+            let edited = String::from_utf8(edited).expect("hex digits");
+            assert_ne!(salt_for(&edited), cache_salt(), "digit {i}");
+        }
     }
 
     #[test]

@@ -3,18 +3,16 @@
 //! figures ([`Figure`]), whose channel/rank twins share a [`Geometry`].
 
 use crate::{
-    axis_args, kernel_from_args, list_requested, maybe_print_telemetry, periodic_schemes_ablated,
-    plugin_axis, preventive_schemes, preventive_schemes_geometry, print_device_list,
-    print_kernel_list, print_plugin_list, print_policy_list, print_probe_list, print_series,
-    print_workload_list, resolve_axis, write_bench, CacheSpec, Grid, ObsSpec, ProbeSpec, Scale,
-    SweepRun, Task, WsTable,
+    axis_from_args, kernel_from_args, list, list_requested, maybe_print_telemetry,
+    periodic_schemes_ablated, preventive_schemes, preventive_schemes_geometry, print_series,
+    write_bench, AxisValues, CacheSpec, Grid, ObsSpec, ProbeSpec, Scale, SweepRun, Task, WsTable,
 };
 use hira_core::config::HiraConfig;
-use hira_engine::{flabel, Executor, RunRecord, ScenarioKey, Sweep};
+use hira_engine::{flabel, Executor, Handle, RunRecord, ScenarioKey, Sweep};
 use hira_sim::config::{KernelMode, SystemConfig};
 use hira_sim::device::DeviceHandle;
 use hira_sim::plugin::PluginHandle;
-use hira_sim::policy::{self, PolicyHandle, PolicyRegistry};
+use hira_sim::policy::{self, PolicyHandle};
 use hira_workload::WorkloadHandle;
 
 /// One of the four comparison matrices. Each is a preset of one grid: a
@@ -91,23 +89,10 @@ impl Matrix {
         }
     }
 
-    /// Prints the registries this preset's flags draw from, in axis
-    /// order, then the probe forms and kernel modes (the `--list` output).
-    fn print_lists(self) {
-        for (axis, _) in self.axes() {
-            let list: fn() = match *axis {
-                "policy" => print_policy_list,
-                "wl" => print_workload_list,
-                "dev" => print_device_list,
-                "plugin" => print_plugin_list,
-                _ => continue,
-            };
-            list();
-            println!();
-        }
-        print_probe_list();
-        println!();
-        print_kernel_list();
+    /// The `--list` output: the registries this preset's flags draw from,
+    /// in axis order, then the probe forms and kernel modes.
+    pub fn list(self) -> String {
+        list(self.axes().iter().map(|(axis, _)| *axis), true)
     }
 }
 
@@ -115,10 +100,9 @@ impl Matrix {
 ///
 /// * axes — `--policy=`, `--workload=`, `--device=` and `--plugin=`
 ///   (`<name>[,<name>...]`, repeatable) subset the preset's axes by
-///   registry name, including the dynamic forms (`hira<N>`, `mix<N>`,
-///   `zipf<N>`, `rw<N>`, `open<N>`, `trace:<path>`, `ddr4-2400@<Gb>`,
-///   `oracle:<tRH>`, `para:<p>`, `graphene:<tRH>:<k>`, and `none` for the
-///   undefended point). A matrix reads only the flags of the axes it has;
+///   registry name or dynamic form, each resolved through
+///   [`hira_engine::Registry::axis`]; `--list` prints every accepted name
+///   and form. A matrix reads only the flags of the axes it has;
 ///   on `policy_matrix`, `workload_matrix` and `device_matrix` a
 ///   `--plugin=` flag adds the plugin axis, whose cells the printed tables
 ///   average over;
@@ -141,15 +125,15 @@ pub struct MatrixArgs {
     /// Mixes, instructions per core and warmup.
     pub scale: Scale,
     /// The `policy` axis.
-    pub policies: Vec<(String, PolicyHandle)>,
+    pub policies: AxisValues<PolicyHandle>,
     /// The `wl` axis (empty: the preset has none).
-    pub workloads: Vec<(String, WorkloadHandle)>,
+    pub workloads: AxisValues<WorkloadHandle>,
     /// The `dev` axis (empty: the preset has none).
-    pub devices: Vec<(String, DeviceHandle)>,
+    pub devices: AxisValues<DeviceHandle>,
     /// The `cap` axis in Gb (empty: the preset has none).
     pub caps: Vec<f64>,
     /// The `plugin` axis (empty: no plugin axis).
-    pub plugins: Vec<(String, Option<PluginHandle>)>,
+    pub plugins: AxisValues<PluginHandle>,
     kernel: KernelMode,
     probes: ProbeSpec,
     run: SweepRun,
@@ -173,7 +157,7 @@ impl MatrixArgs {
     /// malformed cache, probe, kernel or observability flags.
     pub fn from_args(matrix: Matrix) -> Self {
         if list_requested() {
-            matrix.print_lists();
+            print!("{}", matrix.list());
             std::process::exit(0);
         }
         let mut args = Self::resolve(matrix, Scale::from_env(), true);
@@ -189,21 +173,13 @@ impl MatrixArgs {
     }
 
     fn resolve(matrix: Matrix, scale: Scale, cli: bool) -> Self {
-        let registry = PolicyRegistry::standard();
         // A preset reads the flags of the axes it has, and only those.
-        let names = |axis: &str, flag: &str| -> Vec<String> {
-            let Some(&(_, defaults)) = matrix.axes().iter().find(|(a, _)| *a == axis) else {
-                return Vec::new();
-            };
-            let chosen = if cli { axis_args(flag) } else { Vec::new() };
-            if !chosen.is_empty() {
-                chosen
-            } else if defaults.is_empty() && axis == "policy" {
-                registry.names().into_iter().map(str::to_owned).collect()
-            } else {
-                defaults.split_whitespace().map(str::to_owned).collect()
+        fn axis<H: Handle>(matrix: Matrix, key: &str, cli: bool) -> AxisValues<H> {
+            match matrix.axes().iter().find(|(a, _)| *a == key) {
+                Some((_, defaults)) => axis_from_args(cli, defaults),
+                None => Vec::new(),
             }
-        };
+        }
         let task = if matrix == Matrix::Device {
             Task::WsStats
         } else {
@@ -212,15 +188,15 @@ impl MatrixArgs {
         MatrixArgs {
             matrix,
             scale,
-            policies: resolve_axis(names("policy", "policy"), policy::policy),
-            workloads: resolve_axis(names("wl", "workload"), hira_workload::workload),
-            devices: resolve_axis(names("dev", "device"), hira_sim::device::device),
+            policies: axis(matrix, "policy", cli),
+            workloads: axis(matrix, "wl", cli),
+            devices: axis(matrix, "dev", cli),
             caps: if matrix == Matrix::Policy {
                 vec![8.0, 64.0]
             } else {
                 Vec::new()
             },
-            plugins: plugin_axis(names("plugin", "plugin")),
+            plugins: axis(matrix, "plugin", cli),
             kernel: KernelMode::default(),
             probes: ProbeSpec::default(),
             run: SweepRun::new(Executor::from_env(), scale).task(task),
@@ -729,7 +705,9 @@ mod tests {
         let mut add = |h: &PolicyHandle| {
             all.entry(h.name().to_owned()).or_insert_with(|| h.clone());
         };
-        PolicyRegistry::standard().handles().for_each(&mut add);
+        hira_sim::PolicyRegistry::standard()
+            .handles()
+            .for_each(&mut add);
         for figure in [
             Figure::Periodic {
                 no_refresh_access: false,
@@ -752,7 +730,10 @@ mod tests {
         }
         for matrix in [Matrix::Policy, Matrix::Workload, Matrix::Device, Matrix::Rh] {
             let args = MatrixArgs::defaults(matrix, Scale::from_env());
-            args.policies.iter().for_each(|(_, h)| add(h));
+            args.policies
+                .iter()
+                .filter_map(|(_, h)| h.as_ref())
+                .for_each(&mut add);
         }
         for h in [
             policy::baseline().with_para_immediate(0.5),

@@ -17,10 +17,10 @@
 //!   `"ws+stats"` (plus the channel metrics). `policies` / `workloads`
 //!   default to `["baseline"]` / `["mix0"]`; `devices`, `caps` and
 //!   `plugins` are optional axes (absent → the builder's default part at
-//!   the Table 3 capacity, no controller plugin). `plugins` entries are
-//!   `--plugin=` forms (`none`, `oracle:<tRH>`, `para:<p>`,
-//!   `graphene:<tRH>:<k>`; see [`hira_sim::plugin`]); an unknown form
-//!   rejects the spec with a structured `error` event. `insts` overrides
+//!   the Table 3 capacity, no controller plugin). Every entry is a
+//!   registry name or dynamic form of its axis, as `--list` prints them
+//!   (`none` is the undefended `plugins` point); an unknown one rejects
+//!   the spec with a structured `error` event. `insts` overrides
 //!   `HIRA_INSTS` for this sweep; one that is no `u64`, or whose run
 //!   target or safety cycle cap overflows one, is rejected the same way.
 //!   `name` selects the sweep/shard name (default `"serve"`).
@@ -60,16 +60,16 @@
 //!   `{"op":"metrics"}`: one JSON string holding the Prometheus text.
 //! * `{"event":"bye"}` — shutdown (op or end of input).
 
-use crate::{CacheSpec, Grid, Meters, Scale, SweepRun, Task};
+use crate::{AxisValues, CacheSpec, Grid, Meters, Scale, SweepRun, Task};
 use hira_engine::json::{self, Value};
-use hira_engine::{Executor, ScenarioKey, Sweep};
+use hira_engine::{Executor, Handle, Registry, ScenarioKey, Sweep};
 use hira_obs::{field, Counter, Gauge, Level, MetricsRegistry, Progress, TraceSink};
 use hira_sim::config::{KernelMode, SystemConfig};
 use hira_store::{CacheStats, SweepStore};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One parsed request line.
@@ -206,28 +206,6 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
     }
 }
 
-/// The standard registries a [`SweepSpec`] resolves its names against.
-/// They are fixed per binary, so they are built once per process rather
-/// than once per request.
-struct Registries {
-    policy: hira_sim::policy::PolicyRegistry,
-    workload: hira_workload::WorkloadRegistry,
-    device: hira_sim::device::DeviceRegistry,
-    plugin: hira_sim::plugin::PluginRegistry,
-}
-
-impl Registries {
-    fn get() -> &'static Registries {
-        static REGISTRIES: OnceLock<Registries> = OnceLock::new();
-        REGISTRIES.get_or_init(|| Registries {
-            policy: hira_sim::policy::PolicyRegistry::standard(),
-            workload: hira_workload::WorkloadRegistry::standard(),
-            device: hira_sim::device::DeviceRegistry::standard(),
-            plugin: hira_sim::plugin::PluginRegistry::standard(),
-        })
-    }
-}
-
 impl SweepSpec {
     /// Builds the grid: policy × workload (× device × cap × plugin),
     /// resolving every name against the standard registries. Combos the
@@ -241,44 +219,19 @@ impl SweepSpec {
     /// Returns a message (for an `error` event) on unknown registry names,
     /// non-geometry build errors, or an empty grid.
     pub fn build(&self, scale: Scale) -> Result<(Sweep<SystemConfig>, usize), String> {
-        fn resolve<T>(
-            kind: &str,
-            names: &[String],
-            lookup: impl Fn(&str) -> Option<T>,
-        ) -> Result<Vec<(String, T)>, String> {
-            names
-                .iter()
-                .map(|n| {
-                    let h = lookup(n).ok_or_else(|| format!("unknown {kind} `{n}`"))?;
-                    Ok((n.clone(), h))
-                })
-                .collect()
+        // Every name resolves before any cell builds, against the standard
+        // registries, which are built once per process.
+        fn axis<H: Handle>(names: &[String]) -> Result<AxisValues<H>, String> {
+            Registry::<H>::shared()
+                .axis(names)
+                .map_err(|e| e.to_string())
         }
-        let reg = Registries::get();
-        // Unknown plugin forms reject the spec before any cell builds;
-        // `none` is the undefended point, the rest key by canonical name.
-        let plugins = self
-            .plugins
-            .iter()
-            .map(|g| match g.as_str() {
-                "none" => Ok((g.clone(), None)),
-                _ => reg
-                    .plugin
-                    .lookup(g)
-                    .map(|h| (h.name().to_owned(), Some(h)))
-                    .ok_or_else(|| format!("unknown plugin `{g}`")),
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let (sweep, skipped) = Grid::new(&self.name)
-            .policies(&resolve("policy", &self.policies, |n| {
-                reg.policy.lookup(n)
-            })?)
-            .workloads(&resolve("workload", &self.workloads, |n| {
-                reg.workload.lookup(n)
-            })?)
-            .devices(&resolve("device", &self.devices, |n| reg.device.lookup(n))?)
+            .policies(&axis(&self.policies)?)
+            .workloads(&axis(&self.workloads)?)
+            .devices(&axis(&self.devices)?)
             .caps(&self.caps)
-            .plugins(&plugins)
+            .plugins(&axis(&self.plugins)?)
             .build(self.scale(scale), KernelMode::default())?;
         if sweep.is_empty() {
             return Err("sweep grid is empty (every combo skipped or no axes)".to_owned());

@@ -2,7 +2,6 @@
 
 use crate::coverage::CoverageGridPoint;
 use crate::modules::ModuleCharacterization;
-use crate::stats::BoxStats;
 use std::fmt::Write as _;
 
 /// Renders Table 1/Table 4 (module summary with coverage and normalized NRH).
@@ -41,14 +40,6 @@ pub fn render_table1(rows: &[ModuleCharacterization]) -> String {
         );
     }
     s
-}
-
-/// Renders one box-stats line (used by several figures).
-pub fn render_box(label: &str, b: &BoxStats) -> String {
-    format!(
-        "{label}: min {:.3}  q1 {:.3}  med {:.3}  q3 {:.3}  max {:.3}  mean {:.3}  (n={})",
-        b.min, b.q1, b.median, b.q3, b.max, b.mean, b.n
-    )
 }
 
 /// Renders the Fig. 4 grid as a table of box summaries.
@@ -112,15 +103,6 @@ mod tests {
         let out = render_table1(&[fake_module("A0"), fake_module("C2")]);
         assert!(out.contains("A0") && out.contains("C2"));
         assert!(out.contains("yes"));
-    }
-
-    #[test]
-    fn box_line_has_all_fields() {
-        let b = BoxStats::from_samples(&[1.0, 2.0, 3.0]);
-        let line = render_box("x", &b);
-        for key in ["min", "q1", "med", "q3", "max", "mean"] {
-            assert!(line.contains(key), "missing {key}: {line}");
-        }
     }
 
     #[test]

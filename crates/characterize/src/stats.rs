@@ -49,11 +49,6 @@ impl BoxStats {
             n,
         }
     }
-
-    /// Interquartile range (the box height).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 fn median_of(sorted: &[f64]) -> f64 {
@@ -147,7 +142,6 @@ mod tests {
         assert_eq!(s.q1, 2.5);
         assert_eq!(s.q3, 6.5);
         assert_eq!(s.mean, 4.5);
-        assert_eq!(s.iqr(), 4.0);
     }
 
     #[test]

@@ -118,17 +118,6 @@ impl HiraOperation {
             },
         ]
     }
-
-    /// Bank-busy time of a standalone refresh-refresh operation, including
-    /// the trailing precharge: `t1 + t2 + tRAS + tRP`.
-    pub fn refresh_refresh_busy_ns(&self, t: &TimingParams) -> f64 {
-        self.two_row_refresh_ns(t) + t.t_rp
-    }
-
-    /// Bank-busy time of a conventional single-row refresh: `tRAS + tRP`.
-    pub fn single_refresh_busy_ns(t: &TimingParams) -> f64 {
-        t.t_ras + t.t_rp
-    }
 }
 
 impl Default for HiraOperation {
@@ -178,15 +167,5 @@ mod tests {
         assert_eq!(cmds.len(), 4);
         assert!(matches!(cmds[3].command, DramCommand::Pre { .. }));
         assert!((cmds[3].offset_ns - 38.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn busy_time_accounting() {
-        let t = TimingParams::ddr4_2400();
-        let op = HiraOperation::nominal();
-        // 38 + 14.25 = 52.25 ns for two rows vs 2 × 46.25 = 92.5 ns.
-        assert!((op.refresh_refresh_busy_ns(&t) - 52.25).abs() < 1e-9);
-        assert!((HiraOperation::single_refresh_busy_ns(&t) - 46.25).abs() < 1e-9);
-        assert!(op.refresh_refresh_busy_ns(&t) < 2.0 * HiraOperation::single_refresh_busy_ns(&t));
     }
 }

@@ -85,15 +85,6 @@ impl RefreshTable {
             .min_by(|a, b| a.deadline.total_cmp(&b.deadline))
     }
 
-    /// The earliest-deadline entry targeting `bank` (the Case-1 search order:
-    /// iterate in increasing deadline, §5.1.3).
-    pub fn earliest_for_bank(&self, bank: BankId) -> Option<&RefreshEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.bank == bank)
-            .min_by(|a, b| a.deadline.total_cmp(&b.deadline))
-    }
-
     /// Removes and returns the entry equal to `entry` (after it is served).
     pub fn remove(&mut self, entry: &RefreshEntry) -> Option<RefreshEntry> {
         let idx = self.entries.iter().position(|e| e == entry)?;
@@ -168,8 +159,6 @@ mod tests {
         let _ = t.insert(entry(10.0, 1, RefreshKind::Preventive));
         let _ = t.insert(entry(20.0, 0, RefreshKind::Periodic));
         assert_eq!(t.earliest().unwrap().deadline, 10.0);
-        assert_eq!(t.earliest_for_bank(BankId(0)).unwrap().deadline, 20.0);
-        assert!(t.earliest_for_bank(BankId(9)).is_none());
     }
 
     #[test]

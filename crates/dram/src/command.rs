@@ -45,33 +45,6 @@ impl DramCommand {
             DramCommand::PreAll | DramCommand::Ref | DramCommand::Nop => None,
         }
     }
-
-    /// True for commands that open a row.
-    pub fn is_activate(&self) -> bool {
-        matches!(self, DramCommand::Act { .. })
-    }
-
-    /// True for column accesses (reads or writes).
-    pub fn is_column(&self) -> bool {
-        matches!(
-            self,
-            DramCommand::Rd { .. }
-                | DramCommand::RdA { .. }
-                | DramCommand::Wr { .. }
-                | DramCommand::WrA { .. }
-        )
-    }
-
-    /// True for commands that (eventually) close rows.
-    pub fn is_precharge(&self) -> bool {
-        matches!(
-            self,
-            DramCommand::Pre { .. }
-                | DramCommand::PreAll
-                | DramCommand::RdA { .. }
-                | DramCommand::WrA { .. }
-        )
-    }
 }
 
 impl fmt::Display for DramCommand {
@@ -103,26 +76,6 @@ mod tests {
         assert_eq!(act.bank(), Some(BankId(2)));
         assert_eq!(DramCommand::Ref.bank(), None);
         assert_eq!(DramCommand::PreAll.bank(), None);
-    }
-
-    #[test]
-    fn classification_predicates() {
-        let rd = DramCommand::Rd {
-            bank: BankId(0),
-            col: ColId(1),
-        };
-        let rda = DramCommand::RdA {
-            bank: BankId(0),
-            col: ColId(1),
-        };
-        assert!(rd.is_column() && !rd.is_precharge());
-        assert!(rda.is_column() && rda.is_precharge());
-        assert!(DramCommand::Act {
-            bank: BankId(0),
-            row: RowId(0)
-        }
-        .is_activate());
-        assert!(DramCommand::PreAll.is_precharge());
     }
 
     #[test]

@@ -240,33 +240,6 @@ impl TimingParams {
         }
     }
 
-    /// DDR5-4800 parameters (JESD79-5). The paper's §2.3 motivates HiRA
-    /// partly through DDR5's tighter refresh regime: a 32 ms `tREFW` and
-    /// 3.9 µs `tREFI` double the periodic-refresh rate relative to DDR4.
-    pub fn ddr5_4800() -> Self {
-        TimingParams {
-            t_ck: 0.4167,
-            t_rcd: 16.0,
-            t_ras: 32.0,
-            t_rp: 16.0,
-            t_rc: 48.0,
-            t_rrd_l: 5.0,
-            t_rrd_s: 3.3,
-            t_faw: 13.3,
-            t_ccd_l: 5.0,
-            t_ccd_s: 3.333,
-            t_cl: 16.7,
-            t_cwl: 14.2,
-            t_bl: 3.333,
-            t_wr: 30.0,
-            t_wtr: 10.0,
-            t_rtp: 7.5,
-            t_rfc: 295.0,
-            t_refi: 3900.0,
-            t_refw: 32_000_000.0,
-        }
-    }
-
     /// Latency of refreshing two rows back-to-back with nominal commands:
     /// `tRAS + tRP + tRAS` (§3 footnote 2) = 78.25 ns at DDR4-2400.
     pub fn two_row_refresh_ns(&self) -> f64 {
@@ -379,15 +352,6 @@ mod tests {
         // 32 ms window: double DDR4's periodic-refresh rate.
         assert!((TimingParams::ddr4_2400().t_refw / t.t_refw - 2.0).abs() < 1e-9);
         assert!(t.t_rfc < t.t_refi);
-    }
-
-    #[test]
-    fn ddr5_doubles_the_refresh_rate() {
-        let d4 = TimingParams::ddr4_2400();
-        let d5 = TimingParams::ddr5_4800();
-        assert!((d4.t_refw / d5.t_refw - 2.0).abs() < 1e-9);
-        assert!((d4.t_refi / d5.t_refi - 2.0).abs() < 1e-9);
-        assert!(d5.t_rc >= d5.t_ras + d5.t_rp);
     }
 
     #[test]

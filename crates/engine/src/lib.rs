@@ -16,7 +16,11 @@
 //! * [`RunSet`] / [`RunRecord`] — the structured result store with keyed
 //!   lookup, axis aggregation, a tabular pretty-printer, a canonical JSON
 //!   form (the determinism fingerprint) and a `BENCH_<sweep>.json` emitter
-//!   for the perf trajectory.
+//!   for the perf trajectory,
+//! * [`Registry`] — the one string-keyed registry behind every named sweep
+//!   axis (policies, workloads, devices, plugins, probes): names and
+//!   dynamic forms declared once, read by lookup, `--list` and the
+//!   [`UnknownName`] error.
 //!
 //! ## Example
 //!
@@ -43,9 +47,11 @@ pub mod executor;
 pub mod json;
 pub mod pathkey;
 pub mod record;
+pub mod registry;
 pub mod scenario;
 
 pub use executor::{Executor, PointRun, RunObserver};
 pub use pathkey::{sanitize_component, sanitize_key, suffix_path};
 pub use record::{flabel, metric, Metric, PointTelemetry, RunRecord, RunSet};
+pub use registry::{Handle, Registry, UnknownName};
 pub use scenario::{derive_seed, Scenario, ScenarioKey, Sweep, DEFAULT_BASE_SEED};

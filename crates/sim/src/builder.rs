@@ -32,10 +32,11 @@
 
 use crate::config::{KernelMode, SystemConfig};
 use crate::device::{ddr4_2400, DeviceHandle};
-use crate::plugin::{PluginHandle, PluginRegistry};
+use crate::plugin::PluginHandle;
 use crate::policy::{baseline, PolicyHandle};
 use crate::probe::ProbeHandle;
 use hira_dram::timing::TimingParams;
+use hira_engine::{Registry, UnknownName};
 use hira_workload::WorkloadHandle;
 use std::fmt;
 
@@ -108,36 +109,13 @@ pub enum BuildError {
         /// Associativity.
         ways: usize,
     },
-    /// A [`SystemBuilder::policy_name`] lookup did not resolve against the
-    /// standard registry.
-    UnknownPolicy {
-        /// The name that failed to resolve.
-        name: String,
-    },
-    /// A [`SystemBuilder::workload_name`] lookup did not resolve against
-    /// the standard workload registry.
-    UnknownWorkload {
-        /// The name that failed to resolve.
-        name: String,
-    },
-    /// A [`SystemBuilder::device_name`] lookup did not resolve against
-    /// the standard device registry.
-    UnknownDevice {
-        /// The name that failed to resolve.
-        name: String,
-    },
-    /// A [`SystemBuilder::probe_name`] spec did not resolve against the
-    /// probe registry's accepted forms.
-    UnknownProbe {
-        /// The spec that failed to resolve.
-        name: String,
-    },
-    /// A [`SystemBuilder::plugin_name`] spec did not resolve against the
-    /// plugin registry's accepted forms.
-    UnknownPlugin {
-        /// The spec that failed to resolve.
-        name: String,
-    },
+    /// A by-name selection ([`SystemBuilder::policy_name`],
+    /// [`workload_name`](SystemBuilder::workload_name),
+    /// [`device_name`](SystemBuilder::device_name),
+    /// [`probe_name`](SystemBuilder::probe_name) or
+    /// [`plugin_name`](SystemBuilder::plugin_name)) did not resolve against
+    /// the standard registry of its axis.
+    Unknown(UnknownName),
     /// The selected plugin injects directed victim-row refreshes
     /// (VRR-style), but the selected device's decoder drops vendor
     /// directed-refresh commands (the same conservative decoder that is
@@ -207,30 +185,7 @@ impl fmt::Display for BuildError {
                  it needs a power-of-two set count and ways <= 16 x sets",
                 bytes / 64 / ways
             ),
-            BuildError::UnknownPolicy { name } => write!(
-                f,
-                "no refresh policy named `{name}` in the standard registry"
-            ),
-            BuildError::UnknownWorkload { name } => write!(
-                f,
-                "no workload named `{name}` in the standard registry \
-                 (nor a resolvable mix<N>/zipf<N>/rw<N>/open<N>/trace:<path> form)"
-            ),
-            BuildError::UnknownDevice { name } => write!(
-                f,
-                "no device named `{name}` in the standard registry \
-                 (nor a resolvable ddr4-2400@<Gb> form)"
-            ),
-            BuildError::UnknownProbe { name } => write!(
-                f,
-                "no probe form matches `{name}` (accepted: cmdtrace:<prefix>, \
-                 epochs:<cycles>[:<path>], latency:<path>, act-exposure:<path>)"
-            ),
-            BuildError::UnknownPlugin { name } => write!(
-                f,
-                "no plugin form matches `{name}` (accepted: oracle:<tRH>, \
-                 para:<p>, graphene:<tRH>:<k>)"
-            ),
+            BuildError::Unknown(e) => e.fmt(f),
             BuildError::DeviceLacksVrr { device, plugin } => write!(
                 f,
                 "plugin `{plugin}` injects directed victim-row refreshes but \
@@ -252,6 +207,12 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+impl From<UnknownName> for BuildError {
+    fn from(e: UnknownName) -> Self {
+        BuildError::Unknown(e)
+    }
+}
+
 /// Fluent, validated constructor for [`SystemConfig`]. Defaults are the
 /// paper's Table 3 system at 8 Gb chips with Baseline refresh.
 #[derive(Debug, Clone)]
@@ -264,19 +225,13 @@ pub struct SystemBuilder {
     banks: Option<(u16, u16)>,
     /// Explicit chip capacity; the device profile's default otherwise.
     chip_gbit: Option<f64>,
-    device: DeviceHandle,
-    /// A pending by-name device selection, resolved (and validated) at
-    /// [`SystemBuilder::build`]; overrides `device` when set.
-    device_by_name: Option<String>,
+    /// The selected device, or the name that selected none: a by-name
+    /// setter resolves at once, and [`SystemBuilder::build`] reports an
+    /// unknown name. So do `refresh`, `workload` and `probe`.
+    device: Result<DeviceHandle, UnknownName>,
     timing: Option<TimingParams>,
-    refresh: PolicyHandle,
-    /// A pending by-name policy selection, resolved (and validated) at
-    /// [`SystemBuilder::build`]; overrides `refresh` when set.
-    refresh_by_name: Option<String>,
-    workload: WorkloadHandle,
-    /// A pending by-name workload selection, resolved at
-    /// [`SystemBuilder::build`]; overrides `workload` when set.
-    workload_by_name: Option<String>,
+    refresh: Result<PolicyHandle, UnknownName>,
+    workload: Result<WorkloadHandle, UnknownName>,
     llc_bytes: usize,
     llc_ways: usize,
     queue_depth: usize,
@@ -285,15 +240,12 @@ pub struct SystemBuilder {
     spt_fraction: f64,
     seed: u64,
     kernel: KernelMode,
-    probe: Option<ProbeHandle>,
-    /// A pending by-spec probe selection, resolved (and validated) at
-    /// [`SystemBuilder::build`]; overrides `probe` when set.
-    probe_by_name: Option<String>,
+    probe: Result<Option<ProbeHandle>, UnknownName>,
     /// Controller plugins, in attachment order (see [`crate::plugin`]).
     plugins: Vec<PluginHandle>,
-    /// Pending by-spec plugin selections, resolved (and validated) at
-    /// [`SystemBuilder::build`] and appended after `plugins`.
-    plugins_by_name: Vec<String>,
+    /// By-spec plugin selections, resolved when set and appended after
+    /// `plugins` by [`SystemBuilder::build`].
+    plugins_by_name: Vec<Result<PluginHandle, UnknownName>>,
 }
 
 impl Default for SystemBuilder {
@@ -312,13 +264,10 @@ impl SystemBuilder {
             ranks: 1,
             banks: None,
             chip_gbit: None,
-            device: ddr4_2400(),
-            device_by_name: None,
+            device: Ok(ddr4_2400()),
             timing: None,
-            refresh: baseline(),
-            refresh_by_name: None,
-            workload: hira_workload::mix(0),
-            workload_by_name: None,
+            refresh: Ok(baseline()),
+            workload: Ok(hira_workload::mix(0)),
             llc_bytes: 8 << 20,
             llc_ways: 8,
             queue_depth: 64,
@@ -327,8 +276,7 @@ impl SystemBuilder {
             spt_fraction: 0.32,
             seed: 0x5157,
             kernel: KernelMode::default(),
-            probe: None,
-            probe_by_name: None,
+            probe: Ok(None),
             plugins: Vec::new(),
             plugins_by_name: Vec::new(),
         }
@@ -370,18 +318,16 @@ impl SystemBuilder {
     /// The DRAM device (clock, geometry defaults, timing table,
     /// capability flags). Default: the Table 3 `ddr4-2400` part.
     pub fn device(mut self, device: DeviceHandle) -> Self {
-        self.device = device;
-        self.device_by_name = None;
+        self.device = Ok(device);
         self
     }
 
-    /// Selects the device by standard-registry name (`--device=` axes),
-    /// including the dynamic `ddr4-2400@<Gb>` form. The lookup happens in
-    /// [`SystemBuilder::build`], so an unknown name surfaces as
-    /// [`BuildError::UnknownDevice`]; the panicking shortcut for CLI use
-    /// is [`crate::device::device`].
+    /// Selects the device by standard-registry name or dynamic form
+    /// (`--device=` axes). An unknown name surfaces from
+    /// [`SystemBuilder::build`] as [`BuildError::Unknown`]; the panicking
+    /// shortcut for CLI use is [`crate::device::device`].
     pub fn device_name(mut self, name: &str) -> Self {
-        self.device_by_name = Some(name.to_owned());
+        self.device = Registry::shared().resolve(name);
         self
     }
 
@@ -394,36 +340,32 @@ impl SystemBuilder {
 
     /// The periodic refresh policy.
     pub fn policy(mut self, refresh: PolicyHandle) -> Self {
-        self.refresh = refresh;
-        self.refresh_by_name = None;
+        self.refresh = Ok(refresh);
         self
     }
 
-    /// Selects the policy by standard-registry name (`--policy=` axes).
-    /// The lookup happens in [`SystemBuilder::build`], so an unknown name
-    /// surfaces as [`BuildError::UnknownPolicy`] like every other invalid
-    /// input — the panicking shortcut for CLI use is
+    /// Selects the policy by standard-registry name or dynamic form
+    /// (`--policy=` axes). An unknown name surfaces from
+    /// [`SystemBuilder::build`] as [`BuildError::Unknown`] like every
+    /// other invalid input — the panicking shortcut for CLI use is
     /// [`crate::policy::policy`].
     pub fn policy_name(mut self, name: &str) -> Self {
-        self.refresh_by_name = Some(name.to_owned());
+        self.refresh = Registry::shared().resolve(name);
         self
     }
 
     /// The demand workload frontend.
     pub fn workload(mut self, workload: WorkloadHandle) -> Self {
-        self.workload = workload;
-        self.workload_by_name = None;
+        self.workload = Ok(workload);
         self
     }
 
-    /// Selects the workload by standard-registry name (`--workload=`
-    /// axes), including the dynamic `mix<N>`/`zipf<N>`/`rw<N>`/`open<N>`/
-    /// `trace:<path>` forms. The lookup happens in
-    /// [`SystemBuilder::build`], so an unknown name surfaces as
-    /// [`BuildError::UnknownWorkload`]; the panicking shortcut for CLI use
-    /// is [`hira_workload::workload`].
+    /// Selects the workload by standard-registry name or dynamic form
+    /// (`--workload=` axes). An unknown name surfaces from
+    /// [`SystemBuilder::build`] as [`BuildError::Unknown`]; the panicking
+    /// shortcut for CLI use is [`hira_workload::workload`].
     pub fn workload_name(mut self, name: &str) -> Self {
-        self.workload_by_name = Some(name.to_owned());
+        self.workload = Registry::shared().resolve(name);
         self
     }
 
@@ -469,19 +411,16 @@ impl SystemBuilder {
     /// Attaches a run observer (see [`crate::probe`]). Probes never change
     /// the simulation: results are bit-identical with or without one.
     pub fn probe(mut self, probe: ProbeHandle) -> Self {
-        self.probe = Some(probe);
-        self.probe_by_name = None;
+        self.probe = Ok(Some(probe));
         self
     }
 
-    /// Selects the probe by registry spec (`--probe=` axes):
-    /// `cmdtrace:<prefix>`, `epochs:<cycles>[:<path>]`, `latency:<path>`,
-    /// `act-exposure:<path>`. The lookup happens in
-    /// [`SystemBuilder::build`], so a malformed spec surfaces as
-    /// [`BuildError::UnknownProbe`]; the panicking shortcut for CLI use is
+    /// Selects the probe by registry form (`--probe=` axes). A malformed
+    /// spec surfaces from [`SystemBuilder::build`] as
+    /// [`BuildError::Unknown`]; the panicking shortcut for CLI use is
     /// [`crate::probe::probe`].
     pub fn probe_name(mut self, spec: &str) -> Self {
-        self.probe_by_name = Some(spec.to_owned());
+        self.probe = Registry::shared().resolve(spec).map(Some);
         self
     }
 
@@ -493,13 +432,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Attaches a plugin by registry spec (`--plugin=` axes):
-    /// `oracle:<tRH>`, `para:<p>`, `graphene:<tRH>:<k>`. The lookup
-    /// happens in [`SystemBuilder::build`], so a malformed spec surfaces
-    /// as [`BuildError::UnknownPlugin`]; the panicking shortcut for CLI
-    /// use is [`crate::plugin::plugin`].
+    /// Attaches a plugin by registry form (`--plugin=` axes), after every
+    /// plugin attached by handle. A malformed spec surfaces from
+    /// [`SystemBuilder::build`] as [`BuildError::Unknown`]; the panicking
+    /// shortcut for CLI use is [`crate::plugin::plugin`].
     pub fn plugin_name(mut self, spec: &str) -> Self {
-        self.plugins_by_name.push(spec.to_owned());
+        self.plugins_by_name.push(Registry::shared().resolve(spec));
         self
     }
 
@@ -512,12 +450,7 @@ impl SystemBuilder {
     pub fn build(self) -> Result<SystemConfig, BuildError> {
         // The device resolves first: it supplies the geometry, capacity
         // and timing defaults everything below validates against.
-        let device = match self.device_by_name {
-            None => self.device,
-            Some(name) => crate::device::DeviceRegistry::standard()
-                .lookup(&name)
-                .ok_or(BuildError::UnknownDevice { name })?,
-        };
+        let device = self.device?;
         let (banks, bank_groups) = self
             .banks
             .unwrap_or_else(|| (device.profile().banks, device.profile().bank_groups));
@@ -573,36 +506,12 @@ impl SystemBuilder {
                 ways: self.llc_ways,
             });
         }
-        let refresh = match self.refresh_by_name {
-            None => self.refresh,
-            Some(name) => crate::policy::PolicyRegistry::standard()
-                .lookup(&name)
-                .ok_or(BuildError::UnknownPolicy { name })?,
-        };
-        let workload = match self.workload_by_name {
-            None => self.workload,
-            Some(name) => hira_workload::WorkloadRegistry::standard()
-                .lookup(&name)
-                .ok_or(BuildError::UnknownWorkload { name })?,
-        };
-        let probe = match self.probe_by_name {
-            None => self.probe,
-            Some(name) => Some(
-                crate::probe::ProbeRegistry::standard()
-                    .lookup(&name)
-                    .ok_or(BuildError::UnknownProbe { name })?,
-            ),
-        };
+        let refresh = self.refresh?;
+        let workload = self.workload?;
+        let probe = self.probe?;
         let mut plugins = self.plugins;
-        if !self.plugins_by_name.is_empty() {
-            let plugin_registry = PluginRegistry::standard();
-            for name in self.plugins_by_name {
-                plugins.push(
-                    plugin_registry
-                        .lookup(&name)
-                        .ok_or(BuildError::UnknownPlugin { name })?,
-                );
-            }
+        for plugin in self.plugins_by_name {
+            plugins.push(plugin?);
         }
         let cfg = SystemConfig {
             cores: self.cores,
@@ -731,9 +640,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            BuildError::UnknownWorkload {
+            BuildError::Unknown(UnknownName {
+                axis: "workload",
                 name: "nope".into()
-            }
+            })
         );
         // A later explicit workload() overrides a pending name.
         let cfg = SystemBuilder::new()
@@ -756,9 +666,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            BuildError::UnknownPolicy {
+            BuildError::Unknown(UnknownName {
+                axis: "policy",
                 name: "nope".into()
-            }
+            })
         );
         // A later explicit policy() overrides a pending name.
         let cfg = SystemBuilder::new()
@@ -789,9 +700,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            BuildError::UnknownDevice {
+            BuildError::Unknown(UnknownName {
+                axis: "device",
                 name: "nope".into()
-            }
+            })
         );
         // A later explicit device() overrides a pending name.
         let cfg = SystemBuilder::new()
@@ -815,9 +727,10 @@ mod tests {
         let err = SystemBuilder::new().probe_name("nope").build().unwrap_err();
         assert_eq!(
             err,
-            BuildError::UnknownProbe {
+            BuildError::Unknown(UnknownName {
+                axis: "probe",
                 name: "nope".into()
-            }
+            })
         );
         // A later explicit probe() overrides a pending spec.
         let cfg = SystemBuilder::new()
@@ -848,9 +761,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            BuildError::UnknownPlugin {
+            BuildError::Unknown(UnknownName {
+                axis: "plugin",
                 name: "blink:7".into()
-            }
+            })
         );
         // Explicit handles come before pending by-name specs.
         let cfg = SystemBuilder::new()

@@ -1,92 +1,40 @@
-//! The string-keyed device registry: the bridge between CLI/sweep axes
+//! The device axis: the bridge between CLI/sweep axes
 //! (`--device=lpddr4-3200`) and [`DeviceHandle`]s.
 
 use super::{ddr4_2400, ddr4_2400_at, ddr4_3200, lpddr4_3200, samsung_ddr4_2400, DeviceHandle};
+use hira_engine::registry::{named, numeral, Form, Registry};
 
-/// An ordered, string-keyed collection of devices. Order is preserved so
-/// sweeps and the `device_matrix` grid present devices in registration
-/// order, not alphabetically.
-#[derive(Debug, Clone, Default)]
-pub struct DeviceRegistry {
-    entries: Vec<DeviceHandle>,
-}
+/// The string-keyed device registry (see [`hira_engine::Registry`]).
+pub type DeviceRegistry = Registry<DeviceHandle>;
 
-impl DeviceRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        DeviceRegistry::default()
-    }
-
-    /// The registry every binary starts from: the Table 3 part, the two
-    /// 3200 MT/s standards, and the HiRA-inert comparison part.
-    pub fn standard() -> Self {
-        let mut r = DeviceRegistry::new();
-        r.register(ddr4_2400());
-        r.register(ddr4_3200());
-        r.register(lpddr4_3200());
-        r.register(samsung_ddr4_2400());
-        r
-    }
-
-    /// Registers (or replaces, by name) a device.
-    pub fn register(&mut self, handle: DeviceHandle) {
-        if let Some(existing) = self.entries.iter_mut().find(|h| h.name() == handle.name()) {
-            *existing = handle;
-        } else {
-            self.entries.push(handle);
-        }
-    }
-
-    /// Resolves a name. Exact registered names win; the parametric
-    /// `ddr4-2400@<Gb>` form resolves dynamically for any canonical
-    /// positive integer capacity (like `hira<N>` / `mix<N>` on the other
-    /// axes).
-    pub fn lookup(&self, name: &str) -> Option<DeviceHandle> {
-        if let Some(h) = self.entries.iter().find(|h| h.name() == name) {
-            return Some(h.clone());
-        }
-        let gbit: u32 = name.strip_prefix("ddr4-2400@")?.parse().ok()?;
-        // Canonical spellings only (`@32`, not `@032`): the handle's name
-        // must render back identical to the requested key, or name-keyed
-        // caches would silently disagree with the axis label.
-        (gbit > 0 && name == format!("ddr4-2400@{gbit}")).then(|| ddr4_2400_at(gbit))
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(DeviceHandle::name).collect()
-    }
-
-    /// Registered handles, in registration order.
-    pub fn handles(&self) -> impl Iterator<Item = &DeviceHandle> {
-        self.entries.iter()
-    }
-
-    /// Number of registered devices.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
+// The device axis. Its standard handles are the Table 3 part (first),
+// the two 3200 MT/s standards and the HiRA-inert comparison part.
+hira_engine::axis!(
+    DeviceHandle,
+    "device",
+    || vec![ddr4_2400(), ddr4_3200(), lpddr4_3200(), samsung_ddr4_2400()],
+    &[Form {
+        grammar: "ddr4-2400@<Gb>",
+        summary: "the DDR4-2400 part pinned at <Gb> >= 1 (tRFC fixed)",
+        example: "ddr4-2400@32",
+        parse: |name| {
+            numeral(name, "ddr4-2400@")
+                .and_then(|gbit| u32::try_from(gbit).ok())
+                .filter(|&gbit| gbit > 0)
+                .map(ddr4_2400_at)
+        },
+    }],
+    None,
+);
 
 /// Resolves `name` against the standard registry.
 ///
 /// # Panics
 ///
-/// Panics with the list of known names when `name` does not resolve — a
-/// typo'd `--device=` axis is a usage error, not a recoverable state.
+/// Panics when `name` does not resolve — a typo'd `--device=` axis is a
+/// usage error, not a recoverable state.
 pub fn device(name: &str) -> DeviceHandle {
-    let registry = DeviceRegistry::standard();
-    registry.lookup(name).unwrap_or_else(|| {
-        panic!(
-            "unknown device `{name}`; registered: {} (plus ddr4-2400@<Gb> for any capacity)",
-            registry.names().join(", ")
-        )
-    })
+    named(name)
 }
 
 #[cfg(test)]
@@ -120,14 +68,14 @@ mod tests {
 
     #[test]
     fn register_replaces_by_name() {
-        let mut r = DeviceRegistry::new();
+        let mut r = DeviceRegistry::default();
         r.register(super::ddr4_2400());
         r.register(super::ddr4_2400());
         assert_eq!(r.len(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "unknown device")]
+    #[should_panic(expected = "unknown device `definitely-not-a-device`")]
     fn unknown_device_panics_with_the_known_list() {
         let _ = device("definitely-not-a-device");
     }

@@ -108,7 +108,7 @@ mod registry;
 pub use graphene::{graphene, GraphenePlugin};
 pub use oracle::{oracle, OracleRh};
 pub use para::{para, ParaPlugin};
-pub use registry::PluginRegistry;
+pub use registry::{plugin, PluginRegistry};
 
 use crate::config::SystemConfig;
 use crate::llc::IntMap;
@@ -439,25 +439,6 @@ impl std::hash::Hash for PluginHandle {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.name.hash(state);
     }
-}
-
-/// CLI shortcut: resolves a plugin spec through the standard registry,
-/// panicking with the accepted grammar on failure (the typed-error path
-/// is [`crate::builder::SystemBuilder::plugin_name`]).
-///
-/// # Panics
-///
-/// Panics when the spec does not resolve.
-pub fn plugin(spec: &str) -> PluginHandle {
-    PluginRegistry::standard().lookup(spec).unwrap_or_else(|| {
-        let forms = PluginRegistry::standard()
-            .forms()
-            .iter()
-            .map(|(f, _)| *f)
-            .collect::<Vec<_>>()
-            .join(", ");
-        panic!("unknown plugin spec `{spec}` (accepted forms: {forms})")
-    })
 }
 
 #[cfg(test)]

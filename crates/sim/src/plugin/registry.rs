@@ -1,84 +1,69 @@
-//! The string-keyed plugin registry behind `--plugin=` axes: the three
-//! shipped defenses as dynamic parameterized forms, plus user-registered
-//! handles (checked first, in registration order).
+//! The controller-plugin axis behind `--plugin=`: the three shipped
+//! defenses as dynamic parameterized forms, plus any handles a registry
+//! of one's own registers (checked first, by exact name).
 
 use super::{graphene, oracle, para, PluginHandle};
+use hira_engine::registry::{named, Form, Registry};
 
-/// The ordered plugin registry. Like [`crate::probe::ProbeRegistry`], the
-/// built-in roster is a grammar of dynamic forms rather than a fixed name
-/// list; custom handles registered with [`register`](Self::register)
-/// shadow the grammar and resolve first.
-#[derive(Default)]
-pub struct PluginRegistry {
-    custom: Vec<PluginHandle>,
-}
+/// The string-keyed plugin registry (see [`hira_engine::Registry`]).
+pub type PluginRegistry = Registry<PluginHandle>;
 
-impl PluginRegistry {
-    /// The standard registry: the three shipped defense forms.
-    pub fn standard() -> Self {
-        PluginRegistry::default()
-    }
-
-    /// Registers a custom handle. Later registrations shadow earlier ones
-    /// of the same name; all shadow the built-in forms.
-    pub fn register(&mut self, handle: PluginHandle) {
-        self.custom.push(handle);
-    }
-
-    /// The accepted `--plugin=` forms with one-line descriptions.
-    pub fn forms(&self) -> Vec<(&'static str, &'static str)> {
-        vec![
-            (
-                "oracle:<tRH>",
-                "exact per-row exposure counters, victim refresh at tRH (lower bound; needs VRR)",
-            ),
-            (
-                "para:<p>",
-                "probabilistic adjacent-row refresh, trigger probability p per activation",
-            ),
-            (
-                "graphene:<tRH>:<k>",
-                "Misra-Gries aggressor tracking, k counters/bank, neighbor refresh at tRH (needs VRR)",
-            ),
-        ]
-    }
-
-    /// Resolves a `--plugin=` spec: custom handles by exact name first,
-    /// then the dynamic built-in forms. Returns the handle under its
-    /// *canonical* name (`oracle:1024`, `para:0.01`, `graphene:1024:64` —
-    /// parameter rendering is normalized so `oracle:01024` and
-    /// `oracle:1024` key one cache entry).
-    pub fn lookup(&self, spec: &str) -> Option<PluginHandle> {
-        if let Some(h) = self.custom.iter().rev().find(|h| h.name() == spec) {
-            return Some(h.clone());
-        }
-        let (kind, rest) = spec.split_once(':')?;
-        match kind {
-            "oracle" => {
-                let t_rh: u64 = rest.parse().ok().filter(|&t| t > 0)?;
-                Some(oracle(t_rh))
-            }
-            "para" => {
-                let p: f64 = rest.parse().ok().filter(|p| (0.0..=1.0).contains(p))?;
-                Some(para(p))
-            }
-            "graphene" => {
-                let (t_rh, k) = rest.split_once(':')?;
+// The plugin axis. Like the probe axis, its built-in roster is a grammar
+// of dynamic forms rather than a fixed name list. Each form resolves to
+// its handle under the *canonical* name (`oracle:01024` and `oracle:1024`
+// key one cache entry), and `none` is the undefended point. The examples
+// are the roster the registry-wide determinism and kernel-equivalence
+// tests sweep ([`Registry::samples`]), with parameters low enough that
+// short test runs exercise the injection paths.
+hira_engine::axis!(
+    PluginHandle,
+    "plugin",
+    Vec::new,
+    &[
+        Form {
+            grammar: "oracle:<tRH>",
+            summary: "exact per-row exposure counters, victim refresh at tRH \
+                      (lower bound; needs VRR)",
+            example: "oracle:64",
+            parse: |spec| {
+                let t_rh: u64 = spec.strip_prefix("oracle:")?.parse().ok()?;
+                (t_rh > 0).then(|| oracle(t_rh))
+            },
+        },
+        Form {
+            grammar: "para:<p>",
+            summary: "probabilistic adjacent-row refresh, trigger probability p per activation",
+            example: "para:0.05",
+            parse: |spec| {
+                let p: f64 = spec.strip_prefix("para:")?.parse().ok()?;
+                (0.0..=1.0).contains(&p).then(|| para(p))
+            },
+        },
+        Form {
+            grammar: "graphene:<tRH>:<k>",
+            summary: "Misra-Gries aggressor tracking, k counters/bank, neighbor refresh \
+                      at tRH (needs VRR)",
+            example: "graphene:64:16",
+            parse: |spec| {
+                let (t_rh, k) = spec.strip_prefix("graphene:")?.split_once(':')?;
                 let t_rh: u64 = t_rh.parse().ok().filter(|&t| t > 0)?;
                 let k: usize = k.parse().ok().filter(|&k| k > 0)?;
                 Some(graphene(t_rh, k))
-            }
-            _ => None,
-        }
-    }
+            },
+        },
+    ],
+    Some("no plugin attached (the undefended baseline)"),
+);
 
-    /// One representative instance of every shipped defense — the roster
-    /// the registry-wide determinism and kernel-equivalence tests sweep.
-    /// Parameters are picked low enough that short test runs actually
-    /// exercise the injection paths.
-    pub fn samples(&self) -> Vec<PluginHandle> {
-        vec![oracle(64), para(0.05), graphene(64, 16)]
-    }
+/// Resolves a plugin spec against the standard registry (the typed-error
+/// path is [`crate::builder::SystemBuilder::plugin_name`]).
+///
+/// # Panics
+///
+/// Panics when the spec does not resolve — a typo'd `--plugin=` axis is a
+/// usage error, not a recoverable state.
+pub fn plugin(spec: &str) -> PluginHandle {
+    named(spec)
 }
 
 #[cfg(test)]
@@ -126,6 +111,7 @@ mod tests {
             "graphene:0:64",
             "graphene:1024:0",
             "blink:7",
+            "none",
         ] {
             assert!(r.lookup(bad).is_none(), "accepted {bad:?}");
         }
@@ -147,7 +133,10 @@ mod tests {
     #[test]
     fn samples_build_and_carry_canonical_names() {
         let r = PluginRegistry::standard();
-        for h in r.samples() {
+        let samples = r.samples();
+        let names: Vec<&str> = samples.iter().map(|h| h.name()).collect();
+        assert_eq!(names, ["oracle:64", "para:0.05", "graphene:64:16"]);
+        for h in samples {
             assert_eq!(r.lookup(h.name()).unwrap(), h, "{} round-trips", h.name());
             let p = h.build(&env());
             assert_eq!(p.name(), h.name());

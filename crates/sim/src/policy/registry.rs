@@ -1,91 +1,44 @@
-//! The string-keyed policy registry: the bridge between CLI/sweep axes
+//! The refresh-policy axis: the bridge between CLI/sweep axes
 //! (`--policy=hira4`) and [`PolicyHandle`]s.
 
 use super::{baseline, hira, noref, raidr, refpb, PolicyHandle};
+use hira_engine::registry::{named, numeral, Form, Registry};
 
-/// An ordered, string-keyed collection of refresh policies. Order is
-/// preserved so sweeps and the `policy_matrix` figure present policies in
-/// registration order, not alphabetically.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyRegistry {
-    entries: Vec<PolicyHandle>,
-}
+/// The string-keyed policy registry (see [`hira_engine::Registry`]).
+pub type PolicyRegistry = Registry<PolicyHandle>;
 
-impl PolicyRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        PolicyRegistry::default()
-    }
-
-    /// The registry every binary starts from: the paper's three
-    /// arrangements plus the related-work policies the open API enables.
-    pub fn standard() -> Self {
-        let mut r = PolicyRegistry::new();
-        r.register(noref());
-        r.register(baseline());
-        r.register(refpb());
-        r.register(raidr());
-        for n in [0, 2, 4, 8] {
-            r.register(hira(n));
-        }
-        r
-    }
-
-    /// Registers (or replaces, by name) a policy.
-    pub fn register(&mut self, handle: PolicyHandle) {
-        if let Some(existing) = self.entries.iter_mut().find(|h| h.name() == handle.name()) {
-            *existing = handle;
-        } else {
-            self.entries.push(handle);
-        }
-    }
-
-    /// Resolves a name. Exact registered names win; `hira<N>` is resolved
-    /// for any `N` even when that slack point is not pre-registered.
-    pub fn lookup(&self, name: &str) -> Option<PolicyHandle> {
-        if let Some(h) = self.entries.iter().find(|h| h.name() == name) {
-            return Some(h.clone());
-        }
-        name.strip_prefix("hira")
-            .and_then(|n| n.parse::<u32>().ok())
-            .map(hira)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(PolicyHandle::name).collect()
-    }
-
-    /// Registered handles, in registration order.
-    pub fn handles(&self) -> impl Iterator<Item = &PolicyHandle> {
-        self.entries.iter()
-    }
-
-    /// Number of registered policies.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
+// The policy axis. Its standard handles are the paper's three
+// arrangements plus the related-work policies the open API enables, with
+// `noref` (the bound) first.
+hira_engine::axis!(
+    PolicyHandle,
+    "policy",
+    || {
+        let mut handles = vec![noref(), baseline(), refpb(), raidr()];
+        handles.extend([0, 2, 4, 8].map(hira));
+        handles
+    },
+    &[Form {
+        grammar: "hira<N>",
+        summary: "per-row refresh through HiRA-MC at any slack point: tRefSlack = N*tRC",
+        example: "hira3",
+        parse: |name| {
+            numeral(name, "hira")
+                .and_then(|n| u32::try_from(n).ok())
+                .map(hira)
+        },
+    }],
+    None,
+);
 
 /// Resolves `name` against the standard registry.
 ///
 /// # Panics
 ///
-/// Panics with the list of known names when `name` does not resolve — a
-/// typo'd `--policy=` axis is a usage error, not a recoverable state.
+/// Panics when `name` does not resolve — a typo'd `--policy=` axis is a
+/// usage error, not a recoverable state.
 pub fn policy(name: &str) -> PolicyHandle {
-    let registry = PolicyRegistry::standard();
-    registry.lookup(name).unwrap_or_else(|| {
-        panic!(
-            "unknown refresh policy `{name}`; registered: {} (plus hira<N> for any N)",
-            registry.names().join(", ")
-        )
-    })
+    named(name)
 }
 
 #[cfg(test)]
@@ -111,11 +64,16 @@ mod tests {
         assert_eq!(r.lookup("hira3").unwrap().name(), "hira3");
         assert!(r.lookup("hiraX").is_none());
         assert!(r.lookup("nope").is_none());
+        // Only the canonical numeral names a slack point: `hira04` and
+        // `hira+4` would label a second cell that runs `hira4`.
+        for bad in ["hira04", "hira+4", "hira", "hira4294967296"] {
+            assert!(r.lookup(bad).is_none(), "{bad} resolved");
+        }
     }
 
     #[test]
     fn register_replaces_by_name() {
-        let mut r = PolicyRegistry::new();
+        let mut r = PolicyRegistry::default();
         r.register(PolicyHandle::new("x", |_| {
             Box::new(super::super::NoRefresh)
         }));
@@ -126,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown refresh policy")]
+    #[should_panic(expected = "unknown policy `definitely-not-a-policy`")]
     fn unknown_policy_panics_with_the_known_list() {
         let _ = policy("definitely-not-a-policy");
     }

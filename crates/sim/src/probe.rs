@@ -85,6 +85,7 @@
 
 use crate::clock::MemCycle;
 use crate::metrics::{LatencyHistogram, SimResult};
+use hira_engine::registry::{named, Form, Registry};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
@@ -946,81 +947,70 @@ pub fn act_exposure_collector() -> (ProbeHandle, Arc<Mutex<HashMap<RowAddr, u64>
 // Registry.
 // ---------------------------------------------------------------------------
 
-/// The probe registry: all built-in forms are dynamic (parameterized), so
-/// unlike the policy/workload/device registries it carries no fixed
-/// handle roster — [`ProbeRegistry::lookup`] parses the form and
-/// [`ProbeRegistry::forms`] documents the grammar for `--list`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProbeRegistry;
+/// The string-keyed probe registry (see [`hira_engine::Registry`]).
+pub type ProbeRegistry = Registry<ProbeHandle>;
 
-impl ProbeRegistry {
-    /// The standard registry.
-    pub fn standard() -> Self {
-        ProbeRegistry
-    }
-
-    /// The accepted `--probe=` forms with one-line descriptions.
-    pub fn forms(&self) -> Vec<(&'static str, &'static str)> {
-        vec![
-            (
-                "cmdtrace:<prefix>",
-                "ramulator-style command trace, one <prefix>.ch<N>.cmdtrace per channel",
-            ),
-            (
-                "epochs:<cycles>[:<path>]",
-                "epoch time-series sampler, JSONL (default path epochs.jsonl)",
-            ),
-            (
-                "latency:<path>",
-                "read/write latency histograms + p50/p90/p99/p999, JSONL",
-            ),
-            (
-                "act-exposure:<path>",
-                "per-row ACT-exposure counts, JSONL top rows",
-            ),
-        ]
-    }
-
-    /// Resolves a probe spec (`cmdtrace:out`, `epochs:20000:ts.jsonl`,
-    /// `latency:lat.jsonl`, `act-exposure:acts.jsonl`). `None` when the
-    /// form is unknown or malformed.
-    pub fn lookup(&self, spec: &str) -> Option<ProbeHandle> {
-        let (kind, rest) = spec.split_once(':')?;
-        match kind {
-            "cmdtrace" if !rest.is_empty() => Some(CmdTraceProbe::handle(rest)),
-            "epochs" => {
+// The probe axis: every built-in form is dynamic (parameterized), so it
+// registers no fixed handle.
+hira_engine::axis!(
+    ProbeHandle,
+    "probe",
+    Vec::new,
+    &[
+        Form {
+            grammar: "cmdtrace:<prefix>",
+            summary: "ramulator-style command trace, one <prefix>.ch<N>.cmdtrace per channel",
+            example: "cmdtrace:out",
+            parse: |spec| {
+                let prefix = spec.strip_prefix("cmdtrace:")?;
+                (!prefix.is_empty()).then(|| CmdTraceProbe::handle(prefix))
+            },
+        },
+        Form {
+            grammar: "epochs:<cycles>[:<path>]",
+            summary: "epoch time-series sampler, JSONL (default path epochs.jsonl)",
+            example: "epochs:5000:ts.jsonl",
+            parse: |spec| {
+                let rest = spec.strip_prefix("epochs:")?;
                 let (every, path) = match rest.split_once(':') {
-                    Some((e, p)) if !p.is_empty() => (e, p.to_string()),
-                    Some((e, _)) => (e, "epochs.jsonl".to_string()),
-                    None => (rest, "epochs.jsonl".to_string()),
+                    Some((e, p)) if !p.is_empty() => (e, p),
+                    Some((e, _)) => (e, "epochs.jsonl"),
+                    None => (rest, "epochs.jsonl"),
                 };
                 let every: u64 = every.parse().ok().filter(|&e| e > 0)?;
                 Some(EpochJsonlProbe::handle(every, path))
-            }
-            "latency" if !rest.is_empty() => Some(LatencyProbe::handle(rest)),
-            "act-exposure" if !rest.is_empty() => Some(ActExposureProbe::handle(rest)),
-            _ => None,
-        }
-    }
-}
+            },
+        },
+        Form {
+            grammar: "latency:<path>",
+            summary: "read/write latency histograms + p50/p90/p99/p999, JSONL",
+            example: "latency:lat.jsonl",
+            parse: |spec| {
+                let path = spec.strip_prefix("latency:")?;
+                (!path.is_empty()).then(|| LatencyProbe::handle(path))
+            },
+        },
+        Form {
+            grammar: "act-exposure:<path>",
+            summary: "per-row ACT-exposure counts, JSONL top rows",
+            example: "act-exposure:acts.jsonl",
+            parse: |spec| {
+                let path = spec.strip_prefix("act-exposure:")?;
+                (!path.is_empty()).then(|| ActExposureProbe::handle(path))
+            },
+        },
+    ],
+    None,
+);
 
-/// CLI shortcut: resolves a probe spec through the standard registry,
-/// panicking with the accepted grammar on failure (the typed-error path
-/// is [`crate::builder::SystemBuilder::probe_name`]).
+/// CLI shortcut: resolves a probe spec through the standard registry (the
+/// typed-error path is [`crate::builder::SystemBuilder::probe_name`]).
 ///
 /// # Panics
 ///
 /// Panics when the spec does not resolve.
 pub fn probe(spec: &str) -> ProbeHandle {
-    ProbeRegistry::standard().lookup(spec).unwrap_or_else(|| {
-        let forms = ProbeRegistry::standard()
-            .forms()
-            .iter()
-            .map(|(f, _)| *f)
-            .collect::<Vec<_>>()
-            .join(", ");
-        panic!("unknown probe spec `{spec}` (accepted forms: {forms})")
-    })
+    named(spec)
 }
 
 #[cfg(test)]
@@ -1073,7 +1063,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown probe spec")]
+    #[should_panic(expected = "unknown probe `not-a-probe`")]
     fn probe_shortcut_panics_with_the_grammar() {
         probe("not-a-probe");
     }

@@ -2,12 +2,11 @@
 //!
 //! A cached result is only reusable while the *code* that produced it is
 //! equivalent, so every point key folds in a salt derived from
-//! [`crate::CACHE_SCHEMA_VERSION`] and the registry fingerprints of the
-//! process (which policies/workloads/devices/probes exist, under which
-//! names). Renaming or adding a registered handle changes the salt and
-//! thereby invalidates the whole store — conservative on purpose: names
-//! are the identity the cache keys configurations by, so a registry
-//! change is a semantics change until proven otherwise.
+//! [`crate::CACHE_SCHEMA_VERSION`] and the caller's code fingerprint
+//! sections (`hira-bench` passes a digest of the simulator's source). A
+//! fingerprint change moves the salt and thereby invalidates the whole
+//! store — conservative on purpose: a code change is a semantics change
+//! until proven otherwise.
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
@@ -287,7 +286,7 @@ pub fn sha256_hex(data: &[u8]) -> String {
 /// canonical scenario configuration, the point's deterministic seed, and
 /// the process's code-version [`code_version_salt`]. Stable across runs,
 /// platforms and thread counts; any change to what the point *means*
-/// (config, seed, schema version, registry contents) moves the key.
+/// (config, seed, schema version, code fingerprint) moves the key.
 pub fn point_key(canonical_config: &str, seed: u64, salt: u64) -> String {
     let mut h = Sha256::new();
     h.update(b"hira-store/point\x1e");
@@ -299,8 +298,8 @@ pub fn point_key(canonical_config: &str, seed: u64, salt: u64) -> String {
 
 /// [`code_version_salt`] with an explicit schema version — the testable
 /// core: bumping the version or changing any section's entries changes the
-/// salt; identical inputs (e.g. the same registries in two processes)
-/// yield the identical salt.
+/// salt; identical inputs (e.g. the same build in two processes) yield
+/// the identical salt.
 pub fn salt_with_version<'a>(
     version: u32,
     sections: impl IntoIterator<Item = (&'a str, Vec<String>)>,
@@ -321,10 +320,10 @@ pub fn salt_with_version<'a>(
 }
 
 /// The code-version salt for the current [`crate::CACHE_SCHEMA_VERSION`]
-/// and the given registry fingerprint sections (section name → registered
-/// handle names, in registry order). Callers pass every registry whose
-/// contents a cached result could depend on — `hira-bench` passes
-/// policies, workloads, devices and probe forms.
+/// and the given code fingerprint sections (section name → entries, in
+/// order). Callers pass everything a cached result could depend on —
+/// `hira-bench` passes the digest of the source that decides a point's
+/// numbers.
 pub fn code_version_salt<'a>(sections: impl IntoIterator<Item = (&'a str, Vec<String>)>) -> u64 {
     salt_with_version(crate::CACHE_SCHEMA_VERSION, sections)
 }

@@ -8,9 +8,10 @@
 //! * [`point_key`] — the content address: SHA-256 over a canonical
 //!   configuration string, the point's deterministic seed, and a
 //!   code-version salt ([`code_version_salt`]) derived from
-//!   [`CACHE_SCHEMA_VERSION`] plus the process's registry fingerprints.
-//!   Registry changes (a policy added, a workload renamed) move the salt
-//!   and conservatively invalidate the whole store.
+//!   [`CACHE_SCHEMA_VERSION`] plus the caller's code fingerprints. A
+//!   fingerprint change (`hira-bench` passes a digest of the simulator's
+//!   source) moves the salt and conservatively invalidates the whole
+//!   store.
 //! * [`SweepStore`] — an append-only on-disk store (one JSONL shard per
 //!   sweep, in-memory index over all shards) with truncated-tail crash
 //!   recovery.
@@ -32,9 +33,10 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! let mut store = SweepStore::open(&dir)?;
 //!
-//! // The salt folds in the schema version and the registries the results
-//! // depend on; identical registries in another process → identical salt.
-//! let salt = code_version_salt([("policy", vec!["noref".to_string(), "hira4".to_string()])]);
+//! // The salt folds in the schema version and a fingerprint of the code
+//! // the results depend on; the same code in another process → the same
+//! // salt.
+//! let salt = code_version_salt([("source", vec!["0123456789abcdef".to_string()])]);
 //!
 //! let sweep = Sweep::new("doc_demo").axis("n", [("1", 1u32), ("2", 2)], |_, &n| n);
 //! // `canon` must capture everything the result depends on besides seed

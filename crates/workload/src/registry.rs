@@ -1,37 +1,28 @@
-//! The string-keyed workload registry: the bridge between CLI/sweep axes
+//! The workload axis: the bridge between CLI/sweep axes
 //! (`--workload=zipf80`) and [`WorkloadHandle`]s.
 
 use crate::generators::{chase, hotspot, open_loop, random, rw, stream, zipf};
 use crate::spec::{mix, spec_handle, BENCHMARKS};
 use crate::trace::{demo_trace, trace_file};
 use crate::WorkloadHandle;
+use hira_engine::registry::{named, numeral, Form, Registry};
 
-/// An ordered, string-keyed collection of workloads. Order is preserved so
-/// sweeps and the `workload_matrix` figure present workloads in
-/// registration order, not alphabetically.
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadRegistry {
-    entries: Vec<WorkloadHandle>,
-}
+/// The string-keyed workload registry (see [`hira_engine::Registry`]).
+pub type WorkloadRegistry = Registry<WorkloadHandle>;
 
-impl WorkloadRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        WorkloadRegistry::default()
-    }
-
-    /// The registry every binary starts from — all three families:
-    ///
-    /// * the first multiprogrammed mixes plus every roster benchmark
-    ///   (synthetic),
-    /// * the parametric generators (`stream`, `random`, `chase`,
-    ///   `hotspot`, `zipf80`, `rw50`, `open25`),
-    /// * the embedded `demo-trace` replay.
-    pub fn standard() -> Self {
-        let mut r = WorkloadRegistry::new();
-        r.register(mix(0));
-        r.register(mix(1));
-        for h in [
+// The workload axis. Its standard handles cover all three families: the
+// first multiprogrammed mixes plus every roster benchmark (synthetic),
+// the parametric generators at one setting each, and the embedded
+// `demo-trace` replay. A `trace:<path>` name resolves to nothing when the
+// file is missing or malformed; [`crate::trace_file`] gives the typed
+// [`crate::ParseError`].
+hira_engine::axis!(
+    WorkloadHandle,
+    "workload",
+    || {
+        let mut handles = vec![
+            mix(0),
+            mix(1),
             stream(),
             random(),
             chase(),
@@ -39,88 +30,57 @@ impl WorkloadRegistry {
             zipf(80),
             rw(50),
             open_loop(25),
-        ] {
-            r.register(h);
-        }
-        r.register(demo_trace().into_handle("demo-trace"));
-        for b in BENCHMARKS {
-            r.register(spec_handle(b));
-        }
-        r
-    }
-
-    /// Registers (or replaces, by name) a workload.
-    pub fn register(&mut self, handle: WorkloadHandle) {
-        if let Some(existing) = self.entries.iter_mut().find(|h| h.name() == handle.name()) {
-            *existing = handle;
-        } else {
-            self.entries.push(handle);
-        }
-    }
-
-    /// Resolves a name. Exact registered names win; these parameterized
-    /// forms resolve dynamically for any parameter value:
-    ///
-    /// * `mix<N>` — multiprogrammed mix `N` of the standard suite,
-    /// * `zipf<N>` — zipfian with θ = N/100,
-    /// * `rw<N>` — uniform-random with N % stores (N ≤ 100),
-    /// * `open<N>` — open-loop at N accesses per kilo-instruction (N a
-    ///   divisor of 1000, so the name states the exact simulated rate),
-    /// * `trace:<path>` — replay of the trace file at `path` (`None` when
-    ///   the file is missing or malformed; use [`crate::trace_file`]
-    ///   directly for the typed [`crate::ParseError`]).
-    pub fn lookup(&self, name: &str) -> Option<WorkloadHandle> {
-        if let Some(h) = self.entries.iter().find(|h| h.name() == name) {
-            return Some(h.clone());
-        }
-        if let Some(n) = dyn_param(name, "mix") {
-            return Some(mix(n as usize));
-        }
-        if let Some(n) = dyn_param(name, "zipf") {
-            return u32::try_from(n).ok().map(zipf);
-        }
-        if let Some(n) = dyn_param(name, "rw") {
-            return (n <= 100).then(|| rw(n as u32));
-        }
-        if let Some(n) = dyn_param(name, "open") {
-            return ((1..=1000).contains(&n) && 1000 % n == 0).then(|| open_loop(n as u32));
-        }
-        if let Some(path) = name.strip_prefix("trace:") {
-            return trace_file(path).ok();
-        }
-        None
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(WorkloadHandle::name).collect()
-    }
-
-    /// Registered handles, in registration order.
-    pub fn handles(&self) -> impl Iterator<Item = &WorkloadHandle> {
-        self.entries.iter()
-    }
-
-    /// Number of registered workloads.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Parses the numeric suffix of a dynamic form, rejecting non-canonical
-/// spellings (`rw050`, `rw+50`): the suffix must render back identically,
-/// or the returned handle's name would differ from the requested key and
-/// name-keyed caches/lookups would silently disagree with the axis label.
-fn dyn_param(name: &str, prefix: &str) -> Option<u64> {
-    let suffix = name.strip_prefix(prefix)?;
-    let n: u64 = suffix.parse().ok()?;
-    (n.to_string() == suffix).then_some(n)
-}
+            demo_trace().into_handle("demo-trace"),
+        ];
+        handles.extend(BENCHMARKS.iter().map(spec_handle));
+        handles
+    },
+    &[
+        Form {
+            grammar: "mix<N>",
+            summary: "multiprogrammed roster mix N of the standard suite",
+            example: "mix7",
+            parse: |name| numeral(name, "mix").map(|n| mix(n as usize)),
+        },
+        Form {
+            grammar: "zipf<N>",
+            summary: "zipfian generator with theta = N/100",
+            example: "zipf123",
+            parse: |name| {
+                numeral(name, "zipf")
+                    .and_then(|n| u32::try_from(n).ok())
+                    .map(zipf)
+            },
+        },
+        Form {
+            grammar: "rw<N>",
+            summary: "uniform-random generator with N % stores, N <= 100",
+            example: "rw99",
+            parse: |name| {
+                numeral(name, "rw")
+                    .filter(|&n| n <= 100)
+                    .map(|n| rw(n as u32))
+            },
+        },
+        Form {
+            grammar: "open<N>",
+            summary: "open-loop generator at N accesses per kinst, N a divisor of 1000",
+            example: "open4",
+            parse: |name| {
+                numeral(name, "open")
+                    .filter(|&n| (1..=1000).contains(&n) && 1000 % n == 0)
+                    .map(|n| open_loop(n as u32))
+            },
+        },
+        Form {
+            grammar: "trace:<path>",
+            summary: "replay of the .trace file at <path>",
+            example: "trace:crates/workload/data/demo.trace",
+            parse: |name| trace_file(name.strip_prefix("trace:")?).ok(),
+        },
+    ],
+    None,
+);
 
 /// Resolves `name` against the standard registry.
 ///
@@ -133,13 +93,7 @@ pub fn workload(name: &str) -> WorkloadHandle {
     if let Some(path) = name.strip_prefix("trace:") {
         return trace_file(path).unwrap_or_else(|e| panic!("--workload={name}: {e}"));
     }
-    let registry = WorkloadRegistry::standard();
-    registry.lookup(name).unwrap_or_else(|| {
-        panic!(
-            "unknown workload `{name}`; registered: {} (plus mix<N>, zipf<N>, rw<N>, open<N>, trace:<path>)",
-            registry.names().join(", ")
-        )
-    })
+    named(name)
 }
 
 #[cfg(test)]
@@ -185,7 +139,7 @@ mod tests {
 
     #[test]
     fn register_replaces_by_name() {
-        let mut r = WorkloadRegistry::new();
+        let mut r = WorkloadRegistry::default();
         r.register(crate::generators::rw(50));
         r.register(crate::generators::rw(50));
         assert_eq!(r.len(), 1);
@@ -199,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown workload")]
+    #[should_panic(expected = "unknown workload `definitely-not-a-workload`")]
     fn unknown_workload_panics_with_the_known_list() {
         let _ = workload("definitely-not-a-workload");
     }

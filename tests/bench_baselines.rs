@@ -3,12 +3,14 @@
 //! `BENCH_<name>.json` was made at (matrices: `HIRA_INSTS=4000`, plus
 //! `HIRA_MIXES=2` for the policy matrix; figures: `HIRA_MIXES=1
 //! HIRA_INSTS=10000`), reproduces every `(key, metric, value)` of the
-//! committed file in order — walls and telemetry aside — so a change that
-//! moves any simulated number names the first cell it moved.
+//! committed file in order — walls and telemetry aside. A change that
+//! moves any simulated number fails on the first cell it moved, after
+//! printing every cell it moved, missed or added.
 
 use hira::engine::json::{self, Value};
 use hira::engine::{Executor, RunSet};
 use hira_bench::{Figure, Geometry, Matrix, MatrixArgs, Scale, SweepRun};
+use std::collections::HashMap;
 
 /// One record as `(key axes, metric, value)`.
 type Cell = (Vec<(String, String)>, String, f64);
@@ -37,6 +39,41 @@ fn committed(path: &str) -> Vec<Cell> {
         .collect()
 }
 
+/// One line per `(key, metric)` whose value differs between the committed
+/// cells `want` and the regenerated `got`, with both values and their
+/// ratio, in committed order; then one per cell only one side has.
+fn moved_cells(want: &[Cell], got: &[Cell]) -> Vec<String> {
+    let index = |cells: &[Cell]| -> HashMap<(Vec<(String, String)>, String), f64> {
+        let cells = cells.iter();
+        cells
+            .map(|(key, metric, v)| ((key.clone(), metric.clone()), *v))
+            .collect()
+    };
+    let (committed, regenerated) = (index(want), index(got));
+    let cell = |key: &[(String, String)], metric: &str| {
+        let axes: Vec<String> = key.iter().map(|(a, v)| format!("{a}={v}")).collect();
+        format!("{} {metric}", axes.join(" "))
+    };
+    let mut report = Vec::new();
+    for (key, metric, old) in want {
+        match regenerated.get(&(key.clone(), metric.clone())) {
+            Some(new) if new != old => report.push(format!(
+                "  {}: committed {old}, regenerated {new} (x{:.4})",
+                cell(key, metric),
+                new / old
+            )),
+            Some(_) => {}
+            None => report.push(format!("  missing {}", cell(key, metric))),
+        }
+    }
+    for (key, metric, _) in got {
+        if !committed.contains_key(&(key.clone(), metric.clone())) {
+            report.push(format!("  extra {}", cell(key, metric)));
+        }
+    }
+    report
+}
+
 /// Asserts that `fresh` reproduces the committed `BENCH_<name>.json`.
 fn matches_committed(name: &str, fresh: RunSet) {
     let fresh: Vec<Cell> = fresh
@@ -49,6 +86,16 @@ fn matches_committed(name: &str, fresh: RunSet) {
         .collect();
     let path = format!("{}/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
     let want = committed(&path);
+    let report = moved_cells(&want, &fresh);
+    if !report.is_empty() {
+        eprintln!(
+            "{path}: {} of {} committed records moved or missing, {} regenerated\n{}",
+            report.iter().filter(|l| !l.starts_with("  extra ")).count(),
+            want.len(),
+            fresh.len(),
+            report.join("\n")
+        );
+    }
     for (i, (w, g)) in want.iter().zip(&fresh).enumerate() {
         assert!(
             w == g,

@@ -101,7 +101,13 @@ fn malformed_trace_files_surface_typed_errors_through_the_frontend() {
         .workload_name(&name)
         .build()
         .unwrap_err();
-    assert!(matches!(build_err, BuildError::UnknownWorkload { .. }));
+    assert_eq!(
+        build_err,
+        BuildError::Unknown(hira::engine::UnknownName {
+            axis: "workload",
+            name
+        })
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
